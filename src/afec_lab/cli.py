@@ -10,19 +10,22 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import json
 import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import continual, metrics, tasks
-from .continual import ArchSpec, RunResult, SequenceConfig, run_sequence
+from . import metrics, tasks
+from .continual import (ArchSpec, RunResult, SequenceConfig, _json_floats,
+                        run_sequence)
 from .errors import ConfigError, FormatError
 from .metrics import AccMatrix, emit_report
+from .nn import make_optimizer
 
 log = logging.getLogger("afec_lab")
 
@@ -58,21 +61,19 @@ class ExperimentConfig:
     expansion_init: str = "copy_main"
 
     def to_json(self) -> dict:
-        return {
-            "version": CONFIG_VERSION,
-            "benchmark": self.benchmark,
-            "methods": self.methods,
-            "lambda": self.lam_values,
-            "lambda_e": self.lam_e_values,
-            "seeds": self.seeds,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "optimizer": self.optimizer,
-            "arch": self.arch,
-            "expansion_epochs": self.expansion_epochs,
-            "expansion_init": self.expansion_init,
-            "out_dir": self.out_dir,
-        }
+        doc = asdict(self)
+        doc["lambda"] = doc.pop("lam_values")
+        doc["lambda_e"] = doc.pop("lam_e_values")
+        return {"version": CONFIG_VERSION, **doc}
+
+    def sequence_config(self, method: str, lam: float, lam_e: float,
+                        seed: int) -> SequenceConfig:
+        return SequenceConfig(method=method, lam=lam, lam_e=lam_e,
+                              epochs=self.epochs, batch_size=self.batch_size,
+                              optimizer=self.optimizer, seed=seed,
+                              arch=ArchSpec(**self.arch),
+                              expansion_epochs=self.expansion_epochs,
+                              expansion_init=self.expansion_init)
 
 
 def _as_list(value, path: str) -> list[float]:
@@ -111,42 +112,40 @@ def parse_config(doc: dict) -> ExperimentConfig:
     methods = doc.get("methods")
     if not isinstance(methods, list) or not methods:
         raise ConfigError("methods: expected a non-empty list")
-    for m in methods:
-        if m not in continual.METHODS:
-            raise ConfigError(f"methods: unknown method {m!r}")
     seeds = doc.get("seeds")
     if (not isinstance(seeds, list) or not seeds
             or any(not isinstance(s, int) for s in seeds)):
         raise ConfigError("seeds: expected a non-empty list of integers")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds: seeds must be distinct")
-    epochs = doc.get("epochs", 10)
-    batch_size = doc.get("batch_size", 32)
-    if not isinstance(epochs, int) or epochs < 1:
-        raise ConfigError("epochs: expected an integer >= 1")
-    if not isinstance(batch_size, int) or batch_size < 1:
-        raise ConfigError("batch_size: expected an integer >= 1")
     arch = doc.get("arch", {"hidden": [64, 64], "activation": "relu"})
     extra = set(arch) - {"hidden", "activation"}
     if extra:
         raise ConfigError(f"arch: unknown key(s) {sorted(extra)}")
-    expansion_init = doc.get("expansion_init", "copy_main")
-    if expansion_init not in ("copy_main", "fresh_random"):
-        raise ConfigError(f"expansion_init: unknown value {expansion_init!r}")
-    return ExperimentConfig(
+    optimizer = doc.get("optimizer", {"kind": "adam", "lr": 0.001})
+    if not isinstance(optimizer, dict):
+        raise ConfigError("optimizer: expected an object")
+    make_optimizer(optimizer)
+    config = ExperimentConfig(
         benchmark=bench,
         methods=list(methods),
         lam_values=_as_list(doc.get("lambda", 0.0), "lambda"),
         lam_e_values=_as_list(doc.get("lambda_e", 0.0), "lambda_e"),
         seeds=list(seeds),
-        epochs=epochs,
-        batch_size=batch_size,
-        optimizer=doc.get("optimizer", {"kind": "adam", "lr": 0.001}),
+        epochs=doc.get("epochs", 10),
+        batch_size=doc.get("batch_size", 32),
+        optimizer=optimizer,
         arch=arch,
         out_dir=doc.get("out_dir", "results"),
         expansion_epochs=doc.get("expansion_epochs"),
-        expansion_init=expansion_init,
+        expansion_init=doc.get("expansion_init", "copy_main"),
     )
+    # SequenceConfig validates the method and training settings; build one
+    # per cell setting so a bad value fails before any cell trains.
+    for cell in itertools.product(config.methods, config.lam_values,
+                                  config.lam_e_values, config.seeds[:1]):
+        config.sequence_config(*cell)
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
@@ -192,10 +191,8 @@ def result_to_json(result: RunResult) -> dict:
         "config": result.config,
         "acc_matrix": m.a,
         "abar": m.abar.tolist(),
-        "pre_train": [None if not np.isfinite(v) else float(v)
-                      for v in m.pre_train],
+        "pre_train": _json_floats(m.pre_train),
         "per_task_new_accuracy": result.per_task_new_accuracy,
-        "wall_time": result.wall_time,
         "state_digest": result.state_digest,
         "start_task": result.start_task,
     }
@@ -207,7 +204,7 @@ def result_from_json(doc: dict) -> RunResult:
                        pre_train=pre)
     return RunResult(acc_matrix=matrix,
                      per_task_new_accuracy=doc["per_task_new_accuracy"],
-                     wall_time=doc["wall_time"], config=doc["config"],
+                     config=doc["config"],
                      state_digest=doc["state_digest"],
                      start_task=doc.get("start_task", 0))
 
@@ -218,12 +215,7 @@ def _run_cell(config_json: dict, method: str, lam: float, lam_e: float,
               seed: int) -> dict:
     cfg = parse_config(config_json)
     task_list = build_tasks(cfg.benchmark)
-    seq = SequenceConfig(method=method, lam=lam, lam_e=lam_e,
-                         epochs=cfg.epochs, batch_size=cfg.batch_size,
-                         optimizer=cfg.optimizer, seed=seed,
-                         arch=ArchSpec(**cfg.arch),
-                         expansion_epochs=cfg.expansion_epochs,
-                         expansion_init=cfg.expansion_init)
+    seq = cfg.sequence_config(method, lam, lam_e, seed)
     return result_to_json(run_sequence(seq, task_list))
 
 
@@ -236,8 +228,13 @@ def _run_cells(config: ExperimentConfig, cells: list[tuple], jobs: int):
         return [f.result() for f in futures]
 
 
-def _result_filename(method: str, lam: float, lam_e: float, seed: int) -> str:
-    return f"result_{method}_lam{lam:g}_lame{lam_e:g}_seed{seed}.json"
+def _write_result(out_dir: str, cell: tuple, doc: dict) -> RunResult:
+    method, lam, lam_e, seed = cell
+    name = f"result_{method}_lam{lam:g}_lame{lam_e:g}_seed{seed}.json"
+    with open(os.path.join(out_dir, name), "w") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
+    return result_from_json(doc)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -250,20 +247,13 @@ def cmd_run(config: ExperimentConfig, jobs: int) -> int:
     cells = [(m, lam, lam_e, s) for m in config.methods for s in config.seeds]
     docs = _run_cells(config, cells, jobs)
     os.makedirs(config.out_dir, exist_ok=True)
-    results = []
-    for cell, doc in zip(cells, docs):
-        path = os.path.join(config.out_dir, _result_filename(*cell))
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-        results.append(result_from_json(doc))
+    results = [_write_result(config.out_dir, cell, doc)
+               for cell, doc in zip(cells, docs)]
     emit_report(results, config.out_dir)
     return 0
 
 
 def cmd_grid(config: ExperimentConfig, jobs: int) -> int:
-    if len(config.lam_values) * len(config.lam_e_values) < 1:
-        raise ConfigError("grid needs at least one hyperparameter value")
     cells = [(m, lam, lam_e, s)
              for m in config.methods
              for lam in config.lam_values
@@ -272,15 +262,9 @@ def cmd_grid(config: ExperimentConfig, jobs: int) -> int:
     docs = _run_cells(config, cells, jobs)
     os.makedirs(config.out_dir, exist_ok=True)
     by_cell: dict[tuple, list[float]] = {}
-    for (method, lam, lam_e, seed), doc in zip(cells, docs):
-        result = result_from_json(doc)
-        by_cell.setdefault((method, lam, lam_e), []).append(
-            metrics.acc(result.acc_matrix))
-        path = os.path.join(config.out_dir,
-                            _result_filename(method, lam, lam_e, seed))
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
+    for cell, doc in zip(cells, docs):
+        result = _write_result(config.out_dir, cell, doc)
+        by_cell.setdefault(cell[:3], []).append(metrics.acc(result.acc_matrix))
     lines = ["method,lambda,lambda_e,mean_acc,std_acc,seeds"]
     best = None
     for key in sorted(by_cell, key=lambda k: (k[0], k[1], k[2])):
@@ -354,6 +338,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _setup_logging()
     try:
+        if args.jobs < 1:
+            raise ConfigError("--jobs: expected an integer >= 1")
         config = load_config(args.config)
         if args.out is not None:
             config.out_dir = args.out

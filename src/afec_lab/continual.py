@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import time
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -20,7 +20,7 @@ from .errors import ConfigError, FormatError
 from .metrics import AccMatrix
 from .nn import Batch, Network, SGD, make_optimizer
 from .posterior import DiagGaussian, estimate_diag_fisher, fisher_running_average
-from .regularizers import (AfecConfig, RegState, StepInfo, epoch_batches,
+from .regularizers import (EXPANSION_INITS, RegState, StepInfo, epoch_batches,
                            importance_update, quadratic_penalty, train_expanded)
 
 log = logging.getLogger("afec_lab")
@@ -50,7 +50,6 @@ class SequenceConfig:
     batch_size: int = 32
     optimizer: dict = field(default_factory=lambda: {"kind": "adam", "lr": 0.001})
     seed: int = 0
-    eval_every_task: bool = True
     arch: ArchSpec = field(default_factory=ArchSpec)
     expansion_epochs: int | None = None  # None: same budget as main training
     expansion_init: str = "copy_main"
@@ -58,8 +57,21 @@ class SequenceConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        counts = {"epochs": self.epochs, "batch_size": self.batch_size}
+        if self.expansion_epochs is not None:
+            counts["expansion_epochs"] = self.expansion_epochs
+        for name, value in counts.items():
+            # type() rather than isinstance(), which would let bools through
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"{name}: expected an integer >= 1, "
+                                  f"got {value!r}")
+        for name, value in (("lambda", self.lam), ("lambda_e", self.lam_e)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name}: expected a finite number >= 0, "
+                                  f"got {value!r}")
+        if self.expansion_init not in EXPANSION_INITS:
+            raise ConfigError(f"expansion_init: unknown value "
+                              f"{self.expansion_init!r}")
         if isinstance(self.arch, dict):
             self.arch = ArchSpec(**self.arch)
 
@@ -82,7 +94,6 @@ class SequenceConfig:
 class RunResult:
     acc_matrix: AccMatrix
     per_task_new_accuracy: list[float]
-    wall_time: float
     config: dict
     state_digest: str
     start_task: int = 0
@@ -156,6 +167,35 @@ def _state_digest(net: Network, state: RegState) -> str:
     return hashlib.sha256(_canonical(doc).encode()).hexdigest()
 
 
+def penalty_terms(cfg: SequenceConfig, state: RegState,
+                  expanded: DiagGaussian | None) -> list[tuple]:
+    """The (anchor, strength) penalty terms of one task, old anchor first.
+
+    The old anchor is weighted by the averaged Fisher or, for MAS/SI/RWalk,
+    by the importance; it exists from the second task on. Terms of zero
+    strength are left out, so AFEC with lam_e = 0 is EWC bit for bit.
+    """
+    terms = []
+    if cfg.effective_lam != 0.0 and state.task_count > 0:
+        weights = (state.anchor.precision if cfg.base_method == "fisher"
+                   else state.importance)
+        terms.append((DiagGaussian(state.anchor.mean, weights),
+                      cfg.effective_lam))
+    if expanded is not None and cfg.lam_e != 0.0:
+        terms.append((expanded, cfg.lam_e))
+    return terms
+
+
+def penalized_grad(params: np.ndarray, grad: np.ndarray,
+                   terms: list[tuple]) -> np.ndarray:
+    """`grad` plus each term's penalty gradient, added in order without
+    modifying `grad`; summing the penalties first would round differently."""
+    total = grad
+    for anchor, lam in terms:
+        total = total + quadratic_penalty(params, anchor, lam)[1]
+    return total
+
+
 def run_sequence(cfg: SequenceConfig, tasks, *, resume: tuple | None = None,
                  save_state_to=None) -> RunResult:
     """Continually learn the task sequence with the configured method.
@@ -170,7 +210,6 @@ def run_sequence(cfg: SequenceConfig, tasks, *, resume: tuple | None = None,
     input_dim = tasks[0].input_dim
     if any(t.input_dim != input_dim for t in tasks):
         raise ConfigError("all tasks must share one input dimension")
-    started = time.monotonic()
 
     heads = _collect_heads(tasks)
     if resume is not None:
@@ -200,13 +239,9 @@ def run_sequence(cfg: SequenceConfig, tasks, *, resume: tuple | None = None,
 
         expanded = None
         if cfg.uses_expansion:
-            afec_cfg = AfecConfig(
-                lam=cfg.effective_lam, lam_e=cfg.lam_e,
-                expansion_epochs=(cfg.expansion_epochs
-                                  if cfg.expansion_epochs is not None
-                                  else cfg.epochs),
-                expansion_init=cfg.expansion_init)
-            expanded = train_expanded(net, task, afec_cfg, cfg.optimizer,
+            expanded = train_expanded(net, task, cfg.optimizer,
+                                      epochs=cfg.expansion_epochs or cfg.epochs,
+                                      init=cfg.expansion_init,
                                       batch_size=cfg.batch_size,
                                       loss_kind=loss_kind, seed=cfg.seed,
                                       task_index=t)
@@ -214,27 +249,15 @@ def run_sequence(cfg: SequenceConfig, tasks, *, resume: tuple | None = None,
         if importance_based:
             importance_update(cfg.base_method, state,
                               StepInfo("task_start", net=net))
-        old_weights = (state.anchor.precision if cfg.base_method == "fisher"
-                       else state.importance)
-        old_anchor = DiagGaussian(state.anchor.mean, old_weights)
-        lam = cfg.effective_lam
-        penalize_old = lam != 0.0 and state.task_count > 0
-        penalize_new = expanded is not None and cfg.lam_e != 0.0
+        terms = penalty_terms(cfg, state, expanded)
 
         opt = make_optimizer(cfg.optimizer)
         for epoch in range(cfg.epochs):
             for batch in epoch_batches(task, cfg.batch_size,
                                        [_MAIN_SHUFFLE_KEY, cfg.seed, t, epoch]):
                 _, grad = net.loss_and_grad(batch, loss_kind)
-                total = grad
                 params = net.get_params()
-                if penalize_old:
-                    _, pgrad = quadratic_penalty(params, old_anchor, lam)
-                    total = total + pgrad
-                if penalize_new:
-                    _, pgrad = quadratic_penalty(params, expanded, cfg.lam_e)
-                    total = total + pgrad
-                new_params = opt.step(params, total)
+                new_params = opt.step(params, penalized_grad(params, grad, terms))
                 net.set_params(new_params)
                 if cfg.base_method in ("si", "rwalk"):
                     importance_update(cfg.base_method, state,
@@ -267,7 +290,6 @@ def run_sequence(cfg: SequenceConfig, tasks, *, resume: tuple | None = None,
     per_task_new = [rows[i][start_task + i] for i in range(len(rows))]
     return RunResult(acc_matrix=matrix,
                      per_task_new_accuracy=per_task_new,
-                     wall_time=time.monotonic() - started,
                      config=asdict(cfg),
                      state_digest=_state_digest(net, state),
                      start_task=start_task)
@@ -283,11 +305,10 @@ def _pad_rows(rows: list[list[float]], start_task: int) -> list[list[float]]:
 def transfer_probe(net: Network, probe_task, epochs: int, lr: float) -> float:
     """Freeze the feature extractor, train a fresh linear head on the probe
     task, and return its test accuracy. The given network is not modified."""
-    body = net.clone().body
-    if not body:
+    if not net.body:
         raise ConfigError("transfer probe needs a network with a body")
-    probe_net = _probe_network(body, probe_task)
-    before = probe_net.get_params()[probe_net.body_slice()].copy()
+    probe_net = _probe_network(net.body, probe_task)
+    before = probe_net.get_params()[probe_net.body_slice()]
     head_slice = probe_net.head_slice(probe_task.head)
     opt = SGD(lr=lr)
     loss_kind = _loss_kind(probe_task)

@@ -101,7 +101,6 @@ class Network:
     def __init__(self, body: list[DenseLayer], heads: dict[str, DenseLayer]):
         if not heads:
             raise ConfigError("network needs at least one head")
-        dims = [l.in_dim for l in body] + [body[-1].out_dim if body else None]
         for i in range(1, len(body)):
             if body[i].in_dim != body[i - 1].out_dim:
                 raise ShapeError(f"body layers {i - 1} and {i} do not chain")
@@ -109,19 +108,25 @@ class Network:
         for name, h in heads.items():
             if feat is not None and h.in_dim != feat:
                 raise ShapeError(f"head {name!r} does not match body output dim")
-        self.body = body
-        self.heads = heads
+        # The given layers are copied into one flat buffer, and this
+        # network's layers are reshaped views of it.
+        layers = [*body, *heads.values()]
+        self._flat = np.concatenate(
+            [np.concatenate([l.w.ravel(), l.b]) for l in layers]
+        ).astype(np.float64)
+        self.param_count = self._flat.size
         self._offsets: dict[object, tuple[slice, slice]] = {}
+        views = []
         pos = 0
-        for i, layer in enumerate(body):
-            self._offsets[i] = (slice(pos, pos + layer.w.size),
-                                slice(pos + layer.w.size, pos + layer.size))
-            pos += layer.size
-        for name, layer in heads.items():
-            self._offsets[name] = (slice(pos, pos + layer.w.size),
-                                   slice(pos + layer.w.size, pos + layer.size))
-            pos += layer.size
-        self.param_count = pos
+        for key, layer in zip([*range(len(body)), *heads], layers):
+            ws = slice(pos, pos + layer.w.size)
+            bs = slice(ws.stop, pos + layer.size)
+            pos = bs.stop
+            self._offsets[key] = (ws, bs)
+            views.append(DenseLayer(self._flat[ws].reshape(layer.w.shape),
+                                    self._flat[bs], layer.activation))
+        self.body = views[:len(body)]
+        self.heads = dict(zip(heads, views[len(body):]))
 
     # -- construction -------------------------------------------------------
 
@@ -142,34 +147,27 @@ class Network:
         return cls(body, head_layers)
 
     def clone(self) -> "Network":
-        body = [DenseLayer(l.w.copy(), l.b.copy(), l.activation) for l in self.body]
-        heads = {k: DenseLayer(l.w.copy(), l.b.copy(), l.activation)
-                 for k, l in self.heads.items()}
-        return Network(body, heads)
+        return Network(self.body, self.heads)
 
     def reinit_head(self, name: str, key) -> None:
         head = self.heads[name]
-        self.heads[name] = _init_layer(head.in_dim, head.out_dim, "identity", key)
+        fresh = _init_layer(head.in_dim, head.out_dim, "identity", key)
+        head.w[...] = fresh.w
+        head.b[...] = fresh.b
 
     # -- flat parameter view ------------------------------------------------
 
     def get_params(self) -> np.ndarray:
-        out = np.empty(self.param_count)
-        for key, layer in self._layers():
-            ws, bs = self._offsets[key]
-            out[ws] = layer.w.ravel()
-            out[bs] = layer.b
-        return out
+        """A snapshot of the flat parameter vector; later updates to the
+        network do not reach it."""
+        return self._flat.copy()
 
     def set_params(self, params: np.ndarray) -> None:
         params = np.asarray(params, dtype=np.float64)
         if params.shape != (self.param_count,):
             raise ShapeError(f"expected {self.param_count} parameters, "
                              f"got shape {params.shape}")
-        for key, layer in self._layers():
-            ws, bs = self._offsets[key]
-            layer.w = params[ws].reshape(layer.w.shape).copy()
-            layer.b = params[bs].copy()
+        self._flat[...] = params
 
     def head_slice(self, name: str) -> slice:
         ws, bs = self._offsets[name]
@@ -180,12 +178,6 @@ class Network:
             return slice(0, 0)
         return slice(0, self._offsets[len(self.body) - 1][1].stop)
 
-    def _layers(self):
-        for i, layer in enumerate(self.body):
-            yield i, layer
-        for name, layer in self.heads.items():
-            yield name, layer
-
     # -- forward / backward -------------------------------------------------
 
     def _forward_cached(self, inputs: np.ndarray, head: str):
@@ -194,18 +186,20 @@ class Network:
         if inputs.shape[1] != (self.body[0].in_dim if self.body
                                else self.heads[head].in_dim):
             raise ShapeError("input dimension does not match the network")
-        acts = [inputs]  # activations entering each layer
+        acts = [inputs]  # activations entering each layer, head last
+        zs = []  # body pre-activations
         x = inputs
         for i, layer in enumerate(self.body):
             z = x @ layer.w + layer.b
             x = _activate(layer.activation, z)
             if not np.all(np.isfinite(x)):
                 raise NumericError(f"non-finite activations in body layer {i}")
+            zs.append(z)
             acts.append(x)
         out = x @ self.heads[head].w + self.heads[head].b
         if not np.all(np.isfinite(out)):
             raise NumericError(f"non-finite activations in head {head!r}")
-        return out, acts
+        return out, (acts, zs)
 
     def forward(self, batch: Batch) -> np.ndarray:
         out, _ = self._forward_cached(batch.inputs, batch.head)
@@ -239,30 +233,36 @@ class Network:
             return loss, delta / n
         raise ConfigError(f"unknown loss kind {loss_kind!r}")
 
-    def _backward(self, batch: Batch, acts: list[np.ndarray],
-                  delta: np.ndarray) -> np.ndarray:
-        """Backprop an output-space gradient into a flat parameter gradient."""
+    def _backward(self, head: str, cache, delta: np.ndarray,
+                  pw=None) -> np.ndarray:
+        """Backprop an output-space gradient into a flat parameter gradient.
+
+        `cache` comes from `_forward_cached`. An elementwise `pw` is applied
+        to each layer's inputs and output-space gradients before the sum
+        over samples (see per_sample_grad_moment).
+        """
+        acts, zs = cache
+        layers = [*self.body, self.heads[head]]
+        keys = [*range(len(self.body)), head]
         grad = np.zeros(self.param_count)
-        head = self.heads[batch.head]
-        ws, bs = self._offsets[batch.head]
-        grad[ws] = (acts[-1].T @ delta).ravel()
-        grad[bs] = delta.sum(axis=0)
-        d = delta @ head.w.T
-        for i in range(len(self.body) - 1, -1, -1):
-            layer = self.body[i]
-            z_grad = d * _activate_grad(layer.activation,
-                                        acts[i] @ layer.w + layer.b, acts[i + 1])
-            ws, bs = self._offsets[i]
-            grad[ws] = (acts[i].T @ z_grad).ravel()
-            grad[bs] = z_grad.sum(axis=0)
-            d = z_grad @ layer.w.T
+        d = delta
+        for i in range(len(layers) - 1, -1, -1):
+            layer = layers[i]
+            if i < len(self.body):
+                d = d * _activate_grad(layer.activation, zs[i], acts[i + 1])
+            x, g = (acts[i], d) if pw is None else (pw(acts[i]), pw(d))
+            ws, bs = self._offsets[keys[i]]
+            grad[ws] = (x.T @ g).ravel()
+            grad[bs] = g.sum(axis=0)
+            if i > 0:
+                d = d @ layer.w.T
         return grad
 
     def loss_and_grad(self, batch: Batch, loss_kind: str):
         """Exact reverse-mode gradient of the batch loss; grad is flat."""
-        out, acts = self._forward_cached(batch.inputs, batch.head)
+        out, cache = self._forward_cached(batch.inputs, batch.head)
         loss, delta = self._loss_delta(out, batch, loss_kind)
-        return loss, self._backward(batch, acts, delta)
+        return loss, self._backward(batch.head, cache, delta)
 
     def loss_only(self, batch: Batch, loss_kind: str) -> float:
         out, _ = self._forward_cached(batch.inputs, batch.head)
@@ -282,27 +282,9 @@ class Network:
         """
         if power not in (1, 2):
             raise ConfigError("power must be 1 or 2")
-        out_moment = np.zeros(self.param_count)
-        _, acts = self._forward_cached(batch.inputs, batch.head)
-        n = batch.n
-
-        def pw(x):
-            return x * x if power == 2 else np.abs(x)
-
-        head = self.heads[batch.head]
-        ws, bs = self._offsets[batch.head]
-        out_moment[ws] = (pw(acts[-1]).T @ pw(delta)).ravel() / n
-        out_moment[bs] = pw(delta).mean(axis=0)
-        d = delta @ head.w.T
-        for i in range(len(self.body) - 1, -1, -1):
-            layer = self.body[i]
-            z_grad = d * _activate_grad(layer.activation,
-                                        acts[i] @ layer.w + layer.b, acts[i + 1])
-            ws, bs = self._offsets[i]
-            out_moment[ws] = (pw(acts[i]).T @ pw(z_grad)).ravel() / n
-            out_moment[bs] = pw(z_grad).mean(axis=0)
-            d = z_grad @ layer.w.T
-        return out_moment
+        _, cache = self._forward_cached(batch.inputs, batch.head)
+        pw = np.square if power == 2 else np.abs
+        return self._backward(batch.head, cache, delta, pw) / batch.n
 
 
 def finite_diff_check(net: Network, batch: Batch, loss_kind: str,
@@ -381,10 +363,19 @@ class Adam:
         return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+_OPTIMIZER_KEYS = {"sgd": {"kind", "lr", "momentum"}, "adam": {"kind", "lr"}}
+
+
 def make_optimizer(spec: dict):
+    """Build an optimizer from its config object; a key the chosen kind
+    would ignore is an error."""
     kind = spec.get("kind", "adam")
+    if kind not in _OPTIMIZER_KEYS:
+        raise ConfigError(f"unknown optimizer kind {kind!r}")
+    extra = set(spec) - _OPTIMIZER_KEYS[kind]
+    if extra:
+        raise ConfigError(f"optimizer: key(s) {sorted(extra)} do not apply "
+                          f"to kind {kind!r}")
     if kind == "sgd":
         return SGD(lr=spec.get("lr", 0.01), momentum=spec.get("momentum", 0.0))
-    if kind == "adam":
-        return Adam(lr=spec.get("lr", 0.001))
-    raise ConfigError(f"unknown optimizer kind {kind!r}")
+    return Adam(lr=spec.get("lr", 0.001))

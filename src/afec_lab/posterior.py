@@ -131,5 +131,5 @@ def gaussian_weighted_product(g1: DiagGaussian, g2: DiagGaussian,
 def snapshot_anchor(net: Network, data, loss_kind: str) -> DiagGaussian:
     """Laplace-style anchor: copy of the current parameters plus the
     empirical diagonal Fisher on the given task data."""
-    return DiagGaussian(net.get_params().copy(),
+    return DiagGaussian(net.get_params(),
                         estimate_diag_fisher(net, data, loss_kind))

@@ -22,24 +22,10 @@ from .posterior import DiagGaussian, snapshot_anchor
 _EXPAND_INIT_KEY = 810001
 _EXPAND_SHUFFLE_KEY = 810002
 
+EXPANSION_INITS = ("copy_main", "fresh_random")
+
 SI_DAMP_DEFAULT = 0.1
 RWALK_EMA_DECAY_DEFAULT = 0.9
-
-
-@dataclass
-class AfecConfig:
-    lam: float = 0.0
-    lam_e: float = 0.0
-    expansion_epochs: int = 1
-    expansion_init: str = "copy_main"  # copy_main | fresh_random
-
-    def __post_init__(self):
-        if self.lam < 0 or self.lam_e < 0:
-            raise ConfigError("penalty strengths must be >= 0")
-        if not (np.isfinite(self.lam) and np.isfinite(self.lam_e)):
-            raise ConfigError("penalty strengths must be finite")
-        if self.expansion_init not in ("copy_main", "fresh_random"):
-            raise ConfigError(f"unknown expansion_init {self.expansion_init!r}")
 
 
 @dataclass
@@ -97,47 +83,6 @@ def quadratic_penalty(params: np.ndarray, anchor: DiagGaussian, lam: float):
     return value, lam * weighted
 
 
-def afec_total_loss(net: Network, batch: Batch, state: RegState,
-                    expanded: DiagGaussian | None, cfg: AfecConfig,
-                    loss_kind: str):
-    """Task loss plus the old-anchor penalty (lam) and the expanded-anchor
-    penalty (lam_e). Penalties with zero strength (or before the first task)
-    are skipped entirely so an EWC run is reproduced bit for bit when
-    lam_e = 0."""
-    loss, grad = net.loss_and_grad(batch, loss_kind)
-    params = net.get_params()
-    if cfg.lam != 0.0 and state.task_count > 0:
-        value, pgrad = quadratic_penalty(params, state.anchor, cfg.lam)
-        loss += value
-        grad += pgrad
-    if cfg.lam_e != 0.0 and expanded is not None:
-        value, pgrad = quadratic_penalty(params, expanded, cfg.lam_e)
-        loss += value
-        grad += pgrad
-    return loss, grad
-
-
-def reg_with_afec_loss(net: Network, batch: Batch, state: RegState,
-                       expanded: DiagGaussian | None, lam: float,
-                       lam_e: float, method: str, loss_kind: str):
-    """Importance-weighted variant: the old-task penalty uses the
-    method-specific importance instead of the averaged Fisher."""
-    if method not in ("mas", "si", "rwalk"):
-        raise ConfigError(f"unknown importance method {method!r}")
-    loss, grad = net.loss_and_grad(batch, loss_kind)
-    params = net.get_params()
-    if lam != 0.0 and state.task_count > 0:
-        old = DiagGaussian(state.anchor.mean, state.importance)
-        value, pgrad = quadratic_penalty(params, old, lam)
-        loss += value
-        grad += pgrad
-    if lam_e != 0.0 and expanded is not None:
-        value, pgrad = quadratic_penalty(params, expanded, lam_e)
-        loss += value
-        grad += pgrad
-    return loss, grad
-
-
 def epoch_batches(task, batch_size: int, key):
     """Seeded shuffle of the training split, yielded in minibatches."""
     order = np.random.default_rng(key).permutation(task.n_train)
@@ -146,16 +91,19 @@ def epoch_batches(task, batch_size: int, key):
         yield Batch(task.inputs_train[idx], task.targets_train[idx], task.head)
 
 
-def train_expanded(net: Network, task, cfg: AfecConfig, opt_spec: dict, *,
-                   batch_size: int, loss_kind: str, seed: int,
-                   task_index: int = 0) -> DiagGaussian:
-    """Synaptic expansion: train a temporary network on the task loss alone
-    and return its anchor (parameter snapshot + Fisher). The main network is
-    never touched and the temporary one is discarded by the caller."""
+def train_expanded(net: Network, task, opt_spec: dict, *, epochs: int,
+                   init: str = "copy_main", batch_size: int, loss_kind: str,
+                   seed: int, task_index: int = 0) -> DiagGaussian:
+    """Synaptic expansion: train a temporary network (a copy of `net`, or
+    freshly initialized) on the task loss alone and return its anchor
+    (parameter snapshot + Fisher). The main network is never touched and
+    the temporary one is discarded by the caller."""
+    if init not in EXPANSION_INITS:
+        raise ConfigError(f"unknown expansion_init {init!r}")
     if task.n_train == 0:
         raise ShapeError("expansion needs a non-empty task")
     tmp = net.clone()
-    if cfg.expansion_init == "fresh_random":
+    if init == "fresh_random":
         fresh_seed = (_EXPAND_INIT_KEY + 1000003 * seed + 997 * task_index) % (2 ** 31)
         fresh = Network.create(task.input_dim,
                                [l.out_dim for l in net.body],
@@ -164,7 +112,7 @@ def train_expanded(net: Network, task, cfg: AfecConfig, opt_spec: dict, *,
                                seed=fresh_seed)
         tmp.set_params(fresh.get_params())
     opt = make_optimizer(opt_spec)
-    for epoch in range(cfg.expansion_epochs):
+    for epoch in range(epochs):
         for batch in epoch_batches(task, batch_size,
                                    [_EXPAND_SHUFFLE_KEY, seed, task_index, epoch]):
             _, grad = tmp.loss_and_grad(batch, loss_kind)

@@ -161,6 +161,20 @@ class TestMainExitCodes:
         assert (out1 / "summary.csv").read_bytes() == \
                (out2 / "summary.csv").read_bytes()
 
+    def test_rerun_byte_identical_outputs(self, tmp_path):
+        out1 = tmp_path / "r1"
+        out2 = tmp_path / "r2"
+        doc = minimal_config(out1, methods=["ewc", "afec"],
+                             **{"lambda": 10, "lambda_e": 1})
+        path = write_config(tmp_path, doc)
+        assert main(["run", "--config", path]) == 0
+        assert main(["run", "--config", path, "--out", str(out2)]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert any(name.startswith("result_") for name in names)
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
     def test_seed_override(self, tmp_path):
         out = tmp_path / "results"
         path = write_config(tmp_path, minimal_config(out, seeds=[0, 1]))
@@ -168,6 +182,50 @@ class TestMainExitCodes:
         lines = (out / "summary.csv").read_text().strip().split("\n")
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "7"
+
+
+class TestConfigErrorsBeforeTraining:
+    """Each bad value exits with code 2 before any cell trains, so no
+    result file is written."""
+
+    def assert_rejected(self, tmp_path, command, doc, *flags):
+        path = write_config(tmp_path, doc)
+        assert main([command, "--config", path, *flags]) == 2
+        assert not list(tmp_path.glob("**/result_*.json"))
+
+    @pytest.mark.parametrize("key,values", [
+        ("lambda", [1, -1]), ("lambda_e", [0, -0.5]),
+        ("lambda", [1, float("inf")]), ("lambda_e", [float("nan")])])
+    def test_bad_penalty_strength(self, tmp_path, key, values):
+        doc = minimal_config(tmp_path / "out", methods=["ewc", "afec"],
+                             **{key: values})
+        self.assert_rejected(tmp_path, "grid", doc)
+
+    def test_negative_lambda_in_run(self, tmp_path):
+        # finetune ignores lambda, so this was never caught during training
+        doc = minimal_config(tmp_path / "out", **{"lambda": -1})
+        self.assert_rejected(tmp_path, "run", doc)
+
+    @pytest.mark.parametrize("key,value", [
+        ("expansion_epochs", 0), ("expansion_epochs", -1),
+        ("expansion_epochs", True), ("expansion_epochs", 1.5),
+        ("epochs", True)])
+    def test_bad_epoch_count(self, tmp_path, key, value):
+        doc = minimal_config(tmp_path / "out", methods=["afec"],
+                             **{"lambda_e": 1, key: value})
+        self.assert_rejected(tmp_path, "run", doc)
+
+    @pytest.mark.parametrize("optimizer", [
+        {"kind": "adam", "momentum": 0.9}, {"kind": "sgd", "beta1": 0.9},
+        {"kind": "rmsprop"}, "adam"])
+    def test_optimizer_key_the_kind_ignores(self, tmp_path, optimizer):
+        doc = minimal_config(tmp_path / "out", optimizer=optimizer)
+        self.assert_rejected(tmp_path, "run", doc)
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one(self, tmp_path, jobs):
+        doc = minimal_config(tmp_path / "out")
+        self.assert_rejected(tmp_path, "grid", doc, "--jobs", jobs)
 
 
 class TestGrid:

@@ -165,6 +165,35 @@ class TestRunSequence:
         assert result.config["lam"] == 2.0
 
 
+class TestSequenceConfig:
+    def test_negative_strengths_rejected(self):
+        with pytest.raises(ConfigError, match="lambda"):
+            SequenceConfig(method="afec", lam=-1.0)
+        with pytest.raises(ConfigError, match="lambda_e"):
+            SequenceConfig(method="afec", lam_e=-0.5)
+
+    def test_non_finite_rejected(self):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ConfigError):
+                SequenceConfig(method="afec", lam=bad)
+            with pytest.raises(ConfigError):
+                SequenceConfig(method="afec", lam_e=bad)
+
+    def test_unknown_init_rejected(self):
+        with pytest.raises(ConfigError, match="expansion_init"):
+            SequenceConfig(method="afec", expansion_init="warm")
+
+    @pytest.mark.parametrize("bad", [0, -1, True, 1.5, "2"])
+    def test_bad_expansion_epochs_rejected(self, bad):
+        with pytest.raises(ConfigError, match="expansion_epochs"):
+            SequenceConfig(method="afec", expansion_epochs=bad)
+
+    def test_expansion_epochs_none_or_positive_accepted(self):
+        assert SequenceConfig(method="afec").expansion_epochs is None
+        assert SequenceConfig(method="afec",
+                              expansion_epochs=2).expansion_epochs == 2
+
+
 class TestTransferProbe:
     def _trained_net(self, seed=0):
         tasks = quick_pair(seed)

@@ -210,6 +210,37 @@ class TestParamView:
         twin.set_params(np.zeros(twin.param_count))
         assert np.any(net.get_params() != 0.0)
 
+    def test_get_params_is_a_snapshot(self):
+        net = random_net(2)
+        params = net.get_params()
+        kept = params.copy()
+        net.set_params(params + 1.0)
+        np.testing.assert_array_equal(params, kept)
+
+    def test_clone_shares_no_memory(self):
+        net = random_net(0, heads={"a": 3, "b": 2})
+        twin = net.clone()
+        ours = [a for l in [*net.body, *net.heads.values()] for a in (l.w, l.b)]
+        theirs = [a for l in [*twin.body, *twin.heads.values()]
+                  for a in (l.w, l.b)]
+        assert not any(np.shares_memory(x, y) for x in ours for y in theirs)
+        np.testing.assert_array_equal(twin.get_params(), net.get_params())
+
+    def test_reinit_head_changes_exactly_its_slice(self):
+        net = random_net(0, heads={"a": 3, "b": 2})
+        net.set_params(np.random.default_rng(1).standard_normal(net.param_count))
+        before = net.get_params()
+        net.reinit_head("a", [7, 7])
+        after = net.get_params()
+        head = net.head_slice("a")
+        outside = np.ones(net.param_count, dtype=bool)
+        outside[head] = False
+        np.testing.assert_array_equal(after[outside], before[outside])
+        assert np.all(after[head] != before[head])
+        layer = net.heads["a"]
+        np.testing.assert_array_equal(
+            after[head], np.concatenate([layer.w.ravel(), layer.b]))
+
     def test_same_seed_same_init(self):
         a = random_net(11).get_params()
         b = random_net(11).get_params()
@@ -233,8 +264,8 @@ class TestPerSampleGradMoment:
         total = np.zeros(net.param_count)
         for i in range(batch.n):
             one = Batch(batch.inputs[i:i + 1], batch.targets[i:i + 1], "out")
-            _, acts = net._forward_cached(one.inputs, one.head)
-            g = net._backward(one, acts, delta[i:i + 1])
+            _, cache = net._forward_cached(one.inputs, one.head)
+            g = net._backward(one.head, cache, delta[i:i + 1])
             total += np.abs(g) ** power
         np.testing.assert_allclose(got, total / batch.n, rtol=1e-12, atol=1e-15)
 
@@ -310,6 +341,9 @@ class TestOptimizers:
         assert isinstance(make_optimizer({"kind": "adam"}), Adam)
         with pytest.raises(ConfigError):
             make_optimizer({"kind": "rmsprop"})
+        # a key the chosen kind would silently ignore
+        with pytest.raises(ConfigError, match="momentum"):
+            make_optimizer({"kind": "adam", "momentum": 0.9})
 
 
 class TestBatch:

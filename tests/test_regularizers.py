@@ -5,13 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from afec_lab.continual import SequenceConfig, penalized_grad, penalty_terms
 from afec_lab.errors import ConfigError, ShapeError
 from afec_lab.nn import Batch, DenseLayer, Network, SGD
 from afec_lab.posterior import DiagGaussian
-from afec_lab.regularizers import (AfecConfig, RegState, StepInfo,
-                                   afec_total_loss, importance_update,
-                                   quadratic_penalty, reg_with_afec_loss,
-                                   train_expanded)
+from afec_lab.regularizers import (RegState, StepInfo, importance_update,
+                                   quadratic_penalty, train_expanded)
 from afec_lab.tasks import AngularLayout, gen_angular_task
 
 
@@ -89,22 +88,6 @@ class TestQuadraticPenalty:
         assert v1 == pytest.approx(v2, rel=1e-13)
 
 
-class TestAfecConfig:
-    def test_negative_strengths_rejected(self):
-        with pytest.raises(ConfigError):
-            AfecConfig(lam=-1.0)
-        with pytest.raises(ConfigError):
-            AfecConfig(lam_e=-0.5)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ConfigError):
-            AfecConfig(lam=float("inf"))
-
-    def test_unknown_init_rejected(self):
-        with pytest.raises(ConfigError):
-            AfecConfig(expansion_init="warm")
-
-
 class TestRegState:
     def test_zeros_factory_shapes(self):
         state = RegState.zeros(12)
@@ -130,7 +113,15 @@ class TestRegState:
         assert len(sizes) == 1
 
 
+def random_anchor(size, seed):
+    rng = np.random.default_rng(seed)
+    return DiagGaussian(rng.normal(size=size), rng.uniform(0, 1, size=size))
+
+
 class TestAfecTotalLoss:
+    """The gradient training follows: the task gradient plus the anchor
+    penalties that penalty_terms selects, added by penalized_grad."""
+
     def _setup(self, seed=0):
         task = small_task(seed)
         net = small_net(task, seed)
@@ -140,25 +131,33 @@ class TestAfecTotalLoss:
 
     def test_both_penalties_off_is_plain_loss(self):
         net, batch, state = self._setup()
-        cfg = AfecConfig(lam=0.0, lam_e=0.0)
-        loss, grad = afec_total_loss(net, batch, state, None, cfg, "angular_mse")
-        ref_loss, ref_grad = net.loss_and_grad(batch, "angular_mse")
-        assert loss == ref_loss
-        np.testing.assert_array_equal(grad, ref_grad)
+        state.anchor = random_anchor(net.param_count, 1)
+        state.task_count = 1
+        expanded = random_anchor(net.param_count, 2)
+        cfg = SequenceConfig(method="afec", lam=0.0, lam_e=0.0)
+        terms = penalty_terms(cfg, state, expanded)
+        assert terms == []
+        _, ref_grad = net.loss_and_grad(batch, "angular_mse")
+        np.testing.assert_array_equal(
+            penalized_grad(net.get_params(), ref_grad, terms), ref_grad)
 
     def test_lam_e_zero_matches_single_penalty_objective(self):
         net, batch, state = self._setup()
-        rng = np.random.default_rng(1)
-        state.anchor = DiagGaussian(rng.normal(size=net.param_count),
-                                    rng.uniform(0, 1, size=net.param_count))
+        state.anchor = random_anchor(net.param_count, 1)
         state.task_count = 1
-        cfg = AfecConfig(lam=2.5, lam_e=0.0)
-        loss, grad = afec_total_loss(net, batch, state, None, cfg, "angular_mse")
-        base_loss, base_grad = net.loss_and_grad(batch, "angular_mse")
-        pen_value, pen_grad = quadratic_penalty(net.get_params(),
-                                                state.anchor, 2.5)
-        assert loss == base_loss + pen_value
-        np.testing.assert_array_equal(grad, base_grad + pen_grad)
+        expanded = random_anchor(net.param_count, 2)
+        cfg = SequenceConfig(method="afec", lam=2.5, lam_e=0.0)
+        terms = penalty_terms(cfg, state, expanded)
+        _, base_grad = net.loss_and_grad(batch, "angular_mse")
+        _, pen_grad = quadratic_penalty(net.get_params(), state.anchor, 2.5)
+        np.testing.assert_array_equal(
+            penalized_grad(net.get_params(), base_grad, terms),
+            base_grad + pen_grad)
+        ewc = SequenceConfig(method="ewc", lam=2.5)
+        np.testing.assert_array_equal(
+            penalized_grad(net.get_params(), base_grad, terms),
+            penalized_grad(net.get_params(), base_grad,
+                           penalty_terms(ewc, state, None)))
 
     def test_params_at_both_anchors_gives_task_loss_only(self):
         net, batch, state = self._setup()
@@ -166,101 +165,131 @@ class TestAfecTotalLoss:
         state.anchor = DiagGaussian(params.copy(), np.ones(net.param_count))
         state.task_count = 2
         expanded = DiagGaussian(params.copy(), np.ones(net.param_count))
-        cfg = AfecConfig(lam=7.0, lam_e=3.0)
-        loss, _ = afec_total_loss(net, batch, state, expanded, cfg,
-                                  "angular_mse")
-        ref_loss, _ = net.loss_and_grad(batch, "angular_mse")
-        assert loss == ref_loss
+        cfg = SequenceConfig(method="afec", lam=7.0, lam_e=3.0)
+        terms = penalty_terms(cfg, state, expanded)
+        assert len(terms) == 2
+        assert all(quadratic_penalty(params, anchor, lam)[0] == 0.0
+                   for anchor, lam in terms)
+        _, ref_grad = net.loss_and_grad(batch, "angular_mse")
+        np.testing.assert_array_equal(penalized_grad(params, ref_grad, terms),
+                                      ref_grad)
 
     def test_no_old_penalty_before_first_task(self):
         net, batch, state = self._setup()
         state.anchor = DiagGaussian(np.ones(net.param_count),
                                     np.ones(net.param_count))
-        cfg = AfecConfig(lam=100.0, lam_e=0.0)
-        loss, _ = afec_total_loss(net, batch, state, None, cfg, "angular_mse")
-        ref_loss, _ = net.loss_and_grad(batch, "angular_mse")
-        assert loss == ref_loss
+        cfg = SequenceConfig(method="afec", lam=100.0, lam_e=0.0)
+        terms = penalty_terms(cfg, state, None)
+        assert terms == []
+        _, ref_grad = net.loss_and_grad(batch, "angular_mse")
+        np.testing.assert_array_equal(
+            penalized_grad(net.get_params(), ref_grad, terms), ref_grad)
+
+    def test_terms_added_in_order_without_touching_grad(self):
+        net, batch, state = self._setup()
+        state.anchor = random_anchor(net.param_count, 1)
+        state.task_count = 1
+        expanded = random_anchor(net.param_count, 2)
+        cfg = SequenceConfig(method="afec", lam=3.0, lam_e=0.7)
+        terms = penalty_terms(cfg, state, expanded)
+        assert [lam for _, lam in terms] == [3.0, 0.7]
+        assert terms[1][0] is expanded
+        params = net.get_params()
+        _, grad = net.loss_and_grad(batch, "angular_mse")
+        kept = grad.copy()
+        total = penalized_grad(params, grad, terms)
+        np.testing.assert_array_equal(grad, kept)
+        old = quadratic_penalty(params, state.anchor, 3.0)[1]
+        new = quadratic_penalty(params, expanded, 0.7)[1]
+        np.testing.assert_array_equal(total, (grad + old) + new)
 
 
 class TestRegWithAfecLoss:
+    """The old anchor of the importance-based methods (MAS, SI, RWalk and
+    their AFEC variants) is weighted by the importance, not the Fisher."""
+
     def test_importance_equal_fisher_matches_afec(self):
         task = small_task()
         net = small_net(task)
         batch = Batch(task.inputs_train[:8], task.targets_train[:8], task.head)
-        rng = np.random.default_rng(2)
         state = RegState.zeros(net.param_count)
-        state.anchor = DiagGaussian(rng.normal(size=net.param_count),
-                                    rng.uniform(0, 1, size=net.param_count))
+        state.anchor = random_anchor(net.param_count, 2)
         state.importance = state.anchor.precision.copy()
         state.task_count = 1
-        cfg = AfecConfig(lam=4.0, lam_e=0.0)
-        a_loss, a_grad = afec_total_loss(net, batch, state, None, cfg,
-                                         "angular_mse")
-        r_loss, r_grad = reg_with_afec_loss(net, batch, state, None, 4.0, 0.0,
-                                            "mas", "angular_mse")
-        assert a_loss == r_loss
-        np.testing.assert_array_equal(a_grad, r_grad)
+        params = net.get_params()
+        _, grad = net.loss_and_grad(batch, "angular_mse")
+        afec = penalty_terms(SequenceConfig(method="afec", lam=4.0), state,
+                             None)
+        expected = penalized_grad(params, grad, afec)
+        assert np.any(expected != grad)
+        for method in ("mas", "si", "rwalk", "mas_afec"):
+            terms = penalty_terms(SequenceConfig(method=method, lam=4.0),
+                                  state, None)
+            np.testing.assert_array_equal(penalized_grad(params, grad, terms),
+                                          expected)
+        state.importance = np.zeros(net.param_count)
+        terms = penalty_terms(SequenceConfig(method="mas", lam=4.0), state,
+                              None)
+        np.testing.assert_array_equal(penalized_grad(params, grad, terms),
+                                      grad)
 
     def test_unknown_method_rejected(self):
-        task = small_task()
-        net = small_net(task)
-        batch = Batch(task.inputs_train[:4], task.targets_train[:4], task.head)
-        state = RegState.zeros(net.param_count)
+        # "ewc_afec" would otherwise select the importance as old weights
         with pytest.raises(ConfigError):
-            reg_with_afec_loss(net, batch, state, None, 1.0, 0.0, "ewc",
-                               "angular_mse")
+            SequenceConfig(method="ewc_afec")
 
 
 class TestTrainExpanded:
     def test_zero_epochs_copy_main_returns_current_params(self):
         task = small_task()
         net = small_net(task)
-        cfg = AfecConfig(expansion_epochs=0)
-        anchor = train_expanded(net, task, cfg, {"kind": "sgd", "lr": 0.01},
-                                batch_size=8, loss_kind="angular_mse", seed=0)
+        anchor = train_expanded(net, task, {"kind": "sgd", "lr": 0.01},
+                                epochs=0, batch_size=8,
+                                loss_kind="angular_mse", seed=0)
         np.testing.assert_array_equal(anchor.mean, net.get_params())
 
     def test_main_network_untouched(self):
         task = small_task()
         net = small_net(task)
         before = net.get_params()
-        cfg = AfecConfig(expansion_epochs=3)
-        train_expanded(net, task, cfg, {"kind": "adam", "lr": 0.001},
+        train_expanded(net, task, {"kind": "adam", "lr": 0.001}, epochs=3,
                        batch_size=8, loss_kind="angular_mse", seed=0)
         np.testing.assert_array_equal(net.get_params(), before)
 
     def test_deterministic_across_calls(self):
         task = small_task()
         net = small_net(task)
-        cfg = AfecConfig(expansion_epochs=2)
-        kwargs = dict(batch_size=8, loss_kind="angular_mse", seed=3,
-                      task_index=1)
-        a = train_expanded(net, task, cfg, {"kind": "adam"}, **kwargs)
-        b = train_expanded(net, task, cfg, {"kind": "adam"}, **kwargs)
+        kwargs = dict(epochs=2, batch_size=8, loss_kind="angular_mse",
+                      seed=3, task_index=1)
+        a = train_expanded(net, task, {"kind": "adam"}, **kwargs)
+        b = train_expanded(net, task, {"kind": "adam"}, **kwargs)
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.precision, b.precision)
 
     def test_fresh_random_differs_from_copy_main(self):
         task = small_task()
         net = small_net(task)
-        a = train_expanded(net, task, AfecConfig(expansion_epochs=1),
-                           {"kind": "sgd", "lr": 1e-4}, batch_size=8,
-                           loss_kind="angular_mse", seed=0)
-        b = train_expanded(net, task,
-                           AfecConfig(expansion_epochs=1,
-                                      expansion_init="fresh_random"),
-                           {"kind": "sgd", "lr": 1e-4}, batch_size=8,
-                           loss_kind="angular_mse", seed=0)
+        kwargs = dict(epochs=1, batch_size=8, loss_kind="angular_mse", seed=0)
+        a = train_expanded(net, task, {"kind": "sgd", "lr": 1e-4}, **kwargs)
+        b = train_expanded(net, task, {"kind": "sgd", "lr": 1e-4},
+                           init="fresh_random", **kwargs)
         assert np.any(a.mean != b.mean)
+
+    def test_unknown_init_rejected(self):
+        task = small_task()
+        with pytest.raises(ConfigError):
+            train_expanded(small_net(task), task, {"kind": "sgd"}, epochs=1,
+                           init="warm", batch_size=8,
+                           loss_kind="angular_mse", seed=0)
 
     def test_training_reduces_task_loss(self):
         task = small_task()
         net = small_net(task)
         batch = Batch(task.inputs_train, task.targets_train, task.head)
         before = net.loss_only(batch, "angular_mse")
-        cfg = AfecConfig(expansion_epochs=30)
-        anchor = train_expanded(net, task, cfg, {"kind": "adam", "lr": 0.01},
-                                batch_size=16, loss_kind="angular_mse", seed=0)
+        anchor = train_expanded(net, task, {"kind": "adam", "lr": 0.01},
+                                epochs=30, batch_size=16,
+                                loss_kind="angular_mse", seed=0)
         probe = net.clone()
         probe.set_params(anchor.mean)
         assert probe.loss_only(batch, "angular_mse") < before
