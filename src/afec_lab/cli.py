@@ -22,7 +22,7 @@ import numpy as np
 
 from . import metrics, tasks
 from .continual import (ArchSpec, RunResult, SequenceConfig, _json_floats,
-                        run_sequence)
+                        run_sequence, write_atomic)
 from .errors import ConfigError, FormatError
 from .metrics import AccMatrix, emit_report
 from .nn import make_optimizer
@@ -119,6 +119,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds: seeds must be distinct")
     arch = doc.get("arch", {"hidden": [64, 64], "activation": "relu"})
+    if not isinstance(arch, dict):
+        raise ConfigError("arch: expected an object")
     extra = set(arch) - {"hidden", "activation"}
     if extra:
         raise ConfigError(f"arch: unknown key(s) {sorted(extra)}")
@@ -231,9 +233,8 @@ def _run_cells(config: ExperimentConfig, cells: list[tuple], jobs: int):
 def _write_result(out_dir: str, cell: tuple, doc: dict) -> RunResult:
     method, lam, lam_e, seed = cell
     name = f"result_{method}_lam{lam:g}_lame{lam_e:g}_seed{seed}.json"
-    with open(os.path.join(out_dir, name), "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_atomic(os.path.join(out_dir, name),
+                 [json.dumps(doc, sort_keys=True), "\n"])
     return result_from_json(doc)
 
 

@@ -9,16 +9,18 @@ probe, the random-init baseline, and run-state persistence.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, ShapeError
 from .metrics import AccMatrix
-from .nn import Batch, Network, SGD, make_optimizer
+from .nn import ACTIVATIONS, Batch, Network, SGD, make_optimizer
 from .posterior import DiagGaussian, estimate_diag_fisher, fisher_running_average
 from .regularizers import (EXPANSION_INITS, RegState, StepInfo, epoch_batches,
                            importance_update, quadratic_penalty, train_expanded)
@@ -35,10 +37,30 @@ _PROBE_SHUFFLE_KEY = 910003
 STATE_VERSION = 1
 
 
+def _is_count(value) -> bool:
+    # type() rather than isinstance(), which would let bools through
+    return type(value) is int and value >= 1
+
+
+def _arch_problem(hidden, activation) -> str | None:
+    """What is wrong with an architecture, led by the field's name."""
+    if not (isinstance(hidden, (list, tuple)) and all(map(_is_count, hidden))):
+        return f"hidden: expected a list of integers >= 1, got {hidden!r}"
+    if activation not in ACTIVATIONS:
+        return (f"activation: expected one of {', '.join(ACTIVATIONS)}, "
+                f"got {activation!r}")
+    return None
+
+
 @dataclass
 class ArchSpec:
     hidden: list[int] = field(default_factory=lambda: [64, 64])
     activation: str = "relu"
+
+    def __post_init__(self):
+        problem = _arch_problem(self.hidden, self.activation)
+        if problem:
+            raise ConfigError(f"arch.{problem}")
 
 
 @dataclass
@@ -61,8 +83,7 @@ class SequenceConfig:
         if self.expansion_epochs is not None:
             counts["expansion_epochs"] = self.expansion_epochs
         for name, value in counts.items():
-            # type() rather than isinstance(), which would let bools through
-            if type(value) is not int or value < 1:
+            if not _is_count(value):
                 raise ConfigError(f"{name}: expected an integer >= 1, "
                                   f"got {value!r}")
         for name, value in (("lambda", self.lam), ("lambda_e", self.lam_e)):
@@ -117,6 +138,56 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _iter_canonical(obj, memo: dict):
+    """Yield the text of `_canonical(obj)` in chunks, where a float64 array
+    stands in for its tolist().
+
+    Each distinct array is encoded once per `memo`. Arrays are matched on
+    their bytes: == would equate -0.0 with 0.0, which repr differently, and
+    never match NaN. The memo is an argument rather than a closure variable
+    so that no reference cycle keeps it alive after the caller is done.
+    """
+    if isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64:
+            raise TypeError(f"cannot encode a {obj.dtype} array")
+        key = (obj.shape, obj.tobytes())
+        if key not in memo:
+            memo[key] = _canonical(obj.tolist())
+        yield memo[key]
+    elif isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("only string keys can be encoded")
+        yield "{"
+        for i, key in enumerate(sorted(obj)):
+            yield ("," if i else "") + _canonical(key) + ":"
+            yield from _iter_canonical(obj[key], memo)
+        yield "}"
+    elif isinstance(obj, (list, tuple)):
+        yield "["
+        for i, item in enumerate(obj):
+            if i:
+                yield ","
+            yield from _iter_canonical(item, memo)
+        yield "]"
+    else:
+        yield _canonical(obj)
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the text chunks to `path` through a temporary file in the same
+    directory, so `path` holds either its old content or all of the new."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _loss_kind(task) -> str:
     return "angular_mse" if task.kind == "regression_angle" else "cross_entropy"
 
@@ -163,8 +234,13 @@ def random_init_baseline(tasks, arch: ArchSpec, seeds) -> np.ndarray:
 
 
 def _state_digest(net: Network, state: RegState) -> str:
-    doc = {"params": net.get_params().tolist(), "reg_state": state.to_json()}
-    return hashlib.sha256(_canonical(doc).encode()).hexdigest()
+    """sha256 of the canonical JSON of the parameters and the whole
+    regularizer state, streamed through the hash chunk by chunk."""
+    digest = hashlib.sha256()
+    doc = {"params": net.get_params(), "reg_state": state.to_doc()}
+    for chunk in _iter_canonical(doc, {}):
+        digest.update(chunk.encode())
+    return digest.hexdigest()
 
 
 def penalty_terms(cfg: SequenceConfig, state: RegState,
@@ -339,47 +415,100 @@ def save_state(path, net: Network, state: RegState, seed: int) -> None:
     doc = {
         "version": STATE_VERSION,
         "net": {
-            "input_dim": net.body[0].in_dim if net.body else 0,
+            "input_dim": [*net.body, *net.heads.values()][0].in_dim,
             "hidden": [l.out_dim for l in net.body],
             "activation": net.body[0].activation if net.body else "identity",
             "heads": [[name, layer.out_dim] for name, layer in net.heads.items()],
-            "params": net.get_params().tolist(),
+            "params": net.get_params(),
         },
-        "reg_state": state.to_json(),
+        "reg_state": state.to_doc(),
         "rng": {"scheme": "counter", "seed": seed},
         "task_count": state.task_count,
     }
-    with open(path, "w") as fh:
-        fh.write(_canonical(doc))
-        fh.write("\n")
+    write_atomic(path, itertools.chain(_iter_canonical(doc, {}), ["\n"]))
 
 
 def load_state(path):
-    """Read a run-state file; returns (net, reg_state, seed)."""
+    """Read a run-state file; returns (net, reg_state, seed). A field that
+    is missing or malformed raises a FormatError naming it."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     for key in ("version", "net", "reg_state", "rng", "task_count"):
-        if key not in doc:
+        if not isinstance(doc, dict) or key not in doc:
             raise FormatError(f"{path}: missing field {key!r}")
     if doc["version"] != STATE_VERSION:
         raise FormatError(f"{path}: unsupported version {doc['version']!r} "
                           f"in field 'version'")
-    netdoc = doc["net"]
+    netdoc, rng = doc["net"], doc["rng"]
     for key in ("input_dim", "hidden", "activation", "heads", "params"):
-        if key not in netdoc:
+        if not isinstance(netdoc, dict) or key not in netdoc:
             raise FormatError(f"{path}: missing field 'net.{key}'")
+    if not _is_count(netdoc["input_dim"]):
+        raise FormatError(f"{path}: field 'net.input_dim' must be an "
+                          f"integer >= 1")
+    problem = _arch_problem(netdoc["hidden"], netdoc["activation"])
+    if problem:
+        raise FormatError(f"{path}: field net.{problem}")
+    heads = netdoc["heads"]
+    if not (isinstance(heads, list) and heads
+            and all(isinstance(h, list) and len(h) == 2
+                    and isinstance(h[0], str) and _is_count(h[1])
+                    for h in heads)
+            and len({h[0] for h in heads}) == len(heads)):
+        raise FormatError(f"{path}: field 'net.heads' must be a non-empty "
+                          f"list of [name, size >= 1] pairs with distinct "
+                          f"names")
+    if not (isinstance(rng, dict) and rng.get("scheme") == "counter"
+            and type(rng.get("seed")) is int):
+        raise FormatError(f"{path}: field 'rng' must hold scheme 'counter' "
+                          f"and an integer seed")
+    if type(doc["task_count"]) is not int or doc["task_count"] < 0:
+        raise FormatError(f"{path}: field 'task_count' must be an "
+                          f"integer >= 0")
     net = Network.create(netdoc["input_dim"], netdoc["hidden"],
-                         netdoc["activation"],
-                         {name: dim for name, dim in netdoc["heads"]},
-                         seed=doc["rng"]["seed"])
-    params = np.asarray(netdoc["params"], dtype=np.float64)
-    if params.shape != (net.param_count,):
-        raise FormatError(f"{path}: field 'net.params' has wrong length")
-    net.set_params(params)
-    state = RegState.from_json(doc["reg_state"])
+                         netdoc["activation"], dict(heads), seed=rng["seed"])
+    template = {"net": {"params": net.get_params()},
+                "reg_state": RegState.zeros(net.param_count).to_doc()}
+    parsed = _parse_like(path, "", doc, template)
+    net.set_params(parsed["net"]["params"])
+    try:
+        state = RegState.from_json(parsed["reg_state"])
+    except ShapeError as exc:  # a negative precision
+        raise FormatError(f"{path}: field 'reg_state.anchor': {exc}") from exc
     if state.task_count != doc["task_count"]:
         raise FormatError(f"{path}: field 'task_count' disagrees with reg_state")
-    return net, state, doc["rng"]["seed"]
+    return net, state, rng["seed"]
+
+
+def _parse_like(path, name: str, value, template):
+    """`value` shaped like `template`, its vectors as float64 arrays. Each
+    vector must be a list of finite numbers as long as the template's, and
+    each other leaf an integer >= 0; the first field that is not raises a
+    FormatError naming it."""
+    if isinstance(template, dict):
+        if not isinstance(value, dict):
+            raise FormatError(f"{path}: field {name!r} must be an object")
+        parsed = {}
+        for key, sub in template.items():
+            field_name = f"{name}.{key}" if name else key
+            if key not in value:
+                raise FormatError(f"{path}: missing field {field_name!r}")
+            parsed[key] = _parse_like(path, field_name, value[key], sub)
+        return parsed
+    if isinstance(template, np.ndarray):
+        try:
+            vec = np.asarray(value)
+        except ValueError:  # ragged nesting
+            vec = None
+        if (vec is None or vec.dtype.kind not in "iuf"
+                or vec.shape != template.shape
+                or not np.all(np.isfinite(vec))):
+            raise FormatError(f"{path}: field {name!r} must be a list of "
+                              f"{template.size} finite numbers")
+        return vec.astype(np.float64, copy=False)
+    if type(value) is not int or value < 0:
+        raise FormatError(f"{path}: field {name!r} must be an integer >= 0")
+    return value

@@ -376,6 +376,20 @@ def make_optimizer(spec: dict):
     if extra:
         raise ConfigError(f"optimizer: key(s) {sorted(extra)} do not apply "
                           f"to kind {kind!r}")
+    lr = spec.get("lr", 0.01 if kind == "sgd" else 0.001)
+    if not (_is_finite_number(lr) and lr > 0):
+        raise ConfigError(f"optimizer.lr: expected a finite number > 0, "
+                          f"got {lr!r}")
     if kind == "sgd":
-        return SGD(lr=spec.get("lr", 0.01), momentum=spec.get("momentum", 0.0))
-    return Adam(lr=spec.get("lr", 0.001))
+        momentum = spec.get("momentum", 0.0)
+        if not (_is_finite_number(momentum) and 0 <= momentum < 1):
+            raise ConfigError(f"optimizer.momentum: expected a finite number "
+                              f"in [0, 1), got {momentum!r}")
+        return SGD(lr=lr, momentum=momentum)
+    return Adam(lr=lr)
+
+
+def _is_finite_number(value) -> bool:
+    """An int or float that is finite; bools are rejected."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))

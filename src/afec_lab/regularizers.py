@@ -11,7 +11,7 @@ number of tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -48,26 +48,35 @@ class RegState:
                    path_accum=z(), prev_params=z(), fisher_ema=z(),
                    score_accum=z(), task_count=0)
 
+    def to_doc(self) -> dict:
+        """The state's JSON layout with each vector still an array. The
+        state file, the run digest and to_json all derive from it."""
+        return _field_dict(self)
+
     def to_json(self) -> dict:
-        return {
-            "anchor": self.anchor.to_json(),
-            "importance": self.importance.tolist(),
-            "path_accum": self.path_accum.tolist(),
-            "prev_params": self.prev_params.tolist(),
-            "fisher_ema": self.fisher_ema.tolist(),
-            "score_accum": self.score_accum.tolist(),
-            "task_count": self.task_count,
-        }
+        return _tolists(self.to_doc())
 
     @classmethod
     def from_json(cls, obj: dict) -> "RegState":
-        return cls(anchor=DiagGaussian.from_json(obj["anchor"]),
-                   importance=np.asarray(obj["importance"]),
-                   path_accum=np.asarray(obj["path_accum"]),
-                   prev_params=np.asarray(obj["prev_params"]),
-                   fisher_ema=np.asarray(obj["fisher_ema"]),
-                   score_accum=np.asarray(obj["score_accum"]),
-                   task_count=int(obj["task_count"]))
+        parse = {"anchor": DiagGaussian.from_json, "task_count": int}
+        return cls(**{f.name: parse.get(f.name, np.asarray)(obj[f.name])
+                      for f in fields(cls)})
+
+
+def _field_dict(obj) -> dict:
+    """A dataclass's fields by name, nested dataclasses as dicts; unlike
+    dataclasses.asdict, no value is copied."""
+    doc = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        doc[f.name] = _field_dict(value) if is_dataclass(value) else value
+    return doc
+
+
+def _tolists(doc: dict) -> dict:
+    return {key: _tolists(value) if isinstance(value, dict)
+            else value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in doc.items()}
 
 
 def quadratic_penalty(params: np.ndarray, anchor: DiagGaussian, lam: float):

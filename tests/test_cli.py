@@ -227,6 +227,39 @@ class TestConfigErrorsBeforeTraining:
         doc = minimal_config(tmp_path / "out")
         self.assert_rejected(tmp_path, "grid", doc, "--jobs", jobs)
 
+    @pytest.mark.parametrize("optimizer", [
+        {"kind": "adam", "lr": -1}, {"kind": "adam", "lr": 0},
+        {"kind": "adam", "lr": True}, {"kind": "sgd", "lr": "x"},
+        {"kind": "adam", "lr": float("nan")},
+        {"kind": "sgd", "lr": float("inf")}, {"kind": "adam", "lr": None}])
+    def test_bad_learning_rate(self, tmp_path, optimizer):
+        doc = minimal_config(tmp_path / "out", optimizer=optimizer)
+        self.assert_rejected(tmp_path, "run", doc)
+
+    @pytest.mark.parametrize("momentum", [
+        1, 1.5, -0.1, float("nan"), float("inf"), "0.9", True])
+    def test_bad_momentum(self, tmp_path, momentum):
+        doc = minimal_config(tmp_path / "out", optimizer={
+            "kind": "sgd", "lr": 0.01, "momentum": momentum})
+        self.assert_rejected(tmp_path, "run", doc)
+
+    @pytest.mark.parametrize("arch", [
+        {"hidden": [0]}, {"hidden": "64"}, {"hidden": [8, -1]},
+        {"hidden": [True]}, {"hidden": [8.0]}, {"hidden": None},
+        {"hidden": [8], "activation": "sigmoid"},
+        {"hidden": [8], "activation": None}, "relu"])
+    def test_bad_arch(self, tmp_path, arch):
+        doc = minimal_config(tmp_path / "out", arch=arch)
+        self.assert_rejected(tmp_path, "run", doc)
+
+    def test_empty_hidden_is_a_linear_model(self, tmp_path):
+        out = tmp_path / "out"
+        doc = minimal_config(out, arch={"hidden": [], "activation": "relu"},
+                             optimizer={"kind": "sgd", "lr": 0.1,
+                                        "momentum": 0.5})
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+        assert len(list(out.glob("result_*.json"))) == 1
+
 
 class TestGrid:
     def grid_config(self, out_dir):

@@ -1,13 +1,19 @@
 """Sequence driver, evaluation, transfer probe, and state persistence."""
 
+import gc
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from afec_lab.continual import (ArchSpec, SequenceConfig, evaluate, load_state,
-                                random_init_baseline, run_sequence, save_state,
-                                transfer_probe)
+from afec_lab.continual import (METHODS, ArchSpec, SequenceConfig, _canonical,
+                                _iter_canonical, _state_digest, evaluate,
+                                load_state, random_init_baseline, run_sequence,
+                                save_state, transfer_probe)
 from afec_lab.errors import ConfigError, FormatError
 from afec_lab.nn import DenseLayer, Network
 from afec_lab.tasks import (AngularLayout, gen_angular_task,
@@ -340,3 +346,213 @@ class TestStatePersistence:
             assert state.task_count == n
             sizes.append(len(pickle.dumps(state.to_json())))
         assert len(set(sizes)) == 1
+
+
+def _tolists(doc):
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {key: _tolists(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_tolists(item) for item in doc]
+    return doc
+
+
+def _encoded(doc, memo=None):
+    return "".join(_iter_canonical(doc, {} if memo is None else memo)).encode()
+
+
+# Floats around the places where repr changes form or precision.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                2.2250738585072014e-308, 1e-05, 9.999999999999999e-06,
+                1.0000000000000001e-05, 0.0001, 9.999999999999999e-05, 1e16,
+                9999999999999998.0, 1.0000000000000002e16, -1e16,
+                1.7976931348623157e308, float("nan"), float("inf"),
+                float("-inf")]
+
+_vectors = st.lists(st.sampled_from(_EDGE_FLOATS)
+                    | st.floats(allow_nan=True, allow_infinity=True),
+                    max_size=6).map(lambda xs: np.array(xs, dtype=np.float64))
+
+
+def _docs(pool):
+    # Leaves come from a small pool of arrays, so docs repeat arrays.
+    leaves = (st.sampled_from(pool) | st.floats() | st.integers()
+              | st.text(max_size=4) | st.booleans() | st.none())
+    return st.recursive(
+        leaves,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=4), inner,
+                                         max_size=4)),
+        max_leaves=12)
+
+
+class TestCanonicalEncoder:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_canonical_of_lists(self, data):
+        base = np.append(data.draw(_vectors), 0.0)
+        # twins that differ only in the sign of their zeros
+        twins = [base, np.where(base == 0.0, -base, base)]
+        pool = data.draw(st.lists(_vectors, max_size=2)) + twins
+        doc = {"doc": data.draw(_docs(pool)), "twins": twins}
+        assert _encoded(doc) == _canonical(_tolists(doc)).encode()
+
+    def test_edge_floats(self):
+        doc = {"b": np.array(_EDGE_FLOATS), "a": [np.array(_EDGE_FLOATS)]}
+        assert _encoded(doc) == _canonical(_tolists(doc)).encode()
+
+    def test_each_distinct_array_encoded_once(self):
+        zeros = np.zeros(3)
+        memo = {}
+        doc = {"a": zeros, "b": zeros.copy(), "c": [np.zeros(3), -zeros],
+               "d": np.array([np.nan]), "e": np.array([np.nan])}
+        assert _encoded(doc, memo) == _canonical(_tolists(doc)).encode()
+        assert b"[-0.0,-0.0,-0.0]" in _encoded(doc)
+        assert len(memo) == 3  # +0.0 zeros, -0.0 zeros, NaN
+
+    def test_other_dtypes_and_keys_rejected(self):
+        with pytest.raises(TypeError):
+            _encoded({"a": np.zeros(2, dtype=np.float32)})
+        with pytest.raises(TypeError):
+            _encoded({1: 0.0})
+
+
+def _old_state_digest(net, state):
+    doc = {"params": net.get_params().tolist(), "reg_state": state.to_json()}
+    return hashlib.sha256(_canonical(doc).encode()).hexdigest()
+
+
+def _old_state_text(net, state, seed):
+    doc = {
+        "version": 1,
+        "net": {
+            "input_dim": net.body[0].in_dim,
+            "hidden": [l.out_dim for l in net.body],
+            "activation": net.body[0].activation,
+            "heads": [[name, l.out_dim] for name, l in net.heads.items()],
+            "params": net.get_params().tolist(),
+        },
+        "reg_state": state.to_json(),
+        "rng": {"scheme": "counter", "seed": seed},
+        "task_count": state.task_count,
+    }
+    return _canonical(doc) + "\n"
+
+
+class TestStateDigest:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matches_one_string_definition(self, tmp_path, method):
+        path = tmp_path / "s.json"
+        result = run_sequence(quick_cfg(method, lam=2.0, lam_e=0.5, seed=0),
+                              quick_pair(), save_state_to=str(path))
+        net, state, seed = load_state(str(path))
+        assert result.state_digest == _old_state_digest(net, state)
+        assert _state_digest(net, state) == result.state_digest
+        assert path.read_text() == _old_state_text(net, state, seed)
+
+    def test_leaves_no_reference_cycles(self, tmp_path):
+        path = tmp_path / "s.json"
+        run_sequence(quick_cfg("mas", lam=2.0, seed=0), quick_pair(),
+                     save_state_to=str(path))
+        net, state, _ = load_state(str(path))
+        gc.disable()
+        try:
+            gc.collect()
+            _state_digest(net, state)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestAtomicStateWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "s.json"
+        run_sequence(quick_cfg("ewc", lam=2.0, seed=0), quick_pair(),
+                     save_state_to=str(path))
+        before = path.read_bytes()
+        net, state, seed = load_state(str(path))
+        state.task_count += 1
+        state.score_accum = object()  # encoded after the other vectors
+        with pytest.raises(TypeError):
+            save_state(str(path), net, state, seed)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+    def test_linear_model_round_trips(self, tmp_path):
+        path = tmp_path / "s.json"
+        cfg = quick_cfg("ewc", lam=2.0, seed=0, arch=ArchSpec(hidden=[]))
+        result = run_sequence(cfg, quick_pair(), save_state_to=str(path))
+        net, state, _ = load_state(str(path))
+        assert not net.body
+        assert _state_digest(net, state) == result.state_digest
+
+
+def _set(keys, value):
+    def mutate(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value(doc[keys[-1]]) if callable(value) else value
+    return mutate
+
+
+def _drop(keys):
+    def mutate(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return mutate
+
+
+def _nan_at(i):
+    return lambda vec: vec[:i] + [float("nan")] + vec[i + 1:]
+
+
+class TestStrictLoadState:
+    @pytest.fixture(scope="class")
+    def state_doc(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("state") / "s.json"
+        run_sequence(quick_cfg("rwalk", lam=2.0, seed=0), quick_pair(),
+                     save_state_to=str(path))
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("field,mutate", [
+        ("reg_state.importance", _set(["reg_state", "importance"],
+                                      lambda v: v[:-1])),
+        ("reg_state.path_accum", _set(["reg_state", "path_accum"], _nan_at(3))),
+        ("reg_state.anchor.mean", _set(["reg_state", "anchor", "mean"],
+                                       lambda v: ["0.5"] * len(v))),
+        ("reg_state.anchor.precision", _set(
+            ["reg_state", "anchor", "precision"],
+            lambda v: [float("inf")] + v[1:])),
+        ("reg_state.anchor", _set(["reg_state", "anchor", "precision"],
+                                  lambda v: [-1.0] + v[1:])),
+        ("reg_state.prev_params", _drop(["reg_state", "prev_params"])),
+        ("reg_state.fisher_ema", _set(["reg_state", "fisher_ema"], None)),
+        ("reg_state.score_accum", _set(["reg_state", "score_accum"],
+                                       lambda v: [v, v])),
+        ("reg_state.task_count", _set(["reg_state", "task_count"], "2")),
+        ("net.params", _set(["net", "params"], lambda v: v + [0.0])),
+        ("task_count", _set(["task_count"], -1)),
+        ("task_count", _set(["task_count"], True)),
+        ("net.activation", _set(["net", "activation"], "sigmoid")),
+        ("net.hidden", _set(["net", "hidden"], [0])),
+        ("net.input_dim", _set(["net", "input_dim"], 0)),
+        ("net.heads", _set(["net", "heads"], [])),
+        ("net.heads", _set(["net", "heads"], lambda h: [[h[0][0], 0]])),
+        ("net.heads", _set(["net", "heads"], lambda h: h + h)),
+        ("rng", _set(["rng", "seed"], "0")),
+    ])
+    def test_bad_field_named(self, tmp_path, state_doc, field, mutate):
+        doc = json.loads(json.dumps(state_doc))
+        mutate(doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=re.escape(field)):
+            load_state(str(path))
+
+    def test_unchanged_doc_loads(self, tmp_path, state_doc):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(state_doc))
+        _, state, seed = load_state(str(path))
+        assert (state.task_count, seed) == (2, 0)
