@@ -28,6 +28,7 @@ from .metrics import AccMatrix, emit_report
 from .nn import make_optimizer
 
 log = logging.getLogger("afec_lab")
+_LOG_HANDLER = "afec_lab.cli"
 
 CONFIG_VERSION = 1
 
@@ -213,21 +214,37 @@ def result_from_json(doc: dict) -> RunResult:
 
 # -- cell execution -----------------------------------------------------------
 
-def _run_cell(config_json: dict, method: str, lam: float, lam_e: float,
-              seed: int) -> dict:
-    cfg = parse_config(config_json)
-    task_list = build_tasks(cfg.benchmark)
-    seq = cfg.sequence_config(method, lam, lam_e, seed)
+def _run_cell(config: ExperimentConfig, task_list: list, method: str,
+              lam: float, lam_e: float, seed: int) -> dict:
+    seq = config.sequence_config(method, lam, lam_e, seed)
     return result_to_json(run_sequence(seq, task_list))
 
 
+# The parsed config and built tasks of this pool worker; set once by
+# _init_worker, read by every cell the worker runs.
+_worker_setup: tuple | None = None
+
+
+def _init_worker(config_json: dict) -> None:
+    global _worker_setup
+    config = parse_config(config_json)
+    _worker_setup = (config, build_tasks(config.benchmark))
+
+
+def _run_worker_cell(cell: tuple) -> dict:
+    return _run_cell(*_worker_setup, *cell)
+
+
 def _run_cells(config: ExperimentConfig, cells: list[tuple], jobs: int):
-    config_json = config.to_json()
+    """Run every cell on tasks built once per process: here when serial,
+    once in each pool worker otherwise. Results keep the order of `cells`."""
     if jobs <= 1:
-        return [_run_cell(config_json, *cell) for cell in cells]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_cell, config_json, *cell) for cell in cells]
-        return [f.result() for f in futures]
+        task_list = build_tasks(config.benchmark)
+        return [_run_cell(config, task_list, *cell) for cell in cells]
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker,
+            initargs=(config.to_json(),)) as pool:
+        return list(pool.map(_run_worker_cell, cells))
 
 
 def _write_result(out_dir: str, cell: tuple, doc: dict) -> RunResult:
@@ -319,6 +336,12 @@ def _setup_logging() -> None:
                                          logging.INFO)
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    handler.set_name(_LOG_HANDLER)
+    # Replace the handler an earlier main() call installed, so a process
+    # that calls main repeatedly logs each line once, to the current stderr.
+    for old in [h for h in log.handlers if h.get_name() == _LOG_HANDLER]:
+        log.removeHandler(old)
+        old.close()
     log.addHandler(handler)
     log.setLevel(level)
 

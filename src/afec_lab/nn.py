@@ -31,12 +31,17 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
 
 def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0  # multiplying by a bool mask multiplies by 1.0 or 0.0
     if name == "tanh":
         return 1.0 - a * a
     if name == "identity":
         return np.ones_like(z)
     raise ConfigError(f"unknown activation {name!r}")
+
+
+# The bound np.allclose(norms, 1.0, atol=1e-9) applies: atol + rtol * |1.0|
+# with the default rtol of 1e-5. A NaN or inf norm is outside it.
+_UNIT_TOL = 1e-9 + 1e-5
 
 
 @dataclass
@@ -70,7 +75,7 @@ class Batch:
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
             raise ShapeError("batch inputs must be a non-empty [n, d_in] matrix")
-        if np.issubdtype(np.asarray(self.targets).dtype, np.floating):
+        if np.asarray(self.targets).dtype.kind == "f":
             self.targets = np.asarray(self.targets, dtype=np.float64)
         else:
             self.targets = np.asarray(self.targets, dtype=np.int64)
@@ -127,6 +132,11 @@ class Network:
                                     self._flat[bs], layer.activation))
         self.body = views[:len(body)]
         self.heads = dict(zip(heads, views[len(body):]))
+        # Per head: (layer, weight slice, bias slice) from input to output.
+        self._chains = {
+            name: [(layer, *self._offsets[key]) for key, layer in
+                   [*enumerate(self.body), (name, self.heads[name])]]
+            for name in self.heads}
 
     # -- construction -------------------------------------------------------
 
@@ -190,14 +200,16 @@ class Network:
         zs = []  # body pre-activations
         x = inputs
         for i, layer in enumerate(self.body):
-            z = x @ layer.w + layer.b
+            z = x @ layer.w
+            z += layer.b
             x = _activate(layer.activation, z)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise NumericError(f"non-finite activations in body layer {i}")
             zs.append(z)
             acts.append(x)
-        out = x @ self.heads[head].w + self.heads[head].b
-        if not np.all(np.isfinite(out)):
+        out = x @ self.heads[head].w
+        out += self.heads[head].b
+        if not np.isfinite(out).all():
             raise NumericError(f"non-finite activations in head {head!r}")
         return out, (acts, zs)
 
@@ -213,11 +225,13 @@ class Network:
             if targets.ndim != 2 or targets.shape != outputs.shape:
                 raise ShapeError("regression targets must match output shape")
             if loss_kind == "angular_mse":
-                norms = np.linalg.norm(targets, axis=1)
-                if targets.shape[1] != 2 or not np.allclose(norms, 1.0, atol=1e-9):
+                # np.linalg.norm(targets, axis=1), computed the same way.
+                norms = np.sqrt(np.add.reduce(targets * targets, axis=1))
+                if (targets.shape[1] != 2
+                        or not (np.abs(norms - 1.0) <= _UNIT_TOL).all()):
                     raise ShapeError("angular_mse targets must be unit 2-vectors")
             resid = outputs - targets
-            loss = float(np.sum(resid * resid) / n)
+            loss = float((resid * resid).sum() / n)
             return loss, 2.0 * resid / n
         if loss_kind == "cross_entropy":
             labels = batch.targets
@@ -242,18 +256,16 @@ class Network:
         over samples (see per_sample_grad_moment).
         """
         acts, zs = cache
-        layers = [*self.body, self.heads[head]]
-        keys = [*range(len(self.body)), head]
+        chain = self._chains[head]
         grad = np.zeros(self.param_count)
         d = delta
-        for i in range(len(layers) - 1, -1, -1):
-            layer = layers[i]
+        for i in range(len(chain) - 1, -1, -1):
+            layer, ws, bs = chain[i]
             if i < len(self.body):
                 d = d * _activate_grad(layer.activation, zs[i], acts[i + 1])
             x, g = (acts[i], d) if pw is None else (pw(acts[i]), pw(d))
-            ws, bs = self._offsets[keys[i]]
-            grad[ws] = (x.T @ g).ravel()
-            grad[bs] = g.sum(axis=0)
+            np.matmul(x.T, g, out=grad[ws].reshape(layer.w.shape))
+            np.add.reduce(g, axis=0, out=grad[bs])
             if i > 0:
                 d = d @ layer.w.T
         return grad
@@ -330,8 +342,10 @@ class SGD:
             raise NumericError("non-finite gradient in optimizer step")
         if self._velocity is None:
             self._velocity = np.zeros_like(params)
-        self._velocity = self.momentum * self._velocity + grad
-        return params - self.lr * self._velocity
+        velocity = self._velocity
+        velocity *= self.momentum
+        velocity += grad
+        return params - self.lr * velocity
 
 
 class Adam:
@@ -356,11 +370,22 @@ class Adam:
             self._m = np.zeros_like(params)
             self._v = np.zeros_like(params)
         self._t += 1
-        self._m = self.beta1 * self._m + (1.0 - self.beta1) * grad
-        self._v = self.beta2 * self._v + (1.0 - self.beta2) * grad * grad
-        m_hat = self._m / (1.0 - self.beta1 ** self._t)
-        v_hat = self._v / (1.0 - self.beta2 ** self._t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # The textbook recurrence with the moments updated in place; every
+        # operation keeps its operands and order, so results are unchanged.
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        g2 = (1.0 - self.beta2) * grad
+        g2 *= grad
+        v *= self.beta2
+        v += g2
+        update = m / (1.0 - self.beta1 ** self._t)  # m_hat
+        update *= self.lr
+        denom = np.divide(v, 1.0 - self.beta2 ** self._t, out=g2)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        return params - update
 
 
 _OPTIMIZER_KEYS = {"sgd": {"kind", "lr", "momentum"}, "adam": {"kind", "lr"}}

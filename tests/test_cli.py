@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from afec_lab import cli
 from afec_lab.cli import (build_tasks, load_config, main,
                           parse_config, result_from_json, result_to_json)
 from afec_lab.continual import SequenceConfig, run_sequence
@@ -175,6 +176,16 @@ class TestMainExitCodes:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_repeated_failures_log_once_each(self, tmp_path, capsys):
+        # out_dir is a file, so each run fails after training with exit 1
+        # and logs through the package handler, which main() replaces.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        path = write_config(tmp_path, minimal_config(blocker))
+        for _ in range(2):
+            assert main(["run", "--config", path]) == 1
+            assert capsys.readouterr().err.count("ERROR run failed") == 1
+
     def test_seed_override(self, tmp_path):
         out = tmp_path / "results"
         path = write_config(tmp_path, minimal_config(out, seeds=[0, 1]))
@@ -293,6 +304,17 @@ class TestGrid:
         main(["grid", "--config", path])
         printed = capsys.readouterr().out
         assert "lambda=0 lambda_e=0.5" in printed
+
+    def test_serial_grid_parses_and_builds_once(self, tmp_path, monkeypatch):
+        calls = {"parse_config": 0, "build_tasks": 0, "_run_cell": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        path = write_config(tmp_path, self.grid_config(tmp_path / "g"))
+        assert main(["grid", "--config", path, "--jobs", "1"]) == 0
+        assert calls == {"parse_config": 1, "build_tasks": 1, "_run_cell": 6}
 
     def test_parallel_matches_serial(self, tmp_path):
         out1 = tmp_path / "serial"

@@ -325,6 +325,82 @@ class TestOptimizers:
         with pytest.raises(NumericError):
             opt.step(np.zeros(2), np.array([np.nan, 0.0]))
 
+    def test_adam_bit_identical_to_textbook_recurrence(self):
+        rng = np.random.default_rng(11)
+        params = rng.standard_normal(40)
+        grads = [rng.standard_normal(40) * scale
+                 for scale in (1.0, 1e-3, 50.0, 0.0, 1.0, 1e-8, 3.0)]
+        b1, b2, lr, eps = 0.9, 0.999, 0.01, 1e-8
+        opt = Adam(lr=lr)
+        m = np.zeros(40)
+        v = np.zeros(40)
+        expect = got = params
+        for t, g in enumerate(grads, start=1):
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            expect = expect - lr * m_hat / (np.sqrt(v_hat) + eps)
+            got = opt.step(got, g)
+            assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_sgd_bit_identical_to_textbook_recurrence(self, momentum):
+        rng = np.random.default_rng(12)
+        params = rng.standard_normal(40)
+        grads = [rng.standard_normal(40) * scale
+                 for scale in (1.0, 1e-3, 50.0, 0.0, -2.0, 1e-8)]
+        opt = SGD(lr=0.05, momentum=momentum)
+        velocity = np.zeros(40)
+        expect = got = params
+        for g in grads:
+            velocity = momentum * velocity + g
+            expect = expect - 0.05 * velocity
+            got = opt.step(got, g)
+            assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("make", [lambda: SGD(lr=0.1),
+                                      lambda: SGD(lr=0.1, momentum=0.9),
+                                      lambda: Adam(lr=0.01)])
+    def test_step_leaves_arguments_and_earlier_results_alone(self, make):
+        opt = make()
+        rng = np.random.default_rng(13)
+        params = rng.standard_normal(30)
+        outputs = []
+        for _ in range(5):
+            grad = rng.standard_normal(30)
+            params_before, grad_before = params.copy(), grad.copy()
+            out = opt.step(params, grad)
+            assert np.array_equal(params, params_before)
+            assert np.array_equal(grad, grad_before)
+            assert not np.shares_memory(out, params)
+            assert not np.shares_memory(out, grad)
+            outputs.append((out, out.copy()))
+            params = out
+        # No returned array aliases the optimizer's moments.
+        for out, snapshot in outputs:
+            assert np.array_equal(out, snapshot)
+
+    def test_adam_nan_grad_leaves_moments_and_step_count(self):
+        opt = Adam(lr=0.01)
+        params = np.array([1.0, -2.0, 0.5])
+        for g in ([0.1, 0.2, -0.3], [1.0, -1.0, 2.0]):
+            params = opt.step(params, np.array(g))
+        m, v, t = opt._m.copy(), opt._v.copy(), opt._t
+        with pytest.raises(NumericError):
+            opt.step(params, np.array([0.5, np.nan, 0.1]))
+        assert np.array_equal(opt._m, m)
+        assert np.array_equal(opt._v, v)
+        assert opt._t == t
+
+    def test_sgd_nan_grad_leaves_velocity(self):
+        opt = SGD(lr=0.1, momentum=0.9)
+        params = opt.step(np.array([1.0, -2.0]), np.array([0.3, -0.4]))
+        velocity = opt._velocity.copy()
+        with pytest.raises(NumericError):
+            opt.step(params, np.array([np.inf, 0.0]))
+        assert np.array_equal(opt._velocity, velocity)
+
     def test_training_loss_non_increasing_small_lr(self):
         net = random_net(1, activation="tanh")
         batch = random_batch(2, net)
@@ -362,3 +438,34 @@ def test_grad_matches_finite_differences_property(seed, n):
     net = random_net(seed, hidden=(5,), activation="tanh")
     batch = random_batch(seed + 1, net, n=n)
     assert finite_diff_check(net, batch, "mse", max_coords=6) < 1e-4
+
+
+# Row norms straddling the unit-target bound 1e-9 + 1e-5 on either side.
+_NEAR_UNIT = [1.0, 1.0 + 1.0001e-5, 1.0 - 1.0001e-5, 1.0 + 0.9999e-5,
+              1.0 - 0.9999e-5, 1.0 + 1e-5 + 1e-9, 1.0 - 1e-5 - 1e-9,
+              math.nan, math.inf, 0.0]
+_radius = st.one_of(st.sampled_from(_NEAR_UNIT),
+                    st.floats(1.0 - 3e-5, 1.0 + 3e-5),
+                    st.floats(allow_nan=True, allow_infinity=True))
+_polar_row = st.builds(lambda phi, r: [r * math.cos(phi), r * math.sin(phi)],
+                       st.floats(0.0, 2.0 * math.pi), _radius)
+_raw_row = st.lists(st.one_of(st.floats(-1.5, 1.5),
+                              st.sampled_from([math.nan, math.inf, -math.inf])),
+                    min_size=2, max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.one_of(_polar_row, _raw_row), min_size=1, max_size=4))
+def test_angular_unit_check_matches_allclose_property(rows):
+    targets = np.array(rows, dtype=np.float64)
+    net = random_net(0, input_dim=3, hidden=(4,), heads={"angle": 2})
+    batch = Batch(np.zeros((len(rows), 3)), targets, "angle")
+    with np.errstate(all="ignore"):
+        expected = bool(np.allclose(np.linalg.norm(targets, axis=1), 1.0,
+                                    atol=1e-9))
+        try:
+            net.loss_and_grad(batch, "angular_mse")
+            accepted = True
+        except ShapeError:
+            accepted = False
+    assert accepted == expected
