@@ -138,6 +138,27 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# Elements per text block of an encoded vector. Blocks bound the encoder's
+# transient memory: a 270k-parameter vector encoded whole needs its tolist(),
+# its text and the text's bytes at once (about 20 MB), at the end of every
+# run, and that transient would set the peak RSS and move it by up to 10 MB
+# with the heap's layout.
+_ENCODE_BLOCK = 4096
+
+
+def _encode_array(arr: np.ndarray) -> list[str]:
+    """The text of `_canonical(arr.tolist())` as a list of pieces; a vector
+    is encoded `_ENCODE_BLOCK` elements at a time."""
+    if arr.ndim != 1 or arr.size <= _ENCODE_BLOCK:
+        return [_canonical(arr.tolist())]
+    pieces = ["["]
+    for start in range(0, arr.size, _ENCODE_BLOCK):
+        text = _canonical(arr[start:start + _ENCODE_BLOCK].tolist())
+        pieces.append(("," if start else "") + text[1:-1])
+    pieces.append("]")
+    return pieces
+
+
 def _iter_canonical(obj, memo: dict):
     """Yield the text of `_canonical(obj)` in chunks, where a float64 array
     stands in for its tolist().
@@ -152,8 +173,8 @@ def _iter_canonical(obj, memo: dict):
             raise TypeError(f"cannot encode a {obj.dtype} array")
         key = (obj.shape, obj.tobytes())
         if key not in memo:
-            memo[key] = _canonical(obj.tolist())
-        yield memo[key]
+            memo[key] = _encode_array(obj)
+        yield from memo[key]
     elif isinstance(obj, dict):
         if not all(isinstance(key, str) for key in obj):
             raise TypeError("only string keys can be encoded")

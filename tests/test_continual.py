@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afec_lab import continual
 from afec_lab.continual import (METHODS, ArchSpec, SequenceConfig, _canonical,
                                 _iter_canonical, _state_digest, evaluate,
                                 load_state, random_init_baseline, run_sequence,
@@ -410,6 +411,24 @@ class TestCanonicalEncoder:
         assert _encoded(doc, memo) == _canonical(_tolists(doc)).encode()
         assert b"[-0.0,-0.0,-0.0]" in _encoded(doc)
         assert len(memo) == 3  # +0.0 zeros, -0.0 zeros, NaN
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * continual._ENCODE_BLOCK + 5])
+    def test_long_vectors_encoded_in_blocks(self, extra):
+        size = continual._ENCODE_BLOCK + extra
+        vec = np.resize(np.array(_EDGE_FLOATS), size)
+        vec[-1] = -0.0
+        doc = {"v": vec, "w": [vec.copy(), vec[::-1].copy()]}
+        memo = {}
+        assert _encoded(doc, memo) == _canonical(_tolists(doc)).encode()
+        assert len(memo) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_vectors, min_size=1, max_size=3))
+    def test_block_boundaries(self, vecs):
+        doc = {"vecs": vecs}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(continual, "_ENCODE_BLOCK", 2)
+            assert _encoded(doc) == _canonical(_tolists(doc)).encode()
 
     def test_other_dtypes_and_keys_rejected(self):
         with pytest.raises(TypeError):
