@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import itertools
 import json
 import logging
@@ -236,15 +237,44 @@ def _run_worker_cell(cell: tuple) -> dict:
 
 
 def _run_cells(config: ExperimentConfig, cells: list[tuple], jobs: int):
-    """Run every cell on tasks built once per process: here when serial,
-    once in each pool worker otherwise. Results keep the order of `cells`."""
+    """Yield (cell, outcome) for every cell, in the order of `cells`, as
+    each one finishes. The outcome is the cell's result doc, or the
+    exception it raised: one failed cell does not stop the others. Tasks are
+    built once per process: here when serial, once in each pool worker
+    otherwise."""
     if jobs <= 1:
         task_list = build_tasks(config.benchmark)
-        return [_run_cell(config, task_list, *cell) for cell in cells]
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker,
-            initargs=(config.to_json(),)) as pool:
-        return list(pool.map(_run_worker_cell, cells))
+        for cell in cells:
+            try:
+                yield cell, _run_cell(config, task_list, *cell)
+            except Exception as exc:
+                yield cell, exc
+        return
+    pool = concurrent.futures.ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_worker,
+        initargs=(config.to_json(),))
+    try:
+        futures = [pool.submit(_run_worker_cell, cell) for cell in cells]
+        for cell, future in zip(cells, futures):
+            try:
+                yield cell, future.result()
+            except Exception as exc:
+                yield cell, exc
+    finally:
+        # If the caller stops early (a result file could not be written,
+        # say), the queued cells are dropped instead of run.
+        pool.shutdown(cancel_futures=True)
+
+
+def _error_text(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _log_failure(message: str, exc: BaseException) -> None:
+    """Log one line; at AFEC_LAB_LOG=debug, with the traceback (a pool
+    worker's traceback comes along as the exception's cause)."""
+    log.error("%s: %s", message, _error_text(exc),
+              exc_info=exc if log.isEnabledFor(logging.DEBUG) else None)
 
 
 def _write_result(out_dir: str, cell: tuple, doc: dict) -> RunResult:
@@ -255,6 +285,25 @@ def _write_result(out_dir: str, cell: tuple, doc: dict) -> RunResult:
     return result_from_json(doc)
 
 
+def _run_and_write(config: ExperimentConfig, cells: list[tuple], jobs: int):
+    """Run the cells and write each finished cell's result file as soon as
+    it is in. Returns ({cell: RunResult}, {cell: exception}); each failed
+    cell is logged with its name and error."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    results, failures = {}, {}
+    for cell, outcome in _run_cells(config, cells, jobs):
+        if isinstance(outcome, Exception):
+            failures[cell] = outcome
+            method, lam, lam_e, seed = cell
+            _log_failure(f"cell method={method} lambda={lam:g} "
+                         f"lambda_e={lam_e:g} seed={seed} failed", outcome)
+        else:
+            results[cell] = _write_result(config.out_dir, cell, outcome)
+    if failures:
+        log.error("%d of %d cells failed", len(failures), len(cells))
+    return results, failures
+
+
 # -- subcommands --------------------------------------------------------------
 
 def cmd_run(config: ExperimentConfig, jobs: int) -> int:
@@ -263,11 +312,10 @@ def cmd_run(config: ExperimentConfig, jobs: int) -> int:
                           "use the grid subcommand for lists")
     lam, lam_e = config.lam_values[0], config.lam_e_values[0]
     cells = [(m, lam, lam_e, s) for m in config.methods for s in config.seeds]
-    docs = _run_cells(config, cells, jobs)
-    os.makedirs(config.out_dir, exist_ok=True)
-    results = [_write_result(config.out_dir, cell, doc)
-               for cell, doc in zip(cells, docs)]
-    emit_report(results, config.out_dir)
+    results, failures = _run_and_write(config, cells, jobs)
+    if failures:
+        return 1
+    emit_report(list(results.values()), config.out_dir)
     return 0
 
 
@@ -277,29 +325,36 @@ def cmd_grid(config: ExperimentConfig, jobs: int) -> int:
              for lam in config.lam_values
              for lam_e in config.lam_e_values
              for s in config.seeds]
-    docs = _run_cells(config, cells, jobs)
-    os.makedirs(config.out_dir, exist_ok=True)
+    results, failures = _run_and_write(config, cells, jobs)
     by_cell: dict[tuple, list[float]] = {}
-    for cell, doc in zip(cells, docs):
-        result = _write_result(config.out_dir, cell, doc)
+    for cell, result in results.items():
         by_cell.setdefault(cell[:3], []).append(metrics.acc(result.acc_matrix))
-    lines = ["method,lambda,lambda_e,mean_acc,std_acc,seeds"]
+    header = ["method", "lambda", "lambda_e", "mean_acc", "std_acc", "seeds"]
+    # Failed cells get rows of their own, so the table gains two columns.
+    tail = ["failed_seed", "error"] if failures else []
+    rows = [header + tail]
     best = None
     for key in sorted(by_cell, key=lambda k: (k[0], k[1], k[2])):
         accs = by_cell[key]
         mean, std = float(np.mean(accs)), float(np.std(accs))
-        lines.append(f"{key[0]},{key[1]:g},{key[2]:g},{mean:.6f},{std:.6f},"
-                     f"{len(accs)}")
+        rows.append([key[0], f"{key[1]:g}", f"{key[2]:g}", f"{mean:.6f}",
+                     f"{std:.6f}", str(len(accs))] + [""] * len(tail))
         # Ties break toward the smallest lambda_e, then the smallest lambda.
+        # A cell setting with a failed seed is never reported as the best.
         rank = (-mean, key[2], key[1], key[0])
-        if best is None or rank < best[0]:
+        if len(accs) == len(config.seeds) and (best is None or rank < best[0]):
             best = (rank, key, mean)
-    with open(os.path.join(config.out_dir, "grid.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    (_, (method, lam, lam_e), mean) = best
-    print(f"best: method={method} lambda={lam:g} lambda_e={lam_e:g} "
-          f"mean_acc={mean:.6f}")
-    return 0
+    for (method, lam, lam_e, seed), exc in failures.items():
+        rows.append([method, f"{lam:g}", f"{lam_e:g}", "", "", "", str(seed),
+                     _error_text(exc)])
+    with open(os.path.join(config.out_dir, "grid.csv"), "w",
+              newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    if best is not None:
+        (_, (method, lam, lam_e), mean) = best
+        print(f"best: method={method} lambda={lam:g} lambda_e={lam_e:g} "
+              f"mean_acc={mean:.6f}")
+    return 1 if failures else 0
 
 
 def cmd_datagen(config: ExperimentConfig) -> int:
@@ -380,7 +435,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure
-        log.error("run failed: %s", exc)
+        _log_failure("run failed", exc)
         return 1
 
 

@@ -1,11 +1,16 @@
 """Config parsing, subcommands, exit codes, and grid parallelism."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from afec_lab import cli
+import afec_lab
+from afec_lab import cli, metrics
 from afec_lab.cli import (build_tasks, load_config, main,
                           parse_config, result_from_json, result_to_json)
 from afec_lab.continual import SequenceConfig, run_sequence
@@ -186,6 +191,18 @@ class TestMainExitCodes:
             assert main(["run", "--config", path]) == 1
             assert capsys.readouterr().err.count("ERROR run failed") == 1
 
+    @pytest.mark.parametrize("level,shown", [("debug", True), ("info", False)])
+    def test_traceback_only_at_debug(self, tmp_path, capsys, monkeypatch,
+                                     level, shown):
+        monkeypatch.setenv("AFEC_LAB_LOG", level)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        path = write_config(tmp_path, minimal_config(blocker))
+        assert main(["run", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "ERROR run failed: FileExistsError" in err
+        assert ("Traceback (most recent call last)" in err) == shown
+
     def test_seed_override(self, tmp_path):
         out = tmp_path / "results"
         path = write_config(tmp_path, minimal_config(out, seeds=[0, 1]))
@@ -363,3 +380,155 @@ class TestDatagenAndReport:
         out.mkdir()
         path = write_config(tmp_path, minimal_config(out))
         assert main(["report", "--config", path]) == 2
+
+
+def diverging_grid(out_dir):
+    """Two cells; SGD with lambda=1e9 diverges on the second task."""
+    return minimal_config(out_dir, methods=["ewc"], seeds=[0],
+                          optimizer={"kind": "sgd", "lr": 0.01},
+                          **{"lambda": [1, 1e9]})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestCellFailures:
+    FAILED = "method=ewc lambda=1e+09 lambda_e=0 seed=0"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_cell_named_and_finished_cells_kept(self, tmp_path,
+                                                       capsys, jobs):
+        out = tmp_path / "g"
+        path = write_config(tmp_path, diverging_grid(out))
+        assert main(["grid", "--config", path, "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert (f"ERROR cell {self.FAILED} failed: NumericError: "
+                "non-finite gradient") in err
+        assert "ERROR 1 of 2 cells failed" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "grid.csv", "result_ewc_lam1_lame0_seed0.json"]
+        with open(out / "grid.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["method", "lambda", "lambda_e", "mean_acc",
+                           "std_acc", "seeds", "failed_seed", "error"]
+        assert rows[1][:3] == ["ewc", "1", "0"] and rows[1][5:] == ["1", "", ""]
+        assert rows[2][:7] == ["ewc", "1e+09", "0", "", "", "", "0"]
+        assert rows[2][7].startswith("NumericError: non-finite")
+        assert len(rows) == 3
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_cell_traceback_at_debug(self, tmp_path, capsys, monkeypatch,
+                                     jobs):
+        monkeypatch.setenv("AFEC_LAB_LOG", "debug")
+        path = write_config(tmp_path, diverging_grid(tmp_path / "g"))
+        assert main(["grid", "--config", path, "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert f"ERROR cell {self.FAILED} failed" in err
+        # from a pool worker, the worker's own frames come along
+        assert "Traceback (most recent call last)" in err
+        assert "in run_sequence" in err
+
+    def test_run_keeps_finished_results(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        doc = minimal_config(out, methods=["finetune", "ewc"],
+                             optimizer={"kind": "sgd", "lr": 0.01},
+                             **{"lambda": 1e9})
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert f"ERROR cell {self.FAILED} failed" in err
+        # finetune ignores lambda; no summary is written for a partial run
+        assert [p.name for p in out.iterdir()] == [
+            "result_finetune_lam1e+09_lame0_seed0.json"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unwritable_result_stops_the_grid(self, tmp_path, capsys, jobs):
+        # A directory where the first result file goes: writing it fails,
+        # which is not a cell failure, so the command stops there.
+        out = tmp_path / "g"
+        (out / "result_ewc_lam1_lame0_seed0.json").mkdir(parents=True)
+        path = write_config(tmp_path, diverging_grid(out))
+        assert main(["grid", "--config", path, "--jobs", jobs]) == 1
+        assert "ERROR run failed: IsADirectoryError" in capsys.readouterr().err
+        assert not (out / "grid.csv").exists()
+
+    def test_grid_without_failures_keeps_its_table(self, tmp_path):
+        out = tmp_path / "g"
+        doc = minimal_config(out, methods=["ewc", "afec"], seeds=[0, 1],
+                             **{"lambda": [1, 10], "lambda_e": [0, 2]})
+        assert main(["grid", "--config", write_config(tmp_path, doc)]) == 0
+        lines = ["method,lambda,lambda_e,mean_acc,std_acc,seeds"]
+        for method in ("afec", "ewc"):
+            for lam in (1, 10):
+                for lam_e in (0, 2):
+                    accs = []
+                    for seed in (0, 1):
+                        name = (f"result_{method}_lam{lam}_lame{lam_e}"
+                                f"_seed{seed}.json")
+                        result = result_from_json(
+                            json.loads((out / name).read_text()))
+                        accs.append(metrics.acc(result.acc_matrix))
+                    lines.append(f"{method},{lam},{lam_e},"
+                                 f"{float(np.mean(accs)):.6f},"
+                                 f"{float(np.std(accs)):.6f},2")
+        assert (out / "grid.csv").read_text() == "\n".join(lines) + "\n"
+
+
+# -- OpenBLAS idle-thread timeout ---------------------------------------------
+
+_TIMEOUT_VAR = "OPENBLAS_THREAD_TIMEOUT"
+
+# Prints the timeout in the environment at the moment numpy is first
+# imported, seen from an audit hook, not from the environment afterwards.
+_PROBE = """
+import os, sys
+seen = []
+def hook(event, args):
+    if event == "import" and args[0] == "numpy" and not seen:
+        seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.addaudithook(hook)
+import afec_lab
+print(seen)
+"""
+
+
+def fresh_env(timeout=None) -> dict:
+    """This process's environment for a fresh interpreter that imports the
+    afec_lab under test, with the timeout unset or set to `timeout`."""
+    env = {k: v for k, v in os.environ.items() if k != _TIMEOUT_VAR}
+    src = os.path.dirname(os.path.dirname(afec_lab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env["AFEC_LAB_LOG"] = "quiet"
+    if timeout is not None:
+        env[_TIMEOUT_VAR] = timeout
+    return env
+
+
+class TestBlasThreadTimeout:
+    @pytest.mark.parametrize("given,expected", [(None, "4"), ("28", "28")])
+    def test_set_before_numpy_loads(self, given, expected):
+        out = subprocess.run([sys.executable, "-c", _PROBE],
+                             env=fresh_env(given), capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == repr([expected])
+
+    @pytest.mark.parametrize("command,jobs", [("run", "1"), ("grid", "2")])
+    def test_outputs_identical_under_either_timeout(self, tmp_path, command,
+                                                    jobs):
+        # 784 inputs into 256 hidden units: the forward product is large
+        # enough for OpenBLAS to split it across its threads.
+        doc = minimal_config(tmp_path, methods=["ewc", "afec"], seeds=[0, 1],
+                             epochs=1, arch={"hidden": [256],
+                                             "activation": "relu"},
+                             **{"lambda": 10, "lambda_e": 1})
+        doc["benchmark"].update(num_classes=4, input_dim=784)
+        path = write_config(tmp_path, doc)
+        outputs = []
+        for timeout in (None, "28"):
+            out = tmp_path / f"out_{timeout}"
+            subprocess.run([sys.executable, "-m", "afec_lab.cli", command,
+                            "--config", path, "--out", str(out),
+                            "--jobs", jobs],
+                           env=fresh_env(timeout), check=True)
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sum(name.startswith("result_") for name in outputs[0]) == 4
+        assert outputs[0] == outputs[1]

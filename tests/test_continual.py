@@ -3,7 +3,9 @@
 import gc
 import hashlib
 import json
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from afec_lab.continual import (METHODS, ArchSpec, SequenceConfig, _canonical,
 from afec_lab.errors import ConfigError, FormatError
 from afec_lab.nn import DenseLayer, Network
 from afec_lab.tasks import (AngularLayout, gen_angular_task,
-                            make_conflicting_pair, split_tasks)
+                            make_angular_sequence, make_conflicting_pair,
+                            split_tasks)
 
 ARCH = ArchSpec(hidden=[16, 16])
 
@@ -251,6 +254,10 @@ class TestTransferProbe:
             transfer_probe(net, task, epochs=1, lr=0.01)
 
 
+_RESUME_TASKS = make_angular_sequence(3, 4, 0, samples_per_class=10,
+                                      input_dim=6, cluster_spread=0.5)
+
+
 class TestStatePersistence:
     def test_save_load_save_byte_identical(self, tmp_path):
         tasks = quick_pair()
@@ -275,6 +282,27 @@ class TestStatePersistence:
         np.testing.assert_array_equal(resumed.acc_matrix.a[1],
                                       full.acc_matrix.a[1])
         assert resumed.state_digest == full.state_digest
+
+    @pytest.mark.parametrize("method", METHODS)
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 1000), split=st.integers(1, 2),
+           lam=st.sampled_from([0.0, 0.5, 20.0]),
+           lam_e=st.sampled_from([0.0, 0.5, 20.0]))
+    def test_resume_property(self, method, seed, split, lam, lam_e):
+        """save -> load -> resume at any task boundary gives the state and
+        the accuracy rows of the uninterrupted run."""
+        tasks = _RESUME_TASKS
+        cfg = quick_cfg(method, lam=lam, lam_e=lam_e, seed=seed, epochs=2)
+        full = run_sequence(cfg, tasks)
+        with tempfile.TemporaryDirectory() as td:
+            path = os.path.join(td, "state.json")
+            run_sequence(cfg, tasks[:split], save_state_to=path)
+            resumed = run_sequence(cfg, tasks, resume=load_state(path))
+        assert resumed.start_task == split
+        assert resumed.state_digest == full.state_digest
+        assert resumed.acc_matrix.a[split:] == full.acc_matrix.a[split:]
+        assert (resumed.per_task_new_accuracy
+                == full.per_task_new_accuracy[split:])
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
