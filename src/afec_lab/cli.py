@@ -236,34 +236,58 @@ def _run_worker_cell(cell: tuple) -> dict:
     return _run_cell(*_worker_setup, *cell)
 
 
+def _outcomes(get, items):
+    """get(item) for each item, or the exception it raised."""
+    for item in items:
+        try:
+            yield get(item)
+        except Exception as exc:
+            yield exc
+
+
 def _run_cells(config: ExperimentConfig, cells: list[tuple], jobs: int):
     """Yield (cell, outcome) for every cell, in the order of `cells`, as
     each one finishes. The outcome is the cell's result doc, or the
-    exception it raised: one failed cell does not stop the others. Tasks are
-    built once per process: here when serial, once in each pool worker
-    otherwise."""
+    exception it raised: one failed cell does not stop the others.
+
+    Cells with one run key train the same run bit for bit, so only the
+    first cell of each key runs; every cell's doc then gets its own config.
+    Tasks are built once per process: here when serial, once in each pool
+    worker otherwise."""
+    seqs = [config.sequence_config(*cell) for cell in cells]
+    keys = [seq.run_key() for seq in seqs]
+    runs: dict[str, tuple] = {}  # run key -> the first cell with that key
+    for key, cell in zip(keys, cells):
+        runs.setdefault(key, cell)
+    pool = None
     if jobs <= 1:
         task_list = build_tasks(config.benchmark)
-        for cell in cells:
-            try:
-                yield cell, _run_cell(config, task_list, *cell)
-            except Exception as exc:
-                yield cell, exc
-        return
-    pool = concurrent.futures.ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker,
-        initargs=(config.to_json(),))
+        outcomes = _outcomes(lambda cell: _run_cell(config, task_list, *cell),
+                             runs.values())
+    else:
+        # Each worker builds the tasks once, so no more workers than runs.
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(jobs, len(runs)), initializer=_init_worker,
+            initargs=(config.to_json(),))
+        futures = [pool.submit(_run_worker_cell, cell)
+                   for cell in runs.values()]
+        outcomes = _outcomes(concurrent.futures.Future.result, futures)
     try:
-        futures = [pool.submit(_run_worker_cell, cell) for cell in cells]
-        for cell, future in zip(cells, futures):
-            try:
-                yield cell, future.result()
-            except Exception as exc:
-                yield cell, exc
+        # Keys come up in the order of `runs`, which is the order of
+        # `outcomes`, so a new key's outcome is always the next one.
+        done: dict[str, object] = {}
+        for cell, seq, key in zip(cells, seqs, keys):
+            if key not in done:
+                done[key] = next(outcomes)
+            outcome = done[key]
+            if not isinstance(outcome, Exception):
+                outcome = {**outcome, "config": asdict(seq)}
+            yield cell, outcome
     finally:
-        # If the caller stops early (a result file could not be written,
-        # say), the queued cells are dropped instead of run.
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            # If the caller stops early (a result file could not be
+            # written, say), the queued runs are dropped instead of run.
+            pool.shutdown(cancel_futures=True)
 
 
 def _error_text(exc: BaseException) -> str:

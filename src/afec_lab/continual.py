@@ -110,6 +110,21 @@ class SequenceConfig:
     def effective_lam(self) -> float:
         return 0.0 if self.method == "finetune" else self.lam
 
+    def run_key(self) -> str:
+        """The canonical JSON of the config with three fields normalized, so
+        that configs with equal keys train the same run bit for bit:
+        without expansion a method is its base (finetune and afec are ewc,
+        mas_afec is mas), lam is the effective lam, and lam_e counts only
+        when there is an expansion. Every other field is kept as it is, so
+        a field added later splits runs by default."""
+        doc = asdict(self)
+        if not self.uses_expansion:
+            doc["method"] = ("ewc" if self.base_method == "fisher"
+                             else self.base_method)
+            doc["lam_e"] = 0.0
+        doc["lam"] = self.effective_lam
+        return _canonical(doc)
+
 
 @dataclass
 class RunResult:
@@ -293,6 +308,10 @@ def penalized_grad(params: np.ndarray, grad: np.ndarray,
     return total
 
 
+# A diverging run overflows before its isfinite checks raise NumericError;
+# numpy's own overflow warnings would only repeat that error, outside the
+# log format.
+@np.errstate(over="ignore", invalid="ignore")
 def run_sequence(cfg: SequenceConfig, tasks, *, resume: tuple | None = None,
                  save_state_to=None) -> RunResult:
     """Continually learn the task sequence with the configured method.

@@ -1,6 +1,8 @@
 """Config parsing, subcommands, exit codes, and grid parallelism."""
 
+import concurrent.futures
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -329,9 +331,69 @@ class TestGrid:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(cli, name, counted)
-        path = write_config(tmp_path, self.grid_config(tmp_path / "g"))
+        # afec at lambda_e > 0 expands, so all six cells are distinct runs
+        doc = self.grid_config(tmp_path / "g")
+        doc["methods"] = ["afec"]
+        path = write_config(tmp_path, doc)
         assert main(["grid", "--config", path, "--jobs", "1"]) == 0
         assert calls == {"parse_config": 1, "build_tasks": 1, "_run_cell": 6}
+
+    def test_equivalent_cells_train_once(self, tmp_path, monkeypatch):
+        # Per seed, 12 cells hold 4 runs: finetune and ewc/afec at
+        # lambda_e 0 are ewc at the effective lambda 0 or 1, and ewc ignores
+        # lambda_e; only afec at lambda_e 1 (lambda 0 or 1) expands.
+        doc = minimal_config(tmp_path / "serial",
+                             methods=["finetune", "ewc", "afec"],
+                             seeds=[0, 1],
+                             **{"lambda": [0, 1], "lambda_e": [0, 1]})
+        path = write_config(tmp_path, doc)
+        runs = []
+
+        def counted(config, task_list, *cell, _run_cell=cli._run_cell):
+            runs.append(cell)
+            return _run_cell(config, task_list, *cell)
+        monkeypatch.setattr(cli, "_run_cell", counted)
+        assert main(["grid", "--config", path, "--jobs", "1"]) == 0
+        assert len(runs) == 8
+        assert main(["grid", "--config", path, "--jobs", "2",
+                     "--out", str(tmp_path / "pool")]) == 0
+        config = parse_config(doc)
+        task_list = build_tasks(config.benchmark)
+        names = set()
+        for cell in itertools.product(config.methods, config.lam_values,
+                                      config.lam_e_values, config.seeds):
+            method, lam, lam_e, seed = cell
+            name = f"result_{method}_lam{lam:g}_lame{lam_e:g}_seed{seed}.json"
+            own = result_to_json(run_sequence(
+                config.sequence_config(*cell), task_list))
+            text = json.dumps(own, sort_keys=True) + "\n"
+            assert (tmp_path / "serial" / name).read_text() == text
+            assert (tmp_path / "pool" / name).read_text() == text
+            names.add(name)
+        for out in ("serial", "pool"):
+            assert {p.name for p in (tmp_path / out).glob("result_*")} == names
+        assert (tmp_path / "serial" / "grid.csv").read_bytes() == \
+               (tmp_path / "pool" / "grid.csv").read_bytes()
+
+    @pytest.mark.parametrize("methods,jobs,workers", [
+        (["ewc"], 4, 2),    # ewc ignores lambda_e: one run per seed
+        (["afec"], 4, 4),   # six distinct runs
+        (["afec"], 2, 2)])
+    def test_pool_capped_at_distinct_runs(self, tmp_path, monkeypatch,
+                                          methods, jobs, workers):
+        seen = []
+        pool_class = concurrent.futures.ProcessPoolExecutor
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["max_workers"])
+            return pool_class(*args, **kwargs)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            recording)
+        doc = self.grid_config(tmp_path / "g")
+        doc["methods"] = methods
+        path = write_config(tmp_path, doc)
+        assert main(["grid", "--config", path, "--jobs", str(jobs)]) == 0
+        assert seen == [workers]
 
     def test_parallel_matches_serial(self, tmp_path):
         out1 = tmp_path / "serial"
@@ -414,6 +476,32 @@ class TestCellFailures:
         assert rows[2][:7] == ["ewc", "1e+09", "0", "", "", "", "0"]
         assert rows[2][7].startswith("NumericError: non-finite")
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_equivalent_failed_cells_each_named(self, tmp_path, capsys,
+                                                jobs):
+        # afec at lambda_e 0 shares ewc's run, and so its failure
+        doc = diverging_grid(tmp_path / "g")
+        doc["methods"] = ["ewc", "afec"]
+        path = write_config(tmp_path, doc)
+        assert main(["grid", "--config", path, "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        for method in ("ewc", "afec"):
+            assert (f"ERROR cell method={method} lambda=1e+09 lambda_e=0 "
+                    f"seed=0 failed: NumericError") in err
+        assert "ERROR 2 of 4 cells failed" in err
+        with open(tmp_path / "g" / "grid.csv", newline="") as fh:
+            failed = [row[:3] for row in csv.reader(fh) if row[6:7] == ["0"]]
+        assert failed == [["ewc", "1e+09", "0"], ["afec", "1e+09", "0"]]
+
+    def test_divergence_prints_no_numpy_warning(self, tmp_path):
+        path = write_config(tmp_path, diverging_grid(tmp_path / "g"))
+        err = subprocess.run([sys.executable, "-m", "afec_lab.cli", "grid",
+                              "--config", path, "--jobs", "2"],
+                             env=fresh_env(), capture_output=True,
+                             text=True).stderr
+        assert "ERROR 1 of 2 cells failed" in err
+        assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_cell_traceback_at_debug(self, tmp_path, capsys, monkeypatch,

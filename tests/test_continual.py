@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afec_lab import continual
+from afec_lab.cli import result_to_json
 from afec_lab.continual import (METHODS, ArchSpec, SequenceConfig, _canonical,
                                 _iter_canonical, _state_digest, evaluate,
                                 load_state, random_init_baseline, run_sequence,
@@ -202,6 +204,34 @@ class TestSequenceConfig:
         assert SequenceConfig(method="afec").expansion_epochs is None
         assert SequenceConfig(method="afec",
                               expansion_epochs=2).expansion_epochs == 2
+
+
+class TestRunKey:
+    def test_equal_keys_give_equal_runs(self):
+        """Over every method and zero/nonzero strengths, configs with one
+        run key give result docs that differ only in their config."""
+        tasks = quick_pair()
+        docs: dict[str, set] = {}
+        for method in METHODS:
+            for lam in (0.0, 1.0):
+                for lam_e in (0.0, 1.0):
+                    cfg = quick_cfg(method, lam=lam, lam_e=lam_e, seed=2,
+                                    epochs=1)
+                    doc = result_to_json(run_sequence(cfg, tasks))
+                    del doc["config"]
+                    docs.setdefault(cfg.run_key(), set()).add(
+                        json.dumps(doc, sort_keys=True))
+        # Per base method: lam 0 and 1 without expansion, and with it.
+        assert len(docs) == 16
+        assert all(len(texts) == 1 for texts in docs.values())
+
+    def test_other_fields_enter_unchanged(self):
+        cfg = SequenceConfig(method="afec", lam=2.0, lam_e=0.5, seed=3,
+                             expansion_init="fresh_random")
+        assert json.loads(cfg.run_key()) == asdict(cfg)
+        assert json.loads(SequenceConfig(method="mas_afec", lam=2.0,
+                                         seed=3).run_key()) == asdict(
+            SequenceConfig(method="mas", lam=2.0, seed=3))
 
 
 class TestTransferProbe:

@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afec_lab.continual import SequenceConfig, penalized_grad, penalty_terms
 from afec_lab.errors import ConfigError, ShapeError
 from afec_lab.nn import Batch, DenseLayer, Network, SGD
-from afec_lab.posterior import DiagGaussian
+from afec_lab.posterior import DiagGaussian, gaussian_weighted_product
 from afec_lab.regularizers import (RegState, StepInfo, importance_update,
                                    quadratic_penalty, train_expanded)
 from afec_lab.tasks import AngularLayout, gen_angular_task
@@ -184,6 +186,33 @@ class TestAfecTotalLoss:
         _, ref_grad = net.loss_and_grad(batch, "angular_mse")
         np.testing.assert_array_equal(
             penalized_grad(net.get_params(), ref_grad, terms), ref_grad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           lam=st.floats(0.01, 100.0), lam_e=st.floats(0.01, 100.0))
+    def test_penalty_is_the_weighted_product(self, seed, lam, lam_e):
+        """The paper's derivation: the two-anchor penalty is -log of the
+        weighted product of the anchors' Gaussians. With c = lam + lam_e
+        and beta = lam_e / c, its gradient is c * p_mix * (theta - m_mix)
+        for the product's mean m_mix and precision p_mix."""
+        rng = np.random.default_rng(seed)
+        size = 50
+
+        def anchor():
+            return DiagGaussian(rng.normal(0.0, 3.0, size),
+                                10.0 ** rng.uniform(-3.0, 3.0, size))
+        old, expanded = anchor(), anchor()
+        theta = rng.normal(0.0, 3.0, size)
+        c = lam + lam_e
+        mix = gaussian_weighted_product(old, expanded, lam_e / c).mixture
+        got = penalized_grad(theta, np.zeros(size),
+                             [(old, lam), (expanded, lam_e)])
+        want = c * mix.precision * (theta - mix.mean)
+        # Rounding of either side is a few ulps of c times the largest
+        # term: 1 - beta loses digits when lam is much smaller than lam_e.
+        scale = c * (old.precision * (abs(theta) + abs(old.mean))
+                     + expanded.precision * (abs(theta) + abs(expanded.mean)))
+        assert np.all(abs(got - want) <= 64 * np.finfo(float).eps * scale)
 
     def test_terms_added_in_order_without_touching_grad(self):
         net, batch, state = self._setup()
