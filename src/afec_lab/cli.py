@@ -22,70 +22,89 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import metrics, tasks
-from .continual import (ArchSpec, RunResult, SequenceConfig, _json_floats,
+from .continual import (RunResult, SequenceConfig, _is_count, _json_floats,
                         run_sequence, write_atomic)
 from .errors import ConfigError, FormatError
 from .metrics import AccMatrix, emit_report
-from .nn import make_optimizer
+from .nn import _is_finite_number
 
 log = logging.getLogger("afec_lab")
 _LOG_HANDLER = "afec_lab.cli"
 
 CONFIG_VERSION = 1
 
+_SYNTHETIC_FIELDS = {"kind", "num_classes", "samples_per_class", "input_dim",
+                     "cluster_spread", "seed"}
 _BENCHMARK_FIELDS = {
-    "conflicting_pair": {"kind", "num_classes", "samples_per_class",
-                         "input_dim", "cluster_spread", "seed"},
-    "angular_sequence": {"kind", "num_tasks", "num_classes",
-                         "samples_per_class", "input_dim", "cluster_spread",
-                         "seed"},
+    "conflicting_pair": _SYNTHETIC_FIELDS,
+    "angular_sequence": _SYNTHETIC_FIELDS | {"num_tasks"},
     "split_idx": {"kind", "images", "labels", "classes_per_task", "seed"},
 }
 
+_BENCHMARK_COUNTS = {"num_tasks": 1, "num_classes": 2, "samples_per_class": 3,
+                     "input_dim": 1, "classes_per_task": 1, "seed": 0}
+
+# The run settings a config may set; SequenceConfig holds their defaults.
+_RUN_FIELDS = {"epochs", "batch_size", "optimizer", "arch",
+               "expansion_epochs", "expansion_init"}
+
 _TOP_FIELDS = {"version", "benchmark", "methods", "lambda", "lambda_e",
-               "seeds", "epochs", "batch_size", "optimizer", "arch",
-               "expansion_epochs", "expansion_init", "out_dir"}
+               "seeds", "out_dir"} | _RUN_FIELDS
 
 
 @dataclass
 class ExperimentConfig:
+    """The grid axes of an experiment, plus the run settings (`run`) the
+    config file sets; every cell is one SequenceConfig."""
     benchmark: dict
     methods: list[str]
     lam_values: list[float]
     lam_e_values: list[float]
     seeds: list[int]
-    epochs: int
-    batch_size: int
-    optimizer: dict
-    arch: dict
     out_dir: str
-    expansion_epochs: int | None = None
-    expansion_init: str = "copy_main"
+    run: dict
 
-    def to_json(self) -> dict:
-        doc = asdict(self)
-        doc["lambda"] = doc.pop("lam_values")
-        doc["lambda_e"] = doc.pop("lam_e_values")
-        return {"version": CONFIG_VERSION, **doc}
+    def cells(self) -> list[tuple]:
+        """Every (method, lam, lam_e, seed) of the grid, in run order."""
+        return list(itertools.product(self.methods, self.lam_values,
+                                      self.lam_e_values, self.seeds))
 
     def sequence_config(self, method: str, lam: float, lam_e: float,
                         seed: int) -> SequenceConfig:
-        return SequenceConfig(method=method, lam=lam, lam_e=lam_e,
-                              epochs=self.epochs, batch_size=self.batch_size,
-                              optimizer=self.optimizer, seed=seed,
-                              arch=ArchSpec(**self.arch),
-                              expansion_epochs=self.expansion_epochs,
-                              expansion_init=self.expansion_init)
+        return SequenceConfig(method=method, lam=lam, lam_e=lam_e, seed=seed,
+                              **self.run)
 
 
 def _as_list(value, path: str) -> list[float]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value)]
-    if (isinstance(value, list) and value
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in value)):
-        return [float(v) for v in value]
-    raise ConfigError(f"{path}: expected a number or non-empty number list")
+    values = value if isinstance(value, list) else [value]
+    if not (values and all(map(_is_finite_number, values))):
+        raise ConfigError(f"{path}: expected a finite number or a non-empty "
+                          f"list of them")
+    return [float(v) for v in values]
+
+
+def _check_benchmark(bench) -> None:
+    kind = bench.get("kind") if isinstance(bench, dict) else None
+    if not isinstance(kind, str) or kind not in _BENCHMARK_FIELDS:
+        raise ConfigError(f"benchmark: expected an object whose kind is one "
+                          f"of {', '.join(_BENCHMARK_FIELDS)}")
+    extra = set(bench) - _BENCHMARK_FIELDS[kind]
+    if extra:
+        raise ConfigError(f"benchmark: unknown key(s) {sorted(extra)}")
+    for key, least in _BENCHMARK_COUNTS.items():
+        if key in bench and not _is_count(bench[key], least):
+            raise ConfigError(f"benchmark.{key}: expected an integer >= "
+                              f"{least}, got {bench[key]!r}")
+    spread = bench.get("cluster_spread")
+    if "cluster_spread" in bench and not (_is_finite_number(spread)
+                                          and spread > 0):
+        raise ConfigError(f"benchmark.cluster_spread: expected a finite "
+                          f"number > 0, got {spread!r}")
+    for key in ("images", "labels") if kind == "split_idx" else ():
+        path = bench.get(key)
+        if not (isinstance(path, str) and os.path.isfile(path)):
+            raise ConfigError(f"benchmark.{key}: required for split_idx, as "
+                              f"an existing file; not found: {path!r}")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -97,58 +116,23 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if doc.get("version") != CONFIG_VERSION:
         raise ConfigError(f"version: expected {CONFIG_VERSION}, "
                           f"got {doc.get('version')!r}")
-    bench = doc.get("benchmark")
-    if not isinstance(bench, dict) or "kind" not in bench:
-        raise ConfigError("benchmark: expected an object with a 'kind' field")
-    if bench["kind"] not in _BENCHMARK_FIELDS:
-        raise ConfigError(f"benchmark.kind: unknown kind {bench['kind']!r}")
-    extra = set(bench) - _BENCHMARK_FIELDS[bench["kind"]]
-    if extra:
-        raise ConfigError(f"benchmark: unknown key(s) {sorted(extra)}")
-    if bench["kind"] == "split_idx":
-        for key in ("images", "labels"):
-            if key not in bench:
-                raise ConfigError(f"benchmark.{key}: required for split_idx")
-            if not os.path.exists(bench[key]):
-                raise ConfigError(f"benchmark.{key}: file not found: {bench[key]}")
-    methods = doc.get("methods")
-    if not isinstance(methods, list) or not methods:
-        raise ConfigError("methods: expected a non-empty list")
-    seeds = doc.get("seeds")
-    if (not isinstance(seeds, list) or not seeds
-            or any(not isinstance(s, int) for s in seeds)):
-        raise ConfigError("seeds: expected a non-empty list of integers")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds: seeds must be distinct")
-    arch = doc.get("arch", {"hidden": [64, 64], "activation": "relu"})
-    if not isinstance(arch, dict):
-        raise ConfigError("arch: expected an object")
-    extra = set(arch) - {"hidden", "activation"}
-    if extra:
-        raise ConfigError(f"arch: unknown key(s) {sorted(extra)}")
-    optimizer = doc.get("optimizer", {"kind": "adam", "lr": 0.001})
-    if not isinstance(optimizer, dict):
-        raise ConfigError("optimizer: expected an object")
-    make_optimizer(optimizer)
+    _check_benchmark(doc.get("benchmark"))
+    for key in ("methods", "seeds"):
+        if not isinstance(doc.get(key), list) or not doc[key]:
+            raise ConfigError(f"{key}: expected a non-empty list")
     config = ExperimentConfig(
-        benchmark=bench,
-        methods=list(methods),
-        lam_values=_as_list(doc.get("lambda", 0.0), "lambda"),
-        lam_e_values=_as_list(doc.get("lambda_e", 0.0), "lambda_e"),
-        seeds=list(seeds),
-        epochs=doc.get("epochs", 10),
-        batch_size=doc.get("batch_size", 32),
-        optimizer=optimizer,
-        arch=arch,
-        out_dir=doc.get("out_dir", "results"),
-        expansion_epochs=doc.get("expansion_epochs"),
-        expansion_init=doc.get("expansion_init", "copy_main"),
-    )
-    # SequenceConfig validates the method and training settings; build one
-    # per cell setting so a bad value fails before any cell trains.
-    for cell in itertools.product(config.methods, config.lam_values,
-                                  config.lam_e_values, config.seeds[:1]):
+        benchmark=doc["benchmark"], methods=list(doc["methods"]),
+        lam_values=_as_list(doc.get("lambda", SequenceConfig.lam), "lambda"),
+        lam_e_values=_as_list(doc.get("lambda_e", SequenceConfig.lam_e),
+                              "lambda_e"),
+        seeds=list(doc["seeds"]), out_dir=doc.get("out_dir", "results"),
+        run={key: doc[key] for key in _RUN_FIELDS if key in doc})
+    # SequenceConfig checks the method, the seed and the run settings, so a
+    # bad value fails before any cell trains.
+    for cell in config.cells():
         config.sequence_config(*cell)
+    if len(set(config.seeds)) != len(config.seeds):
+        raise ConfigError("seeds: seeds must be distinct")
     return config
 
 
@@ -164,27 +148,15 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_tasks(bench: dict) -> list:
-    kind = bench["kind"]
+    """The tasks of a benchmark parse_config has checked; a key the config
+    leaves out takes the generator's default."""
+    kind, args = bench["kind"], {k: v for k, v in bench.items() if k != "kind"}
     if kind == "conflicting_pair":
-        pair = tasks.make_conflicting_pair(
-            bench.get("num_classes", 10), bench.get("seed", 0),
-            samples_per_class=bench.get("samples_per_class", 100),
-            input_dim=bench.get("input_dim", 16),
-            cluster_spread=bench.get("cluster_spread", 0.15))
-        return list(pair)
+        return list(tasks.make_conflicting_pair(**args))
     if kind == "angular_sequence":
-        return tasks.make_angular_sequence(
-            bench.get("num_tasks", 10), bench.get("num_classes", 10),
-            bench.get("seed", 0),
-            samples_per_class=bench.get("samples_per_class", 100),
-            input_dim=bench.get("input_dim", 16),
-            cluster_spread=bench.get("cluster_spread", 0.15))
-    if kind == "split_idx":
-        images, labels = tasks.load_idx(bench["images"], bench["labels"])
-        return tasks.split_tasks(images, labels,
-                                 bench.get("classes_per_task", 5),
-                                 bench.get("seed", 0))
-    raise ConfigError(f"benchmark.kind: unknown kind {kind!r}")
+        return tasks.make_angular_sequence(**args)
+    images, labels = tasks.load_idx(args.pop("images"), args.pop("labels"))
+    return tasks.split_tasks(images, labels, **args)
 
 
 # -- result serialization -----------------------------------------------------
@@ -221,18 +193,26 @@ def _run_cell(config: ExperimentConfig, task_list: list, method: str,
     return result_to_json(run_sequence(seq, task_list))
 
 
-# The parsed config and built tasks of this pool worker; set once by
-# _init_worker, read by every cell the worker runs.
-_worker_setup: tuple | None = None
+# The parsed config and built tasks of this pool worker, or why the tasks
+# could not be built; set once by _init_worker, read by every cell it runs.
+_worker_setup: tuple | Exception | None = None
 
 
-def _init_worker(config_json: dict) -> None:
+class _BuildFailed(Exception):
+    """A pool worker could not build the tasks; args[0] is the error."""
+
+
+def _init_worker(config: ExperimentConfig) -> None:
     global _worker_setup
-    config = parse_config(config_json)
-    _worker_setup = (config, build_tasks(config.benchmark))
+    try:
+        _worker_setup = (config, build_tasks(config.benchmark))
+    except Exception as exc:  # an initializer that raised breaks the pool
+        _worker_setup = _BuildFailed(exc)
 
 
 def _run_worker_cell(cell: tuple) -> dict:
+    if isinstance(_worker_setup, _BuildFailed):
+        raise _worker_setup  # _run_cells raises args[0], as if serial
     return _run_cell(*_worker_setup, *cell)
 
 
@@ -245,8 +225,8 @@ def _outcomes(get, items):
             yield exc
 
 
-def _run_cells(config: ExperimentConfig, cells: list[tuple], jobs: int):
-    """Yield (cell, outcome) for every cell, in the order of `cells`, as
+def _run_cells(config: ExperimentConfig, jobs: int):
+    """Yield (cell, outcome) for every cell, in the config's cell order, as
     each one finishes. The outcome is the cell's result doc, or the
     exception it raised: one failed cell does not stop the others.
 
@@ -254,6 +234,7 @@ def _run_cells(config: ExperimentConfig, cells: list[tuple], jobs: int):
     first cell of each key runs; every cell's doc then gets its own config.
     Tasks are built once per process: here when serial, once in each pool
     worker otherwise."""
+    cells = config.cells()
     seqs = [config.sequence_config(*cell) for cell in cells]
     keys = [seq.run_key() for seq in seqs]
     runs: dict[str, tuple] = {}  # run key -> the first cell with that key
@@ -268,7 +249,7 @@ def _run_cells(config: ExperimentConfig, cells: list[tuple], jobs: int):
         # Each worker builds the tasks once, so no more workers than runs.
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, len(runs)), initializer=_init_worker,
-            initargs=(config.to_json(),))
+            initargs=(config,))
         futures = [pool.submit(_run_worker_cell, cell)
                    for cell in runs.values()]
         outcomes = _outcomes(concurrent.futures.Future.result, futures)
@@ -280,6 +261,8 @@ def _run_cells(config: ExperimentConfig, cells: list[tuple], jobs: int):
             if key not in done:
                 done[key] = next(outcomes)
             outcome = done[key]
+            if isinstance(outcome, _BuildFailed):
+                raise outcome.args[0]
             if not isinstance(outcome, Exception):
                 outcome = {**outcome, "config": asdict(seq)}
             yield cell, outcome
@@ -309,13 +292,13 @@ def _write_result(out_dir: str, cell: tuple, doc: dict) -> RunResult:
     return result_from_json(doc)
 
 
-def _run_and_write(config: ExperimentConfig, cells: list[tuple], jobs: int):
-    """Run the cells and write each finished cell's result file as soon as
+def _run_and_write(config: ExperimentConfig, jobs: int):
+    """Run every cell and write each finished cell's result file as soon as
     it is in. Returns ({cell: RunResult}, {cell: exception}); each failed
     cell is logged with its name and error."""
     os.makedirs(config.out_dir, exist_ok=True)
     results, failures = {}, {}
-    for cell, outcome in _run_cells(config, cells, jobs):
+    for cell, outcome in _run_cells(config, jobs):
         if isinstance(outcome, Exception):
             failures[cell] = outcome
             method, lam, lam_e, seed = cell
@@ -324,7 +307,8 @@ def _run_and_write(config: ExperimentConfig, cells: list[tuple], jobs: int):
         else:
             results[cell] = _write_result(config.out_dir, cell, outcome)
     if failures:
-        log.error("%d of %d cells failed", len(failures), len(cells))
+        log.error("%d of %d cells failed", len(failures),
+                  len(failures) + len(results))
     return results, failures
 
 
@@ -334,9 +318,7 @@ def cmd_run(config: ExperimentConfig, jobs: int) -> int:
     if len(config.lam_values) != 1 or len(config.lam_e_values) != 1:
         raise ConfigError("lambda / lambda_e: run takes single values; "
                           "use the grid subcommand for lists")
-    lam, lam_e = config.lam_values[0], config.lam_e_values[0]
-    cells = [(m, lam, lam_e, s) for m in config.methods for s in config.seeds]
-    results, failures = _run_and_write(config, cells, jobs)
+    results, failures = _run_and_write(config, jobs)
     if failures:
         return 1
     emit_report(list(results.values()), config.out_dir)
@@ -344,12 +326,7 @@ def cmd_run(config: ExperimentConfig, jobs: int) -> int:
 
 
 def cmd_grid(config: ExperimentConfig, jobs: int) -> int:
-    cells = [(m, lam, lam_e, s)
-             for m in config.methods
-             for lam in config.lam_values
-             for lam_e in config.lam_e_values
-             for s in config.seeds]
-    results, failures = _run_and_write(config, cells, jobs)
+    results, failures = _run_and_write(config, jobs)
     by_cell: dict[tuple, list[float]] = {}
     for cell, result in results.items():
         by_cell.setdefault(cell[:3], []).append(metrics.acc(result.acc_matrix))
@@ -358,14 +335,17 @@ def cmd_grid(config: ExperimentConfig, jobs: int) -> int:
     tail = ["failed_seed", "error"] if failures else []
     rows = [header + tail]
     best = None
-    for key in sorted(by_cell, key=lambda k: (k[0], k[1], k[2])):
+    for key in sorted(by_cell):
         accs = by_cell[key]
         mean, std = float(np.mean(accs)), float(np.std(accs))
         rows.append([key[0], f"{key[1]:g}", f"{key[2]:g}", f"{mean:.6f}",
                      f"{std:.6f}", str(len(accs))] + [""] * len(tail))
-        # Ties break toward the smallest lambda_e, then the smallest lambda.
+        # Ties break toward the smallest lambda_e, then the smallest lambda,
+        # then the method its run key names (ewc over afec at lambda_e 0).
         # A cell setting with a failed seed is never reported as the best.
-        rank = (-mean, key[2], key[1], key[0])
+        seq = config.sequence_config(*key, config.seeds[0])
+        rank = (-mean, key[2], key[1],
+                json.loads(seq.run_key())["method"] != key[0], key[0])
         if len(accs) == len(config.seeds) and (best is None or rank < best[0]):
             best = (rank, key, mean)
     for (method, lam, lam_e, seed), exc in failures.items():

@@ -12,7 +12,6 @@ import hashlib
 import itertools
 import json
 import logging
-import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -20,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
 from .metrics import AccMatrix
-from .nn import ACTIVATIONS, Batch, Network, SGD, make_optimizer
+from .nn import (ACTIVATIONS, Batch, Network, SGD, _is_finite_number,
+                 make_optimizer)
 from .posterior import DiagGaussian, estimate_diag_fisher, fisher_running_average
 from .regularizers import (EXPANSION_INITS, RegState, StepInfo, epoch_batches,
                            importance_update, quadratic_penalty, train_expanded)
@@ -37,9 +37,9 @@ _PROBE_SHUFFLE_KEY = 910003
 STATE_VERSION = 1
 
 
-def _is_count(value) -> bool:
+def _is_count(value, least: int = 1) -> bool:
     # type() rather than isinstance(), which would let bools through
-    return type(value) is int and value >= 1
+    return type(value) is int and value >= least
 
 
 def _arch_problem(hidden, activation) -> str | None:
@@ -79,27 +79,35 @@ class SequenceConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        counts = {"epochs": self.epochs, "batch_size": self.batch_size}
-        if self.expansion_epochs is not None:
-            counts["expansion_epochs"] = self.expansion_epochs
-        for name, value in counts.items():
-            if not _is_count(value):
-                raise ConfigError(f"{name}: expected an integer >= 1, "
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0),
+                            ("expansion_epochs", 1)):
+            value = getattr(self, name)
+            if not (_is_count(value, least)
+                    or name == "expansion_epochs" and value is None):
+                raise ConfigError(f"{name}: expected an integer >= {least}, "
                                   f"got {value!r}")
         for name, value in (("lambda", self.lam), ("lambda_e", self.lam_e)):
-            if not (math.isfinite(value) and value >= 0):
+            if not (_is_finite_number(value) and value >= 0):
                 raise ConfigError(f"{name}: expected a finite number >= 0, "
                                   f"got {value!r}")
         if self.expansion_init not in EXPANSION_INITS:
             raise ConfigError(f"expansion_init: unknown value "
                               f"{self.expansion_init!r}")
-        if isinstance(self.arch, dict):
+        if not isinstance(self.optimizer, dict):
+            raise ConfigError("optimizer: expected an object")
+        make_optimizer(self.optimizer)
+        if isinstance(self.arch, dict) and set(self.arch) <= {"hidden",
+                                                               "activation"}:
             self.arch = ArchSpec(**self.arch)
+        if not isinstance(self.arch, ArchSpec):
+            raise ConfigError(f"arch: expected an object with the keys hidden "
+                              f"and activation, got {self.arch!r}")
 
     @property
     def base_method(self) -> str:
-        if self.method in ("finetune", "ewc", "afec"):
-            return "fisher"
+        """The method without its expansion; finetune is ewc at lambda 0."""
+        if self.method in ("finetune", "afec"):
+            return "ewc"
         return self.method.removesuffix("_afec")
 
     @property
@@ -119,8 +127,7 @@ class SequenceConfig:
         a field added later splits runs by default."""
         doc = asdict(self)
         if not self.uses_expansion:
-            doc["method"] = ("ewc" if self.base_method == "fisher"
-                             else self.base_method)
+            doc["method"] = self.base_method
             doc["lam_e"] = 0.0
         doc["lam"] = self.effective_lam
         return _canonical(doc)
@@ -289,7 +296,7 @@ def penalty_terms(cfg: SequenceConfig, state: RegState,
     """
     terms = []
     if cfg.effective_lam != 0.0 and state.task_count > 0:
-        weights = (state.anchor.precision if cfg.base_method == "fisher"
+        weights = (state.anchor.precision if cfg.base_method == "ewc"
                    else state.importance)
         terms.append((DiagGaussian(state.anchor.mean, weights),
                       cfg.effective_lam))
@@ -327,18 +334,18 @@ def run_sequence(cfg: SequenceConfig, tasks, *, resume: tuple | None = None,
     if any(t.input_dim != input_dim for t in tasks):
         raise ConfigError("all tasks must share one input dimension")
 
-    heads = _collect_heads(tasks)
+    # As Network.arch() reads it back: a linear model has no activation.
+    arch = (input_dim, list(cfg.arch.hidden),
+            cfg.arch.activation if cfg.arch.hidden else "identity",
+            _collect_heads(tasks))
     if resume is not None:
         net, state, seed = resume
         if seed != cfg.seed:
             raise ConfigError("resume state was written with a different seed")
-        if net.param_count != Network.create(
-                input_dim, cfg.arch.hidden, cfg.arch.activation,
-                heads, cfg.seed).param_count:
+        if net.arch() != arch:
             raise ConfigError("resume state does not match the configured arch")
     else:
-        net = Network.create(input_dim, cfg.arch.hidden, cfg.arch.activation,
-                             heads, cfg.seed)
+        net = Network.create(*arch, cfg.seed)
         state = RegState.zeros(net.param_count)
 
     abar = random_init_baseline(tasks, cfg.arch, [cfg.seed])
@@ -452,15 +459,12 @@ def _probe_network(body, probe_task) -> Network:
 
 def save_state(path, net: Network, state: RegState, seed: int) -> None:
     """Write the full run state as one canonical JSON document."""
+    input_dim, hidden, activation, heads = net.arch()
     doc = {
         "version": STATE_VERSION,
-        "net": {
-            "input_dim": [*net.body, *net.heads.values()][0].in_dim,
-            "hidden": [l.out_dim for l in net.body],
-            "activation": net.body[0].activation if net.body else "identity",
-            "heads": [[name, layer.out_dim] for name, layer in net.heads.items()],
-            "params": net.get_params(),
-        },
+        "net": {"input_dim": input_dim, "hidden": hidden,
+                "activation": activation, "heads": [*map(list, heads.items())],
+                "params": net.get_params()},
         "reg_state": state.to_doc(),
         "rng": {"scheme": "counter", "seed": seed},
         "task_count": state.task_count,

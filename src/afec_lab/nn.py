@@ -159,6 +159,13 @@ class Network:
     def clone(self) -> "Network":
         return Network(self.body, self.heads)
 
+    def arch(self) -> tuple:
+        """(input_dim, hidden, activation, heads), as `create` takes them."""
+        first = [*self.body, *self.heads.values()][0]
+        return (first.in_dim, [l.out_dim for l in self.body],
+                self.body[0].activation if self.body else "identity",
+                {name: h.out_dim for name, h in self.heads.items()})
+
     def reinit_head(self, name: str, key) -> None:
         head = self.heads[name]
         fresh = _init_layer(head.in_dim, head.out_dim, "identity", key)
@@ -395,7 +402,7 @@ def make_optimizer(spec: dict):
     """Build an optimizer from its config object; a key the chosen kind
     would ignore is an error."""
     kind = spec.get("kind", "adam")
-    if kind not in _OPTIMIZER_KEYS:
+    if not isinstance(kind, str) or kind not in _OPTIMIZER_KEYS:
         raise ConfigError(f"unknown optimizer kind {kind!r}")
     extra = set(spec) - _OPTIMIZER_KEYS[kind]
     if extra:

@@ -24,8 +24,8 @@ _EXPAND_SHUFFLE_KEY = 810002
 
 EXPANSION_INITS = ("copy_main", "fresh_random")
 
-SI_DAMP_DEFAULT = 0.1
-RWALK_EMA_DECAY_DEFAULT = 0.9
+SI_DAMP = 0.1
+RWALK_EMA_DECAY = 0.9
 
 
 @dataclass
@@ -114,11 +114,7 @@ def train_expanded(net: Network, task, opt_spec: dict, *, epochs: int,
     tmp = net.clone()
     if init == "fresh_random":
         fresh_seed = (_EXPAND_INIT_KEY + 1000003 * seed + 997 * task_index) % (2 ** 31)
-        fresh = Network.create(task.input_dim,
-                               [l.out_dim for l in net.body],
-                               net.body[0].activation if net.body else "identity",
-                               {k: h.out_dim for k, h in net.heads.items()},
-                               seed=fresh_seed)
+        fresh = Network.create(*net.arch(), seed=fresh_seed)
         tmp.set_params(fresh.get_params())
     opt = make_optimizer(opt_spec)
     for epoch in range(epochs):
@@ -149,9 +145,7 @@ class StepInfo:
     task: object = None
 
 
-def importance_update(method: str, state: RegState, info: StepInfo, *,
-                      si_damp: float = SI_DAMP_DEFAULT,
-                      rwalk_decay: float = RWALK_EMA_DECAY_DEFAULT) -> RegState:
+def importance_update(method: str, state: RegState, info: StepInfo) -> RegState:
     """Advance the method-specific importance. Mutates and returns `state`."""
     if method not in ("mas", "si", "rwalk"):
         raise ConfigError(f"unknown importance method {method!r}")
@@ -163,8 +157,8 @@ def importance_update(method: str, state: RegState, info: StepInfo, *,
         if method in ("si", "rwalk"):
             state.path_accum = state.path_accum - info.grad * info.delta
         if method == "rwalk":
-            state.fisher_ema = (rwalk_decay * state.fisher_ema
-                                + (1.0 - rwalk_decay) * info.grad ** 2)
+            state.fisher_ema = (RWALK_EMA_DECAY * state.fisher_ema
+                                + (1.0 - RWALK_EMA_DECAY) * info.grad ** 2)
         return state
     if info.event == "task_end":
         params = info.net.get_params()
@@ -172,7 +166,7 @@ def importance_update(method: str, state: RegState, info: StepInfo, *,
             state.importance = state.importance + _mas_increment(info.net, info.task)
         else:
             task_delta = params - state.prev_params
-            score = np.maximum(state.path_accum, 0.0) / (task_delta ** 2 + si_damp)
+            score = np.maximum(state.path_accum, 0.0) / (task_delta ** 2 + SI_DAMP)
             if method == "si":
                 state.importance = state.importance + score
             else:  # rwalk

@@ -127,8 +127,8 @@ def gen_angular_task(layout: AngularLayout, samples_per_class: int,
                      name: str = "angular") -> TaskDataset:
     """Angular regression task: Gaussian clusters in input space, unit-vector
     angle targets from the layout, 80/20 train/test split per class."""
-    if samples_per_class < 2:
-        raise ConfigError("need at least 2 samples per class")
+    if samples_per_class < 3:  # two would leave the test split empty
+        raise ConfigError("need at least 3 samples per class")
     if cluster_spread <= 0:
         raise ConfigError("cluster_spread must be positive")
     centers = class_centers(layout.num_classes, input_dim)
@@ -162,7 +162,7 @@ def seeded_derangement(num_classes: int, key) -> np.ndarray:
             return perm
 
 
-def make_conflicting_pair(num_classes: int, seed: int,
+def make_conflicting_pair(num_classes: int = 10, seed: int = 0,
                           samples_per_class: int = 100, input_dim: int = 16,
                           cluster_spread: float = 0.15):
     """Two-task benchmark with maximal target conflict: identical input
@@ -177,9 +177,10 @@ def make_conflicting_pair(num_classes: int, seed: int,
     return task_a, task_b
 
 
-def make_angular_sequence(num_tasks: int, num_classes: int, seed: int,
-                          samples_per_class: int = 100, input_dim: int = 16,
-                          cluster_spread: float = 0.15) -> list[TaskDataset]:
+def make_angular_sequence(num_tasks: int = 10, num_classes: int = 10,
+                          seed: int = 0, samples_per_class: int = 100,
+                          input_dim: int = 16, cluster_spread: float = 0.15
+                          ) -> list[TaskDataset]:
     """Task sequence over shared clusters: task 1 uses the identity layout,
     every later task a fresh seeded derangement."""
     if num_tasks < 1:
@@ -242,8 +243,8 @@ def load_idx(images_path: str, labels_path: str):
     return images, labels
 
 
-def split_tasks(images: np.ndarray, labels: np.ndarray, classes_per_task: int,
-                seed: int) -> list[TaskDataset]:
+def split_tasks(images: np.ndarray, labels: np.ndarray,
+                classes_per_task: int = 5, seed: int = 0) -> list[TaskDataset]:
     """Partition classes into contiguous seeded groups, one classification
     task per group with labels remapped to [0, classes_per_task)."""
     classes = np.unique(labels)

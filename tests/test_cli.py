@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import itertools
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import afec_lab
-from afec_lab import cli, metrics
+from afec_lab import cli, metrics, tasks
 from afec_lab.cli import (build_tasks, load_config, main,
                           parse_config, result_from_json, result_to_json)
 from afec_lab.continual import SequenceConfig, run_sequence
@@ -45,13 +47,33 @@ def write_config(tmp_path, doc):
     return str(path)
 
 
-class TestParseConfig:
-    def test_roundtrip_identity(self, tmp_path):
-        doc = minimal_config(tmp_path)
-        cfg = parse_config(doc)
-        again = parse_config(cfg.to_json())
-        assert cfg == again
+def write_idx(tmp_path, num_classes, per_class, magic=0x00000803):
+    """An IDX image/label pair of 2x2 images, `per_class` of each class."""
+    labels = np.repeat(np.arange(num_classes), per_class).astype(np.uint8)
+    images = np.random.default_rng(0).integers(
+        0, 256, (len(labels), 2, 2)).astype(np.uint8)
+    paths = (str(tmp_path / "images.idx"), str(tmp_path / "labels.idx"))
+    with open(paths[0], "wb") as fh:
+        fh.write(struct.pack(">IIII", magic, len(labels), 2, 2))
+        fh.write(images.tobytes())
+    with open(paths[1], "wb") as fh:
+        fh.write(struct.pack(">II", 0x00000801, len(labels)))
+        fh.write(labels.tobytes())
+    return paths
 
+
+def assert_same_tasks(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in dataclasses.fields(a):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(x, np.ndarray):
+                np.testing.assert_array_equal(x, y)
+            else:
+                assert x == y, field.name
+
+
+class TestParseConfig:
     def test_unknown_top_level_key_rejected(self, tmp_path):
         doc = minimal_config(tmp_path, lamda=5)
         with pytest.raises(ConfigError, match="lamda"):
@@ -109,7 +131,71 @@ class TestParseConfig:
             load_config(str(path))
 
 
+class TestRunSettings:
+    """SequenceConfig owns the run settings: ExperimentConfig holds only
+    the grid axes and the run keys the config file sets."""
+
+    RUN_KEYS = ("epochs", "batch_size", "optimizer", "arch",
+                "expansion_epochs", "expansion_init")
+
+    def test_no_shared_field(self):
+        own = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+        assert not own & {f.name for f in dataclasses.fields(SequenceConfig)}
+
+    def test_run_holds_the_keys_the_file_sets(self, tmp_path):
+        doc = minimal_config(tmp_path, expansion_init="fresh_random")
+        assert parse_config(doc).run == {
+            "epochs": 2, "batch_size": 16, "expansion_init": "fresh_random",
+            "arch": {"hidden": [8], "activation": "relu"}}
+
+    def test_omitted_run_keys_take_sequence_config_defaults(self, tmp_path):
+        out = tmp_path / "g"
+        doc = minimal_config(out, methods=["ewc", "afec"], seeds=[0, 1],
+                             **{"lambda": 2, "lambda_e": [0, 1]})
+        for key in self.RUN_KEYS:
+            doc.pop(key, None)
+        assert main(["grid", "--config", write_config(tmp_path, doc)]) == 0
+        for method, lam_e, seed in itertools.product(["ewc", "afec"], [0, 1],
+                                                     [0, 1]):
+            name = f"result_{method}_lam2_lame{lam_e}_seed{seed}.json"
+            config = json.loads((out / name).read_text())["config"]
+            assert config == dataclasses.asdict(
+                SequenceConfig(method, 2.0, float(lam_e), seed=seed))
+
+    def test_pool_workers_get_the_parsed_config(self, tmp_path, monkeypatch):
+        seen = []
+        pool_class = concurrent.futures.ProcessPoolExecutor
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["initargs"])
+            return pool_class(*args, **kwargs)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            recording)
+        doc = minimal_config(tmp_path / "g", seeds=[0, 1])
+        assert main(["grid", "--config", write_config(tmp_path, doc),
+                     "--jobs", "2"]) == 0
+        assert seen == [(parse_config(doc),)]
+
+
 class TestBuildTasks:
+    @pytest.mark.parametrize("kind,generator", [
+        ("conflicting_pair", tasks.make_conflicting_pair),
+        ("angular_sequence", tasks.make_angular_sequence)])
+    def test_omitted_keys_take_generator_defaults(self, tmp_path, kind,
+                                                  generator):
+        doc = minimal_config(tmp_path)
+        doc["benchmark"] = {"kind": kind}
+        assert_same_tasks(build_tasks(parse_config(doc).benchmark),
+                          list(generator()))
+
+    def test_split_idx_omitted_keys_take_defaults(self, tmp_path):
+        images, labels = write_idx(tmp_path, 10, 5)
+        doc = minimal_config(tmp_path)
+        doc["benchmark"] = {"kind": "split_idx", "images": images,
+                            "labels": labels}
+        assert_same_tasks(build_tasks(parse_config(doc).benchmark),
+                          tasks.split_tasks(*tasks.load_idx(images, labels)))
+
     def test_conflicting_pair(self, tmp_path):
         cfg = parse_config(minimal_config(tmp_path))
         built = build_tasks(cfg.benchmark)
@@ -282,6 +368,51 @@ class TestConfigErrorsBeforeTraining:
         doc = minimal_config(tmp_path / "out", arch=arch)
         self.assert_rejected(tmp_path, "run", doc)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("kind,key,value", [
+        ("conflicting_pair", "num_classes", 3.0),
+        ("conflicting_pair", "num_classes", "x"),
+        ("conflicting_pair", "num_classes", 1),
+        ("conflicting_pair", "input_dim", 2.5),
+        ("conflicting_pair", "input_dim", 0),
+        ("conflicting_pair", "samples_per_class", 2),
+        ("conflicting_pair", "seed", -1),
+        ("conflicting_pair", "seed", True),
+        ("conflicting_pair", "cluster_spread", "a"),
+        ("conflicting_pair", "cluster_spread", 0),
+        ("conflicting_pair", "cluster_spread", float("inf")),
+        ("angular_sequence", "num_tasks", 0),
+        ("split_idx", "classes_per_task", 1.5),
+        ("split_idx", "images", 3)])
+    def test_bad_benchmark_value(self, tmp_path, capsys, kind, key, value,
+                                 jobs):
+        doc = minimal_config(tmp_path / "out", methods=["ewc", "afec"],
+                             seeds=[0, 1])
+        if kind == "split_idx":
+            images, labels = write_idx(tmp_path, 4, 5)
+            doc["benchmark"] = {"kind": kind, "images": images,
+                                "labels": labels, "classes_per_task": 2}
+        doc["benchmark"].update(kind=kind, **{key: value})
+        self.assert_rejected(tmp_path, "grid", doc, "--jobs", jobs)
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: benchmark.{key}: ")
+        assert "Traceback" not in err and "initializer" not in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("seeds", [[True], [0, -1], [0, 1.0], [[0]]])
+    def test_bad_seed(self, tmp_path, capsys, seeds, jobs):
+        doc = minimal_config(tmp_path / "out", seeds=seeds)
+        self.assert_rejected(tmp_path, "grid", doc, "--jobs", jobs)
+        assert capsys.readouterr().err.startswith("config error: seed")
+
+    def test_negative_seed_override(self, tmp_path):
+        doc = minimal_config(tmp_path / "out")
+        self.assert_rejected(tmp_path, "run", doc, "--seed-override", "-1")
+
+    def test_bool_penalty_strength(self, tmp_path):
+        doc = minimal_config(tmp_path / "out", **{"lambda": [1, True]})
+        self.assert_rejected(tmp_path, "grid", doc)
+
     def test_empty_hidden_is_a_linear_model(self, tmp_path):
         out = tmp_path / "out"
         doc = minimal_config(out, arch={"hidden": [], "activation": "relu"},
@@ -323,6 +454,20 @@ class TestGrid:
         main(["grid", "--config", path])
         printed = capsys.readouterr().out
         assert "lambda=0 lambda_e=0.5" in printed
+
+    def test_tie_names_the_run_key_method(self, tmp_path, capsys):
+        # afec at lambda_e 0 is the ewc run under another name
+        out = tmp_path / "g"
+        doc = minimal_config(out, methods=["ewc", "afec"], seeds=[0],
+                             **{"lambda": 100, "lambda_e": 0})
+        assert main(["grid", "--config", write_config(tmp_path, doc)]) == 0
+        assert capsys.readouterr().out.startswith(
+            "best: method=ewc lambda=100 lambda_e=0 ")
+        rows = [line.split(",")
+                for line in (out / "grid.csv").read_text().splitlines()]
+        assert [row[:3] for row in rows[1:]] == [["afec", "100", "0"],
+                                                 ["ewc", "100", "0"]]
+        assert rows[1][3:] == rows[2][3:]
 
     def test_serial_grid_parses_and_builds_once(self, tmp_path, monkeypatch):
         calls = {"parse_config": 0, "build_tasks": 0, "_run_cell": 0}
@@ -558,6 +703,36 @@ class TestCellFailures:
                                  f"{float(np.mean(accs)):.6f},"
                                  f"{float(np.std(accs)):.6f},2")
         assert (out / "grid.csv").read_text() == "\n".join(lines) + "\n"
+
+
+class TestTaskBuildErrors:
+    """An error that only building the tasks finds is reported alike
+    serially and from the pool: exit 2, one line, no traceback."""
+
+    @pytest.mark.parametrize("problem", ["bad_magic", "indivisible"])
+    def test_serial_and_pool_alike(self, tmp_path, problem):
+        images, labels = write_idx(
+            tmp_path, 6, 4, magic=0xDEAD if problem == "bad_magic"
+            else 0x00000803)
+        doc = minimal_config(tmp_path / "out", methods=["ewc", "afec"],
+                             seeds=[0, 1])
+        doc["benchmark"] = {"kind": "split_idx", "images": images,
+                            "labels": labels,
+                            "classes_per_task": 4 if problem == "indivisible"
+                            else 2}
+        path = write_config(tmp_path, doc)
+        errors = []
+        for jobs in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-m", "afec_lab.cli",
+                                   "grid", "--config", path, "--jobs", jobs],
+                                  env=fresh_env(), capture_output=True,
+                                  text=True)
+            assert proc.returncode == 2
+            assert not list(tmp_path.glob("**/result_*.json"))
+            errors.append(proc.stderr)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("config error: ")
+        assert errors[0].count("\n") == 1
 
 
 # -- OpenBLAS idle-thread timeout ---------------------------------------------

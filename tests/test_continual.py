@@ -200,6 +200,31 @@ class TestSequenceConfig:
         with pytest.raises(ConfigError, match="expansion_epochs"):
             SequenceConfig(method="afec", expansion_epochs=bad)
 
+    @pytest.mark.parametrize("key", ["lam", "lam_e"])
+    def test_bool_strength_rejected(self, key):
+        with pytest.raises(ConfigError, match="lambda"):
+            SequenceConfig(method="afec", **{key: True})
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "0", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            SequenceConfig(method="ewc", seed=seed)
+
+    @pytest.mark.parametrize("key,value", [
+        ("optimizer", "adam"), ("optimizer", {"kind": "adam", "lr": 0}),
+        ("arch", "relu"), ("arch", {"hidden": [8], "width": 8}),
+        ("arch", {"hidden": [0]})])
+    def test_bad_run_setting_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            SequenceConfig(method="ewc", **{key: value})
+
+    def test_base_method(self):
+        bases = {m: SequenceConfig(method=m).base_method for m in METHODS}
+        assert bases == {"finetune": "ewc", "ewc": "ewc", "afec": "ewc",
+                         "mas": "mas", "si": "si", "rwalk": "rwalk",
+                         "mas_afec": "mas", "si_afec": "si",
+                         "rwalk_afec": "rwalk"}
+
     def test_expansion_epochs_none_or_positive_accepted(self):
         assert SequenceConfig(method="afec").expansion_epochs is None
         assert SequenceConfig(method="afec",
@@ -386,6 +411,30 @@ class TestStatePersistence:
         with pytest.raises(ConfigError):
             run_sequence(quick_cfg("ewc", lam=5.0, seed=1), tasks,
                          resume=(net, state, seed))
+
+    @pytest.mark.parametrize("saved,configured,accepted", [
+        # Trained with tanh, configured with relu: training would go on
+        # with tanh while the result recorded relu.
+        ({"hidden": [8], "activation": "tanh"},
+         {"hidden": [8], "activation": "relu"}, False),
+        ({"hidden": [8], "activation": "relu"},
+         {"hidden": [6], "activation": "relu"}, False),
+        # A linear model has no activation to compare.
+        ({"hidden": [], "activation": "tanh"},
+         {"hidden": [], "activation": "relu"}, True)])
+    def test_resume_must_match_the_configured_arch(self, tmp_path, saved,
+                                                   configured, accepted):
+        tasks = quick_pair()
+        path = tmp_path / "s.json"
+        run_sequence(quick_cfg("ewc", lam=5.0, arch=saved), tasks[:1],
+                     save_state_to=str(path))
+        cfg = quick_cfg("ewc", lam=5.0, arch=configured)
+        if accepted:
+            resumed = run_sequence(cfg, tasks, resume=load_state(str(path)))
+            assert resumed.start_task == 1
+        else:
+            with pytest.raises(ConfigError, match="arch"):
+                run_sequence(cfg, tasks, resume=load_state(str(path)))
 
     def test_state_size_constant_across_task_counts(self, tmp_path):
         # compare a fixed-width serialization (8 bytes per stored number);

@@ -66,8 +66,28 @@ class TestForward:
     def test_non_finite_activation_names_layer(self):
         net = random_net(0, activation="identity")
         huge = np.full((1, 5), 1e308)
-        with pytest.raises(NumericError, match="layer"):
+        # The overflowing inputs and the first layer's matmul each warn.
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(NumericError, match="layer"):
             net.forward(Batch(huge * huge.sum(), np.zeros((1, 3)), "out"))
+
+
+class TestArch:
+    @pytest.mark.parametrize("hidden,activation", [
+        ([8, 6], "tanh"), ([4], "relu"), ([], "identity")])
+    def test_round_trips_through_create(self, hidden, activation):
+        heads = {"a": 3, "b": 2}
+        net = Network.create(5, hidden, activation, heads, seed=4)
+        assert net.arch() == (5, hidden, activation, heads)
+        again = Network.create(*net.arch(), seed=4)
+        assert again.arch() == net.arch()
+        np.testing.assert_array_equal(again.get_params(), net.get_params())
+
+    def test_linear_model_reads_back_identity(self):
+        net = Network.create(5, [], "relu", {"out": 3}, seed=1)
+        assert net.arch() == (5, [], "identity", {"out": 3})
+        np.testing.assert_array_equal(
+            Network.create(*net.arch(), seed=1).get_params(), net.get_params())
 
 
 class TestLossAndGrad:
