@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import sys
+import traceback
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -187,19 +188,46 @@ def result_from_json(doc: dict) -> RunResult:
 
 # -- cell execution -----------------------------------------------------------
 
-def _run_cell(config: ExperimentConfig, task_list: list, method: str,
-              lam: float, lam_e: float, seed: int) -> dict:
-    seq = config.sequence_config(method, lam, lam_e, seed)
-    return result_to_json(run_sequence(seq, task_list))
+def _run_cell(config: ExperimentConfig, task_list: list,
+              cells: list[tuple]) -> list:
+    """Train one unit of work: the runs of `cells`, which share a family,
+    in one walk. Returns each cell's result doc, or the exception that
+    failed its run."""
+    results = run_sequence([config.sequence_config(*cell) for cell in cells],
+                           task_list)
+    return [r if isinstance(r, Exception) else result_to_json(r)
+            for r in results]
 
 
 # The parsed config and built tasks of this pool worker, or why the tasks
-# could not be built; set once by _init_worker, read by every cell it runs.
+# could not be built; set once by _init_worker, read by every unit it runs.
 _worker_setup: tuple | Exception | None = None
 
 
 class _BuildFailed(Exception):
     """A pool worker could not build the tasks; args[0] is the error."""
+
+
+class _RemoteTraceback(Exception):
+    """The traceback text of an exception a pool worker returned."""
+
+
+def _with_cause(exc: Exception, text: str) -> Exception:
+    exc.__cause__ = _RemoteTraceback(text)
+    return exc
+
+
+class _Returned:
+    """An exception a pool worker returns rather than raises. It unpickles
+    as the exception itself, with the worker's traceback text as its cause,
+    as concurrent.futures ships an exception that a worker raises."""
+
+    def __init__(self, exc: Exception):
+        self.text = '\n"""\n' + "".join(traceback.format_exception(exc)) + '"""'
+        self.exc = exc.with_traceback(None)  # frees the worker's frames
+
+    def __reduce__(self):
+        return _with_cause, (self.exc, self.text)
 
 
 def _init_worker(config: ExperimentConfig) -> None:
@@ -210,10 +238,11 @@ def _init_worker(config: ExperimentConfig) -> None:
         _worker_setup = _BuildFailed(exc)
 
 
-def _run_worker_cell(cell: tuple) -> dict:
+def _run_worker_unit(cells: list[tuple]) -> list:
     if isinstance(_worker_setup, _BuildFailed):
         raise _worker_setup  # _run_cells raises args[0], as if serial
-    return _run_cell(*_worker_setup, *cell)
+    return [_Returned(r) if isinstance(r, Exception) else r
+            for r in _run_cell(*_worker_setup, cells)]
 
 
 def _outcomes(get, items):
@@ -225,51 +254,72 @@ def _outcomes(get, items):
             yield exc
 
 
+def _plan_units(families: list[list], jobs: int) -> list[list]:
+    """The units of work, largest first: one per family, and while there
+    are fewer units than `jobs`, the largest unit split in half, until
+    every unit is one run. Each half trains its shared prefix again."""
+    units = sorted(families, key=len, reverse=True)
+    while len(units) < jobs and len(units[0]) > 1:
+        unit = units.pop(0)
+        half = len(unit) // 2
+        units = sorted(units + [unit[:half], unit[half:]], key=len,
+                       reverse=True)
+    return units
+
+
 def _run_cells(config: ExperimentConfig, jobs: int):
     """Yield (cell, outcome) for every cell, in the config's cell order, as
     each one finishes. The outcome is the cell's result doc, or the
     exception it raised: one failed cell does not stop the others.
 
-    Cells with one run key train the same run bit for bit, so only the
-    first cell of each key runs; every cell's doc then gets its own config.
-    Tasks are built once per process: here when serial, once in each pool
-    worker otherwise."""
+    Cells with one run key train the same run bit for bit, so each run key
+    trains once, and every cell's doc then gets its own config. Runs of one
+    family (see SequenceConfig.family_key) train in one walk that shares
+    their common tasks; a family is the pool's unit of work. Tasks are
+    built once per process: here when serial, once in each pool worker
+    otherwise."""
     cells = config.cells()
     seqs = [config.sequence_config(*cell) for cell in cells]
     keys = [seq.run_key() for seq in seqs]
-    runs: dict[str, tuple] = {}  # run key -> the first cell with that key
-    for key, cell in zip(keys, cells):
-        runs.setdefault(key, cell)
+    # family key -> run key -> the first cell with that run key
+    families: dict[str, dict[str, tuple]] = {}
+    for seq, key, cell in zip(seqs, keys, cells):
+        families.setdefault(seq.family_key(), {}).setdefault(key, cell)
+    units = _plan_units([[*runs.items()] for runs in families.values()],
+                        jobs)
     pool = None
     if jobs <= 1:
         task_list = build_tasks(config.benchmark)
-        outcomes = _outcomes(lambda cell: _run_cell(config, task_list, *cell),
-                             runs.values())
+        outcomes = _outcomes(
+            lambda unit: _run_cell(config, task_list,
+                                   [cell for _, cell in unit]), units)
     else:
-        # Each worker builds the tasks once, so no more workers than runs.
+        # Each worker builds the tasks once, so no more workers than units.
         pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(jobs, len(runs)), initializer=_init_worker,
+            max_workers=min(jobs, len(units)), initializer=_init_worker,
             initargs=(config,))
-        futures = [pool.submit(_run_worker_cell, cell)
-                   for cell in runs.values()]
+        futures = [pool.submit(_run_worker_unit, [cell for _, cell in unit])
+                   for unit in units]
         outcomes = _outcomes(concurrent.futures.Future.result, futures)
     try:
-        # Keys come up in the order of `runs`, which is the order of
-        # `outcomes`, so a new key's outcome is always the next one.
-        done: dict[str, object] = {}
+        pending = zip(units, outcomes)
+        done: dict[str, object] = {}  # run key -> outcome
         for cell, seq, key in zip(cells, seqs, keys):
-            if key not in done:
-                done[key] = next(outcomes)
+            while key not in done:
+                unit, outcome = next(pending)
+                if isinstance(outcome, _BuildFailed):
+                    raise outcome.args[0]
+                if isinstance(outcome, Exception):  # the whole unit failed
+                    outcome = [outcome] * len(unit)
+                done.update(zip([run for run, _ in unit], outcome))
             outcome = done[key]
-            if isinstance(outcome, _BuildFailed):
-                raise outcome.args[0]
             if not isinstance(outcome, Exception):
                 outcome = {**outcome, "config": asdict(seq)}
             yield cell, outcome
     finally:
         if pool is not None:
             # If the caller stops early (a result file could not be
-            # written, say), the queued runs are dropped instead of run.
+            # written, say), the queued units are dropped instead of run.
             pool.shutdown(cancel_futures=True)
 
 
@@ -285,8 +335,7 @@ def _log_failure(message: str, exc: BaseException) -> None:
 
 
 def _write_result(out_dir: str, cell: tuple, doc: dict) -> RunResult:
-    method, lam, lam_e, seed = cell
-    name = f"result_{method}_lam{lam:g}_lame{lam_e:g}_seed{seed}.json"
+    name = f"result_{metrics.cell_name(*cell)}.json"
     write_atomic(os.path.join(out_dir, name),
                  [json.dumps(doc, sort_keys=True), "\n"])
     return result_from_json(doc)

@@ -36,6 +36,9 @@ _PROBE_SHUFFLE_KEY = 910003
 
 STATE_VERSION = 1
 
+# Base methods anchored by an importance instead of the Fisher.
+_IMPORTANCE_METHODS = ("mas", "si", "rwalk")
+
 
 def _is_count(value, least: int = 1) -> bool:
     # type() rather than isinstance(), which would let bools through
@@ -118,6 +121,14 @@ class SequenceConfig:
     def effective_lam(self) -> float:
         return 0.0 if self.method == "finetune" else self.lam
 
+    def _key_doc(self) -> dict:
+        doc = asdict(self)
+        if not self.uses_expansion:
+            doc["method"] = self.base_method
+            doc["lam_e"] = 0.0
+        doc["lam"] = self.effective_lam
+        return doc
+
     def run_key(self) -> str:
         """The canonical JSON of the config with three fields normalized, so
         that configs with equal keys train the same run bit for bit:
@@ -125,11 +136,15 @@ class SequenceConfig:
         mas_afec is mas), lam is the effective lam, and lam_e counts only
         when there is an expansion. Every other field is kept as it is, so
         a field added later splits runs by default."""
-        doc = asdict(self)
-        if not self.uses_expansion:
-            doc["method"] = self.base_method
-            doc["lam_e"] = 0.0
-        doc["lam"] = self.effective_lam
+        return _canonical(self._key_doc())
+
+    def family_key(self) -> str:
+        """The run key without lam and lam_e. The runs of one family differ
+        only in their penalty strengths, so they train the same tasks up to
+        the first task whose penalty terms tell them apart, and
+        run_sequence trains that common prefix once."""
+        doc = self._key_doc()
+        del doc["lam"], doc["lam_e"]
         return _canonical(doc)
 
 
@@ -319,102 +334,164 @@ def penalized_grad(params: np.ndarray, grad: np.ndarray,
 # numpy's own overflow warnings would only repeat that error, outside the
 # log format.
 @np.errstate(over="ignore", invalid="ignore")
-def run_sequence(cfg: SequenceConfig, tasks, *, resume: tuple | None = None,
-                 save_state_to=None) -> RunResult:
+def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
+                 resume: tuple | None = None, save_state_to=None):
     """Continually learn the task sequence with the configured method.
+
+    `cfg` is one SequenceConfig, or a list of configs of one family (equal
+    `family_key`). A family is walked depth first as a tree of tasks: at
+    each task its members share the pre-training evaluation, the expansion
+    and the importance task_start event, then split by the penalty terms
+    they apply, and each branch trains on its own copy of the network and
+    state only where there is more than one branch. Each member's result
+    equals that of its own run bit for bit. One config returns its
+    RunResult and raises what its run raised; a list returns, per config,
+    its RunResult or the exception that failed its branch.
 
     `resume` is a (net, state, seed) triple from load_state; training then
     continues from state.task_count and the result only contains rows for the
     newly trained tasks. All randomness is keyed by (seed, task, epoch), so a
     resumed run reproduces the uninterrupted one exactly.
     """
+    single = isinstance(cfg, SequenceConfig)
+    configs = [cfg] if single else list(cfg)
+    if not configs or len({c.family_key() for c in configs}) != 1:
+        raise ConfigError("run_sequence takes configs that differ only in "
+                          "lam and lam_e")
+    if save_state_to is not None and len(configs) > 1:
+        raise ConfigError("save_state_to takes a single config")
     if not tasks:
         raise ConfigError("need at least one task")
     input_dim = tasks[0].input_dim
     if any(t.input_dim != input_dim for t in tasks):
         raise ConfigError("all tasks must share one input dimension")
 
+    first = configs[0]
     # As Network.arch() reads it back: a linear model has no activation.
-    arch = (input_dim, list(cfg.arch.hidden),
-            cfg.arch.activation if cfg.arch.hidden else "identity",
+    arch = (input_dim, list(first.arch.hidden),
+            first.arch.activation if first.arch.hidden else "identity",
             _collect_heads(tasks))
     if resume is not None:
         net, state, seed = resume
-        if seed != cfg.seed:
+        if seed != first.seed:
             raise ConfigError("resume state was written with a different seed")
         if net.arch() != arch:
             raise ConfigError("resume state does not match the configured arch")
     else:
-        net = Network.create(*arch, cfg.seed)
+        net = Network.create(*arch, first.seed)
         state = RegState.zeros(net.param_count)
 
-    abar = random_init_baseline(tasks, cfg.arch, [cfg.seed])
-    pre_train = np.full(len(tasks), np.nan)
-    rows: list[list[float]] = []
+    abar = random_init_baseline(tasks, first.arch, [first.seed])
     start_task = state.task_count
-    importance_based = cfg.base_method in ("mas", "si", "rwalk")
+    outcomes: list = [None] * len(configs)
 
-    for t in range(start_task, len(tasks)):
-        task = tasks[t]
-        loss_kind = _loss_kind(task)
-        if t > 0:
-            pre_train[t] = evaluate(net, task)
-
-        expanded = None
-        if cfg.uses_expansion:
-            expanded = train_expanded(net, task, cfg.optimizer,
-                                      epochs=cfg.expansion_epochs or cfg.epochs,
-                                      init=cfg.expansion_init,
-                                      batch_size=cfg.batch_size,
-                                      loss_kind=loss_kind, seed=cfg.seed,
-                                      task_index=t)
-
-        if importance_based:
-            importance_update(cfg.base_method, state,
-                              StepInfo("task_start", net=net))
-        terms = penalty_terms(cfg, state, expanded)
-
-        opt = make_optimizer(cfg.optimizer)
-        for epoch in range(cfg.epochs):
-            for batch in epoch_batches(task, cfg.batch_size,
-                                       [_MAIN_SHUFFLE_KEY, cfg.seed, t, epoch]):
-                _, grad = net.loss_and_grad(batch, loss_kind)
-                params = net.get_params()
-                new_params = opt.step(params, penalized_grad(params, grad, terms))
-                net.set_params(new_params)
-                if cfg.base_method in ("si", "rwalk"):
+    # Each item: the members that share `net` and `state` at the start of
+    # task t, their accuracy rows and pre-training accuracies so far, and a
+    # plan: None while the task's shared part is still to run, else the
+    # (terms, copy) of one branch.
+    stack = [(start_task, list(range(len(configs))), net, state, [],
+              np.full(len(tasks), np.nan), None)]
+    while stack:
+        t, members, net, state, rows, pre_train, plan = stack.pop()
+        cfg = configs[members[0]]
+        try:
+            if t == len(tasks):
+                digest = _state_digest(net, state)
+                for i in members:
+                    outcomes[i] = _run_result(configs[i], rows, abar,
+                                              pre_train, digest, start_task)
+            elif plan is None:
+                task = tasks[t]
+                if t > 0:
+                    pre_train = pre_train.copy()
+                    pre_train[t] = evaluate(net, task)
+                expanded = None
+                if cfg.uses_expansion:
+                    expanded = train_expanded(
+                        net, task, cfg.optimizer,
+                        epochs=cfg.expansion_epochs or cfg.epochs,
+                        init=cfg.expansion_init, batch_size=cfg.batch_size,
+                        loss_kind=_loss_kind(task), seed=cfg.seed,
+                        task_index=t)
+                if cfg.base_method in _IMPORTANCE_METHODS:
                     importance_update(cfg.base_method, state,
-                                      StepInfo("step", grad=grad,
-                                               delta=new_params - params))
+                                      StepInfo("task_start", net=net))
+                branches: dict[tuple, tuple] = {}
+                for i in members:
+                    terms = penalty_terms(configs[i], state, expanded)
+                    branches.setdefault(tuple(lam for _, lam in terms),
+                                        (terms, []))[1].append(i)
+                # Popped in order, so the last branch runs after its
+                # siblings have copied the shared net and state, and trains
+                # on them in place.
+                for k, (terms, branch) in reversed([*enumerate(
+                        branches.values())]):
+                    stack.append((t, branch, net, state, rows, pre_train,
+                                  (terms, k < len(branches) - 1)))
+            else:
+                terms, copy = plan
+                if copy:
+                    net, state = net.clone(), state.copy()
+                rows = rows + [_learn_task(cfg, net, state, tasks, t, terms)]
+                if save_state_to is not None:
+                    save_state(save_state_to, net, state, cfg.seed)
+                log.info("method=%s seed=%d task=%d new_acc=%.4f "
+                         "running_acc=%.4f%s", cfg.method, cfg.seed, t + 1,
+                         rows[-1][-1], float(np.mean(rows[-1])),
+                         f" runs={len(members)}" if len(members) > 1 else "")
+                stack.append((t + 1, members, net, state, rows, pre_train,
+                              None))
+        except Exception as exc:
+            if single:
+                raise
+            for i in members:
+                outcomes[i] = exc
+    return outcomes[0] if single else outcomes
 
-        rows.append([evaluate(net, tasks[k]) for k in range(t + 1)])
-        if importance_based:
-            importance_update(cfg.base_method, state,
-                              StepInfo("task_end", net=net, task=task))
-            state.anchor = DiagGaussian(net.get_params(),
-                                        state.anchor.precision)
-        else:
-            fisher = estimate_diag_fisher(net, task, loss_kind)
-            state.anchor = DiagGaussian(
-                net.get_params(),
-                fisher_running_average(state.anchor.precision, fisher, t + 1))
-        state.task_count = t + 1
-        if save_state_to is not None:
-            save_state(save_state_to, net, state, cfg.seed)
-        running = float(np.mean(rows[-1]))
-        log.info("method=%s seed=%d task=%d new_acc=%.4f running_acc=%.4f",
-                 cfg.method, cfg.seed, t + 1, rows[-1][-1], running)
 
+def _learn_task(cfg: SequenceConfig, net: Network, state: RegState, tasks,
+                t: int, terms: list[tuple]) -> list[float]:
+    """Train task t with the penalty `terms` (and SI/RWalk's per-step
+    importance), evaluate every task so far, then anchor `state` at the
+    trained network. Returns the accuracies."""
+    task, loss_kind = tasks[t], _loss_kind(tasks[t])
+    opt = make_optimizer(cfg.optimizer)
+    for epoch in range(cfg.epochs):
+        for batch in epoch_batches(task, cfg.batch_size,
+                                   [_MAIN_SHUFFLE_KEY, cfg.seed, t, epoch]):
+            _, grad = net.loss_and_grad(batch, loss_kind)
+            params = net.get_params()
+            new_params = opt.step(params, penalized_grad(params, grad, terms))
+            net.set_params(new_params)
+            if cfg.base_method in ("si", "rwalk"):
+                importance_update(cfg.base_method, state,
+                                  StepInfo("step", grad=grad,
+                                           delta=new_params - params))
+
+    row = [evaluate(net, tasks[k]) for k in range(t + 1)]
+    if cfg.base_method in _IMPORTANCE_METHODS:
+        importance_update(cfg.base_method, state,
+                          StepInfo("task_end", net=net, task=task))
+        state.anchor = DiagGaussian(net.get_params(), state.anchor.precision)
+    else:
+        fisher = estimate_diag_fisher(net, task, loss_kind)
+        state.anchor = DiagGaussian(
+            net.get_params(),
+            fisher_running_average(state.anchor.precision, fisher, t + 1))
+    state.task_count = t + 1
+    return row
+
+
+def _run_result(cfg: SequenceConfig, rows: list[list[float]], abar, pre_train,
+                digest: str, start_task: int) -> RunResult:
     # Resumed runs only report rows for the tasks they actually trained;
     # skipped leading rows are zero-padded to keep the matrix triangular.
     matrix = AccMatrix(
         a=[[float(v) for v in row] for row in _pad_rows(rows, start_task)],
-        abar=abar, pre_train=pre_train)
+        abar=abar.copy(), pre_train=pre_train.copy())
     per_task_new = [rows[i][start_task + i] for i in range(len(rows))]
-    return RunResult(acc_matrix=matrix,
-                     per_task_new_accuracy=per_task_new,
-                     config=asdict(cfg),
-                     state_digest=_state_digest(net, state),
+    return RunResult(acc_matrix=matrix, per_task_new_accuracy=per_task_new,
+                     config=asdict(cfg), state_digest=digest,
                      start_task=start_task)
 
 

@@ -134,52 +134,66 @@ def _metric_or_blank(fn, m: AccMatrix) -> str:
         return ""
 
 
+def cell_name(method: str, lam: float, lam_e: float, seed: int) -> str:
+    """A run's (method, lambda, lambda_e, seed) as its file names spell it."""
+    return f"{method}_lam{lam:g}_lame{lam_e:g}_seed{seed}"
+
+
+def _setting(r) -> tuple:
+    return r.config["method"], r.config["lam"], r.config["lam_e"]
+
+
 def emit_report(results, out_dir) -> list[str]:
     """Write summary.csv, one matrix JSON per run, and SVG charts.
 
+    Runs are told apart by (method, lambda, lambda_e, seed); each chart
+    series is one (method, lambda, lambda_e) setting over its seeds.
     Returns the list of files written (relative to out_dir). Deterministic:
     re-emitting the same results reproduces identical bytes.
     """
     os.makedirs(out_dir, exist_ok=True)
     if not results:
         raise ShapeError("emit_report needs at least one result")
+    results = sorted(results, key=lambda r: (*_setting(r), r.config["seed"]))
     written = []
     rows = []
     t_max = max(r.acc_matrix.T for r in results)
-    header = ["method", "seed", "T", "ACC", "BWT", "FWT"] + [
-        f"A_diag_{i + 1}" for i in range(t_max)]
+    header = ["method", "seed", "lambda", "lambda_e", "T", "ACC", "BWT",
+              "FWT"] + [f"A_diag_{i + 1}" for i in range(t_max)]
     for r in results:
         m = r.acc_matrix
         diag = [_fmt(m.a[i][i]) for i in range(m.T)]
         diag += [""] * (t_max - m.T)
-        rows.append([r.config["method"], str(r.config["seed"]), str(m.T),
-                     _fmt(acc(m)), _metric_or_blank(bwt, m),
+        method, lam, lam_e = _setting(r)
+        rows.append([method, str(r.config["seed"]), f"{lam:g}", f"{lam_e:g}",
+                     str(m.T), _fmt(acc(m)), _metric_or_blank(bwt, m),
                      _metric_or_blank(fwt, m)] + diag)
-    rows.sort(key=lambda row: (row[0], int(row[1])))
     summary = "\n".join(",".join(row) for row in [header] + rows) + "\n"
     with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
         fh.write(summary)
     written.append("summary.csv")
 
-    for r in sorted(results, key=lambda r: (r.config["method"], r.config["seed"])):
-        name = f"matrix_{r.config['method']}_{r.config['seed']}.json"
+    for r in results:
+        name = f"matrix_{cell_name(*_setting(r), r.config['seed'])}.json"
         doc = {"A": r.acc_matrix.a, "Abar": r.acc_matrix.abar.tolist()}
         with open(os.path.join(out_dir, name), "w") as fh:
             json.dump(doc, fh, sort_keys=True)
             fh.write("\n")
         written.append(name)
 
-    by_method: dict[str, list] = {}
+    by_setting: dict[str, list] = {}
     for r in results:
-        by_method.setdefault(r.config["method"], []).append(r)
+        method, lam, lam_e = _setting(r)
+        by_setting.setdefault(f"{method} lam{lam:g} lame{lam_e:g}",
+                              []).append(r)
     avg_series, new_series = {}, {}
-    for method, runs in by_method.items():
+    for label, runs in by_setting.items():
         curves = np.stack([_running_mean_accuracy(r.acc_matrix) for r in runs
                            if r.acc_matrix.T == t_max])
-        avg_series[method] = (curves.mean(axis=0), curves.std(axis=0))
+        avg_series[label] = (curves.mean(axis=0), curves.std(axis=0))
         diags = np.stack([[r.acc_matrix.a[i][i] for i in range(t_max)]
                           for r in runs if r.acc_matrix.T == t_max])
-        new_series[method] = (diags.mean(axis=0), diags.std(axis=0))
+        new_series[label] = (diags.mean(axis=0), diags.std(axis=0))
     for fname, series, title in (
             ("avg_accuracy.svg", avg_series, "Averaged accuracy vs tasks learned"),
             ("new_task_accuracy.svg", new_series, "New-task accuracy per task")):

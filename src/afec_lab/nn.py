@@ -72,19 +72,37 @@ class Batch:
     head: str
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
-            raise ShapeError("batch inputs must be a non-empty [n, d_in] matrix")
-        if np.asarray(self.targets).dtype.kind == "f":
-            self.targets = np.asarray(self.targets, dtype=np.float64)
-        else:
-            self.targets = np.asarray(self.targets, dtype=np.int64)
-        if len(self.targets) != self.inputs.shape[0]:
-            raise ShapeError("batch targets and inputs disagree on sample count")
+        self.inputs, self.targets = batch_arrays(self.inputs, self.targets)
+
+    @classmethod
+    def of_checked(cls, inputs: np.ndarray, targets: np.ndarray,
+                   head: str) -> "Batch":
+        """A batch of arrays that batch_arrays has returned, or of non-empty
+        index slices of them, without checking them again."""
+        batch = object.__new__(cls)
+        batch.inputs, batch.targets, batch.head = inputs, targets, head
+        return batch
 
     @property
     def n(self) -> int:
         return self.inputs.shape[0]
+
+
+def batch_arrays(inputs, targets, least: int = 1):
+    """The inputs as a float64 [n, d_in] matrix with n >= `least`, and n
+    targets: float64 if they are floats, int64 class ids otherwise. These
+    are a Batch's checks; TaskDataset runs them once on its training split
+    (`least` 0), so minibatches sliced from it need no check of their own."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[0] < least:
+        raise ShapeError("batch inputs must be a non-empty [n, d_in] matrix")
+    if np.asarray(targets).dtype.kind == "f":
+        targets = np.asarray(targets, dtype=np.float64)
+    else:
+        targets = np.asarray(targets, dtype=np.int64)
+    if len(targets) != inputs.shape[0]:
+        raise ShapeError("batch targets and inputs disagree on sample count")
+    return inputs, targets
 
 
 def _init_layer(in_dim: int, out_dim: int, activation: str, key) -> DenseLayer:

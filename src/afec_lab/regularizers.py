@@ -11,7 +11,7 @@ number of tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -47,6 +47,12 @@ class RegState:
         return cls(anchor=DiagGaussian(z(), z()), importance=z(),
                    path_accum=z(), prev_params=z(), fisher_ema=z(),
                    score_accum=z(), task_count=0)
+
+    def copy(self) -> "RegState":
+        """A copy that shares the vectors. Every update rebinds a field to a
+        new vector and none writes into one, so neither state sees the
+        other's later updates."""
+        return replace(self)
 
     def to_doc(self) -> dict:
         """The state's JSON layout with each vector still an array. The
@@ -93,11 +99,13 @@ def quadratic_penalty(params: np.ndarray, anchor: DiagGaussian, lam: float):
 
 
 def epoch_batches(task, batch_size: int, key):
-    """Seeded shuffle of the training split, yielded in minibatches."""
+    """Seeded shuffle of the training split, yielded in minibatches. The
+    task checked its training arrays when it was built."""
     order = np.random.default_rng(key).permutation(task.n_train)
     for start in range(0, len(order), batch_size):
         idx = order[start:start + batch_size]
-        yield Batch(task.inputs_train[idx], task.targets_train[idx], task.head)
+        yield Batch.of_checked(task.inputs_train[idx], task.targets_train[idx],
+                               task.head)
 
 
 def train_expanded(net: Network, task, opt_spec: dict, *, epochs: int,

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
+from .nn import batch_arrays
 
 ANGLE_HEAD = "angle"
 PAPER_PROBE_ROTATIONS_DEG = (60, 120, 180, 240, 300)
@@ -102,6 +103,9 @@ class TaskDataset:
             if self.labels_train is None:
                 self.labels_train = self.targets_train
                 self.labels_test = self.targets_test
+        # Checked once here rather than in every minibatch of it.
+        self.inputs_train, self.targets_train = batch_arrays(
+            self.inputs_train, self.targets_train, least=0)
 
     @property
     def input_dim(self) -> int:
@@ -258,6 +262,9 @@ def split_tasks(images: np.ndarray, labels: np.ndarray,
         xs_tr, xs_te, ys_tr, ys_te = [], [], [], []
         for new_label, cls in enumerate(group):
             x = images[labels == cls]
+            if len(x) < 3:  # two would leave the test split empty
+                raise ConfigError(f"class {cls} has {len(x)} image(s); "
+                                  f"split_idx needs at least 3 per class")
             rng = np.random.default_rng([_SPLIT_KEY, seed, t, new_label])
             x = x[rng.permutation(len(x))]
             n_train = max(1, int(round(0.8 * len(x))))

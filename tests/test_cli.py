@@ -476,30 +476,32 @@ class TestGrid:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(cli, name, counted)
-        # afec at lambda_e > 0 expands, so all six cells are distinct runs
+        # afec at lambda_e > 0 expands, so all six cells are distinct runs;
+        # the three of each seed form one family, trained by one _run_cell
         doc = self.grid_config(tmp_path / "g")
         doc["methods"] = ["afec"]
         path = write_config(tmp_path, doc)
         assert main(["grid", "--config", path, "--jobs", "1"]) == 0
-        assert calls == {"parse_config": 1, "build_tasks": 1, "_run_cell": 6}
+        assert calls == {"parse_config": 1, "build_tasks": 1, "_run_cell": 2}
 
     def test_equivalent_cells_train_once(self, tmp_path, monkeypatch):
         # Per seed, 12 cells hold 4 runs: finetune and ewc/afec at
         # lambda_e 0 are ewc at the effective lambda 0 or 1, and ewc ignores
-        # lambda_e; only afec at lambda_e 1 (lambda 0 or 1) expands.
+        # lambda_e; only afec at lambda_e 1 (lambda 0 or 1) expands. The
+        # ewc runs form one family and the afec runs another.
         doc = minimal_config(tmp_path / "serial",
                              methods=["finetune", "ewc", "afec"],
                              seeds=[0, 1],
                              **{"lambda": [0, 1], "lambda_e": [0, 1]})
         path = write_config(tmp_path, doc)
-        runs = []
+        units = []
 
-        def counted(config, task_list, *cell, _run_cell=cli._run_cell):
-            runs.append(cell)
-            return _run_cell(config, task_list, *cell)
+        def counted(config, task_list, cells, _run_cell=cli._run_cell):
+            units.append(cells)
+            return _run_cell(config, task_list, cells)
         monkeypatch.setattr(cli, "_run_cell", counted)
         assert main(["grid", "--config", path, "--jobs", "1"]) == 0
-        assert len(runs) == 8
+        assert len(units) == 4 and sum(map(len, units)) == 8
         assert main(["grid", "--config", path, "--jobs", "2",
                      "--out", str(tmp_path / "pool")]) == 0
         config = parse_config(doc)
@@ -522,8 +524,8 @@ class TestGrid:
 
     @pytest.mark.parametrize("methods,jobs,workers", [
         (["ewc"], 4, 2),    # ewc ignores lambda_e: one run per seed
-        (["afec"], 4, 4),   # six distinct runs
-        (["afec"], 2, 2)])
+        (["afec"], 4, 4),   # two families of three runs, split to 2+2+1+1
+        (["afec"], 2, 2)])  # one family per seed
     def test_pool_capped_at_distinct_runs(self, tmp_path, monkeypatch,
                                           methods, jobs, workers):
         seen = []
@@ -539,6 +541,11 @@ class TestGrid:
         path = write_config(tmp_path, doc)
         assert main(["grid", "--config", path, "--jobs", str(jobs)]) == 0
         assert seen == [workers]
+
+    def test_units_split_largest_first(self):
+        assert cli._plan_units([[1], [2, 3, 4]], 1) == [[2, 3, 4], [1]]
+        assert cli._plan_units([[1], [2, 3, 4]], 3) == [[3, 4], [1], [2]]
+        assert cli._plan_units([[1], [2, 3]], 8) == [[1], [2], [3]]
 
     def test_parallel_matches_serial(self, tmp_path):
         out1 = tmp_path / "serial"
@@ -581,6 +588,24 @@ class TestDatagenAndReport:
         (out / "summary.csv").unlink()
         assert main(["report", "--config", path]) == 0
         assert (out / "summary.csv").read_bytes() == summary
+
+    def test_report_on_a_grid_keeps_every_cell(self, tmp_path):
+        out = tmp_path / "g"
+        doc = minimal_config(out, methods=["ewc"], seeds=[0, 1],
+                             **{"lambda": [1, 10], "lambda_e": [0, 2]})
+        path = write_config(tmp_path, doc)
+        assert main(["grid", "--config", path]) == 0
+        assert main(["report", "--config", path]) == 0
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert rows[0].startswith("method,seed,lambda,lambda_e,T,")
+        cells = [row.split(",")[:4] for row in rows[1:]]
+        assert cells == [["ewc", str(seed), lam, lam_e]
+                         for lam in ("1", "10") for lam_e in ("0", "2")
+                         for seed in (0, 1)]
+        results = sorted(p.name for p in out.glob("result_*.json"))
+        assert len(results) == 8
+        assert sorted(p.name for p in out.glob("matrix_*.json")) == [
+            "matrix_" + name.removeprefix("result_") for name in results]
 
     def test_report_without_results_exits_2(self, tmp_path):
         out = tmp_path / "empty"
@@ -638,6 +663,31 @@ class TestCellFailures:
         with open(tmp_path / "g" / "grid.csv", newline="") as fh:
             failed = [row[:3] for row in csv.reader(fh) if row[6:7] == ["0"]]
         assert failed == [["ewc", "1e+09", "0"], ["afec", "1e+09", "0"]]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_diverging_branch_keeps_its_siblings(self, tmp_path, capsys,
+                                                 jobs):
+        # lambda 1, 1e9 and 10 form one family: they share the first task
+        # and branch on the second, where only lambda 1e9 diverges
+        out = tmp_path / "g"
+        doc = diverging_grid(out)
+        doc["lambda"] = [1, 1e9, 10]
+        path = write_config(tmp_path, doc)
+        assert main(["grid", "--config", path, "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert f"ERROR cell {self.FAILED} failed: NumericError" in err
+        assert "ERROR 1 of 3 cells failed" in err
+        config = parse_config(doc)
+        task_list = build_tasks(config.benchmark)
+        for lam in (1.0, 10.0):
+            own = result_to_json(run_sequence(
+                config.sequence_config("ewc", lam, 0.0, 0), task_list))
+            name = f"result_ewc_lam{lam:g}_lame0_seed0.json"
+            assert (out / name).read_text() == \
+                json.dumps(own, sort_keys=True) + "\n"
+        assert sorted(p.name for p in out.glob("result_*")) == [
+            "result_ewc_lam10_lame0_seed0.json",
+            "result_ewc_lam1_lame0_seed0.json"]
 
     def test_divergence_prints_no_numpy_warning(self, tmp_path):
         path = write_config(tmp_path, diverging_grid(tmp_path / "g"))
@@ -733,6 +783,24 @@ class TestTaskBuildErrors:
         assert errors[0] == errors[1]
         assert errors[0].startswith("config error: ")
         assert errors[0].count("\n") == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_class_too_small_to_split(self, tmp_path, jobs):
+        # 80/20 of two images leaves the test split empty
+        images, labels = write_idx(tmp_path, 4, 2)
+        doc = minimal_config(tmp_path / "out", methods=["ewc", "afec"])
+        doc["benchmark"] = {"kind": "split_idx", "images": images,
+                            "labels": labels, "classes_per_task": 2}
+        proc = subprocess.run([sys.executable, "-m", "afec_lab.cli", "run",
+                               "--config", write_config(tmp_path, doc),
+                               "--jobs", jobs],
+                              env=fresh_env(), capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: class ")
+        assert "has 2 image(s); split_idx needs at least 3 per class" in \
+            proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert not list(tmp_path.glob("**/result_*.json"))
 
 
 # -- OpenBLAS idle-thread timeout ---------------------------------------------

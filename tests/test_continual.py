@@ -21,6 +21,7 @@ from afec_lab.continual import (METHODS, ArchSpec, SequenceConfig, _canonical,
                                 save_state, transfer_probe)
 from afec_lab.errors import ConfigError, FormatError
 from afec_lab.nn import DenseLayer, Network
+from afec_lab.regularizers import EXPANSION_INITS
 from afec_lab.tasks import (AngularLayout, gen_angular_task,
                             make_angular_sequence, make_conflicting_pair,
                             split_tasks)
@@ -311,6 +312,120 @@ class TestTransferProbe:
 
 _RESUME_TASKS = make_angular_sequence(3, 4, 0, samples_per_class=10,
                                       input_dim=6, cluster_spread=0.5)
+
+
+def _outcome_text(outcome) -> str:
+    """A run's result doc and checksum, or the error it raised, as text."""
+    if isinstance(outcome, Exception):
+        return f"{type(outcome).__name__}: {outcome}"
+    return json.dumps([result_to_json(outcome), outcome.checksum],
+                      sort_keys=True)
+
+
+def _own_run(cfg, tasks, **kwargs) -> str:
+    try:
+        return _outcome_text(run_sequence(cfg, tasks, **kwargs))
+    except Exception as exc:
+        return _outcome_text(exc)
+
+
+_STRENGTHS = st.sampled_from([0.0, 0.5, 20.0])
+_OPTIMIZERS = [{"kind": "adam", "lr": 0.01},
+               {"kind": "sgd", "lr": 0.05, "momentum": 0.9}]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestFamilyWalk:
+    """run_sequence over a family trains the tasks its runs share once, and
+    gives each run the result of its own run_sequence bit for bit."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 1000), num_tasks=st.integers(1, 3),
+           optimizer=st.sampled_from(_OPTIMIZERS),
+           init=st.sampled_from(EXPANSION_INITS),
+           strengths=st.lists(st.tuples(_STRENGTHS, _STRENGTHS),
+                              min_size=1, max_size=5))
+    def test_family_equals_own_runs(self, method, seed, num_tasks, optimizer,
+                                    init, strengths):
+        tasks = _RESUME_TASKS[:num_tasks]
+        families: dict[str, list] = {}
+        for lam, lam_e in strengths:
+            cfg = quick_cfg(method, lam=lam, lam_e=lam_e, seed=seed,
+                            epochs=1, optimizer=optimizer,
+                            expansion_init=init)
+            families.setdefault(cfg.family_key(), []).append(cfg)
+        for family in families.values():
+            shared = run_sequence(family, tasks)
+            assert [_outcome_text(r) for r in shared] == [
+                _own_run(cfg, tasks) for cfg in family]
+
+    def test_family_key_drops_only_the_strengths(self):
+        keys = {quick_cfg("afec", lam=lam, lam_e=lam_e).family_key()
+                for lam in (0.0, 1.0, 5.0) for lam_e in (1.0, 2.0)}
+        assert len(keys) == 1
+        assert quick_cfg("afec", lam_e=1.0).family_key() != \
+            quick_cfg("afec", lam_e=0.0).family_key()  # ewc's family
+        assert quick_cfg("afec", lam_e=0.0).family_key() == \
+            quick_cfg("finetune", lam=3.0).family_key()
+        assert quick_cfg("ewc", seed=1).family_key() != \
+            quick_cfg("ewc", seed=2).family_key()
+
+    def test_configs_of_two_families_rejected(self):
+        with pytest.raises(ConfigError, match="differ only in lam"):
+            run_sequence([quick_cfg("ewc", seed=1), quick_cfg("ewc", seed=2)],
+                         quick_pair())
+        with pytest.raises(ConfigError, match="single config"):
+            run_sequence([quick_cfg("ewc"), quick_cfg("ewc", lam=1.0)],
+                         quick_pair(), save_state_to="unused.json")
+
+    def test_shared_tasks_train_once(self, monkeypatch):
+        # afec at lambda_e 1 and 5 splits on the first task, where only
+        # lambda_e tells runs apart; lambda splits them on the second
+        calls = {"train_expanded": 0, "epoch_batches": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(continual, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(continual, name, counted)
+        family = [quick_cfg("afec", lam=lam, lam_e=lam_e, epochs=1)
+                  for lam in (1.0, 10.0, 100.0) for lam_e in (1.0, 5.0)]
+        run_sequence(family, quick_pair())
+        # expansions: 1 on task 1, then 1 per lambda_e branch on task 2;
+        # main-training epochs: 2 branches on task 1, 6 on task 2
+        assert calls == {"train_expanded": 3, "epoch_batches": 2 + 6}
+
+    def test_diverging_branch_fails_only_its_runs(self):
+        # SGD at lambda_e 1e9 diverges on the first task, and lambda 1e9
+        # on the second; the other runs still match their own runs
+        family = [quick_cfg("afec", lam=lam, lam_e=lam_e, seed=4,
+                            optimizer={"kind": "sgd", "lr": 0.01})
+                  for lam in (1.0, 1e9) for lam_e in (1.0, 1e9)]
+        tasks = quick_pair()
+        shared = run_sequence(family, tasks)
+        assert [type(r).__name__ for r in shared] == [
+            "RunResult", "NumericError", "NumericError", "NumericError"]
+        assert [_outcome_text(r) for r in shared] == [
+            _own_run(cfg, tasks) for cfg in family]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_resumed_family_equals_uninterrupted_runs(self, method,
+                                                      tmp_path):
+        # one lambda_e, so every run shares the first task and its state
+        family = [quick_cfg(method, lam=lam, lam_e=0.5, seed=7, epochs=2)
+                  for lam in (0.0, 0.5, 20.0)]
+        tasks = _RESUME_TASKS
+        path = str(tmp_path / "state.json")
+        run_sequence(family[0], tasks[:1], save_state_to=path)
+        resumed = run_sequence(family, tasks, resume=load_state(path))
+        for cfg, result in zip(family, resumed):
+            full = run_sequence(cfg, tasks)
+            assert result.start_task == 1
+            assert result.state_digest == full.state_digest
+            assert result.acc_matrix.a[1:] == full.acc_matrix.a[1:]
+            assert (result.per_task_new_accuracy
+                    == full.per_task_new_accuracy[1:])
 
 
 class TestStatePersistence:

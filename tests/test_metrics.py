@@ -131,9 +131,10 @@ class TestBruteForceEquivalence:
 
 
 class FakeResult:
-    def __init__(self, method, seed, matrix):
+    def __init__(self, method, seed, matrix, lam=1.0, lam_e=0.0):
         self.acc_matrix = matrix
-        self.config = {"method": method, "seed": seed}
+        self.config = {"method": method, "lam": lam, "lam_e": lam_e,
+                       "seed": seed}
 
 
 def two_results():
@@ -147,12 +148,14 @@ class TestEmitReport:
         files = emit_report(two_results(), tmp_path)
         assert "summary.csv" in files
         lines = (tmp_path / "summary.csv").read_text().strip().split("\n")
-        assert lines[0].startswith("method,seed,T,ACC,BWT,FWT,A_diag_1")
+        assert lines[0].startswith(
+            "method,seed,lambda,lambda_e,T,ACC,BWT,FWT,A_diag_1")
         assert len(lines) == 3
 
     def test_matrix_json_per_run(self, tmp_path):
         emit_report(two_results(), tmp_path)
-        doc = json.loads((tmp_path / "matrix_ewc_0.json").read_text())
+        doc = json.loads(
+            (tmp_path / "matrix_ewc_lam1_lame0_seed0.json").read_text())
         assert set(doc) == {"A", "Abar"}
         assert len(doc["A"]) == 3
 
@@ -168,7 +171,8 @@ class TestEmitReport:
         results = two_results()
         emit_report(results, tmp_path / "a")
         emit_report(results, tmp_path / "b")
-        for name in ("summary.csv", "matrix_afec_0.json", "avg_accuracy.svg"):
+        for name in ("summary.csv", "matrix_afec_lam1_lame0_seed0.json",
+                     "avg_accuracy.svg"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
@@ -182,5 +186,31 @@ class TestEmitReport:
         emit_report([FakeResult("finetune", 1, m)], tmp_path)
         row = (tmp_path / "summary.csv").read_text().strip().split("\n")[1]
         fields = row.split(",")
-        assert fields[4] == ""  # BWT undefined for one task
-        assert fields[5] == ""  # FWT undefined for one task
+        assert fields[6] == ""  # BWT undefined for one task
+        assert fields[7] == ""  # FWT undefined for one task
+
+    def test_grid_runs_keyed_by_setting_and_seed(self, tmp_path):
+        # one method over a 2x2 lambda x lambda_e grid and two seeds
+        rng = np.random.default_rng(5)
+        results = [FakeResult("afec", seed, random_matrix(rng, 3), lam, lam_e)
+                   for lam in (1.0, 10.0) for lam_e in (0.0, 2.5)
+                   for seed in (0, 1)]
+        files = emit_report(results[::-1], tmp_path)
+        rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [
+            ["afec", str(seed), lam, lam_e] for lam in ("1", "10")
+            for lam_e in ("0", "2.5") for seed in (0, 1)]
+        matrices = sorted(f for f in files if f.startswith("matrix_"))
+        assert matrices == sorted(
+            f"matrix_afec_lam{lam}_lame{lam_e}_seed{seed}.json"
+            for lam in ("1", "10") for lam_e in ("0", "2.5") for seed in (0, 1))
+        for r in results:
+            name = "matrix_afec_lam{:g}_lame{:g}_seed{}.json".format(
+                r.config["lam"], r.config["lam_e"], r.config["seed"])
+            assert json.loads((tmp_path / name).read_text())["A"] == \
+                r.acc_matrix.a
+        root = ET.fromstring((tmp_path / "avg_accuracy.svg").read_text())
+        labels = [el.text for el in root.findall(
+            ".//{http://www.w3.org/2000/svg}text") if el.text.startswith("afec")]
+        assert sorted(labels) == ["afec lam1 lame0", "afec lam1 lame2.5",
+                                  "afec lam10 lame0", "afec lam10 lame2.5"]
