@@ -21,8 +21,8 @@ from .nn import Adam, Batch, Network, SGD, finite_diff_check, make_optimizer
 from .posterior import (DiagGaussian, WeightedProductResult,
                         estimate_diag_fisher, fisher_running_average,
                         gaussian_weighted_product, snapshot_anchor)
-from .regularizers import (RegState, StepInfo, importance_update,
-                           quadratic_penalty, train_expanded)
+from .regularizers import (RegState, importance_update, quadratic_penalty,
+                           train_expanded)
 from .tasks import (AngularLayout, TaskDataset, gen_angular_task, load_idx,
                     make_angular_sequence, make_conflicting_pair,
                     make_transfer_probe, split_tasks)

@@ -345,9 +345,10 @@ def _run_and_write(config: ExperimentConfig, jobs: int):
     """Run every cell and write each finished cell's result file as soon as
     it is in. Returns ({cell: RunResult}, {cell: exception}); each failed
     cell is logged with its name and error."""
-    os.makedirs(config.out_dir, exist_ok=True)
     results, failures = {}, {}
     for cell, outcome in _run_cells(config, jobs):
+        if not (results or failures):  # so a task-build error makes no dir
+            os.makedirs(config.out_dir, exist_ok=True)
         if isinstance(outcome, Exception):
             failures[cell] = outcome
             method, lam, lam_e, seed = cell

@@ -22,7 +22,7 @@ from .metrics import AccMatrix
 from .nn import (ACTIVATIONS, Batch, Network, SGD, _is_finite_number,
                  make_optimizer)
 from .posterior import DiagGaussian, estimate_diag_fisher, fisher_running_average
-from .regularizers import (EXPANSION_INITS, RegState, StepInfo, epoch_batches,
+from .regularizers import (EXPANSION_INITS, RegState, epoch_batches,
                            importance_update, quadratic_penalty, train_expanded)
 
 log = logging.getLogger("afec_lab")
@@ -295,7 +295,7 @@ def _state_digest(net: Network, state: RegState) -> str:
     """sha256 of the canonical JSON of the parameters and the whole
     regularizer state, streamed through the hash chunk by chunk."""
     digest = hashlib.sha256()
-    doc = {"params": net.get_params(), "reg_state": state.to_doc()}
+    doc = {"params": net.params, "reg_state": state.to_doc()}
     for chunk in _iter_canonical(doc, {}):
         digest.update(chunk.encode())
     return digest.hexdigest()
@@ -414,8 +414,8 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
                         loss_kind=_loss_kind(task), seed=cfg.seed,
                         task_index=t)
                 if cfg.base_method in _IMPORTANCE_METHODS:
-                    importance_update(cfg.base_method, state,
-                                      StepInfo("task_start", net=net))
+                    importance_update(cfg.base_method, state, "task_start",
+                                      net=net)
                 branches: dict[tuple, tuple] = {}
                 for i in members:
                     terms = penalty_terms(configs[i], state, expanded)
@@ -452,26 +452,26 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
 def _learn_task(cfg: SequenceConfig, net: Network, state: RegState, tasks,
                 t: int, terms: list[tuple]) -> list[float]:
     """Train task t with the penalty `terms` (and SI/RWalk's per-step
-    importance), evaluate every task so far, then anchor `state` at the
-    trained network. Returns the accuracies."""
+    importance) by stepping `net.params` in place, evaluate every task so
+    far, then anchor `state` at a copy of the trained network. Returns the
+    accuracies."""
     task, loss_kind = tasks[t], _loss_kind(tasks[t])
     opt = make_optimizer(cfg.optimizer)
+    tracks_path = cfg.base_method in ("si", "rwalk")
     for epoch in range(cfg.epochs):
         for batch in epoch_batches(task, cfg.batch_size,
                                    [_MAIN_SHUFFLE_KEY, cfg.seed, t, epoch]):
             _, grad = net.loss_and_grad(batch, loss_kind)
-            params = net.get_params()
-            new_params = opt.step(params, penalized_grad(params, grad, terms))
-            net.set_params(new_params)
-            if cfg.base_method in ("si", "rwalk"):
-                importance_update(cfg.base_method, state,
-                                  StepInfo("step", grad=grad,
-                                           delta=new_params - params))
+            before = net.get_params() if tracks_path else None
+            opt.step(net.params, penalized_grad(net.params, grad, terms))
+            if tracks_path:
+                importance_update(cfg.base_method, state, "step", grad=grad,
+                                  delta=net.params - before)
 
     row = [evaluate(net, tasks[k]) for k in range(t + 1)]
     if cfg.base_method in _IMPORTANCE_METHODS:
-        importance_update(cfg.base_method, state,
-                          StepInfo("task_end", net=net, task=task))
+        importance_update(cfg.base_method, state, "task_end", net=net,
+                          task=task)
         state.anchor = DiagGaussian(net.get_params(), state.anchor.precision)
     else:
         fisher = estimate_diag_fisher(net, task, loss_kind)
@@ -486,20 +486,13 @@ def _run_result(cfg: SequenceConfig, rows: list[list[float]], abar, pre_train,
                 digest: str, start_task: int) -> RunResult:
     # Resumed runs only report rows for the tasks they actually trained;
     # skipped leading rows are zero-padded to keep the matrix triangular.
-    matrix = AccMatrix(
-        a=[[float(v) for v in row] for row in _pad_rows(rows, start_task)],
-        abar=abar.copy(), pre_train=pre_train.copy())
+    padded = [[0.0] * (j + 1) for j in range(start_task)] + rows
+    matrix = AccMatrix(a=[[float(v) for v in row] for row in padded],
+                       abar=abar.copy(), pre_train=pre_train.copy())
     per_task_new = [rows[i][start_task + i] for i in range(len(rows))]
     return RunResult(acc_matrix=matrix, per_task_new_accuracy=per_task_new,
                      config=asdict(cfg), state_digest=digest,
                      start_task=start_task)
-
-
-def _pad_rows(rows: list[list[float]], start_task: int) -> list[list[float]]:
-    """Fill skipped leading rows (resumed runs) with zeros so the matrix
-    stays lower triangular."""
-    padded = [[0.0] * (j + 1) for j in range(start_task)]
-    return padded + rows
 
 
 def transfer_probe(net: Network, probe_task, epochs: int, lr: float) -> float:
@@ -518,9 +511,8 @@ def transfer_probe(net: Network, probe_task, epochs: int, lr: float) -> float:
             _, grad = probe_net.loss_and_grad(batch, loss_kind)
             masked = np.zeros_like(grad)
             masked[head_slice] = grad[head_slice]
-            probe_net.set_params(opt.step(probe_net.get_params(), masked))
-    after = probe_net.get_params()[probe_net.body_slice()]
-    assert np.array_equal(before, after)
+            opt.step(probe_net.params, masked)
+    assert np.array_equal(before, probe_net.params[probe_net.body_slice()])
     return evaluate(probe_net, probe_task)
 
 

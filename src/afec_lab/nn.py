@@ -131,13 +131,13 @@ class Network:
         for name, h in heads.items():
             if feat is not None and h.in_dim != feat:
                 raise ShapeError(f"head {name!r} does not match body output dim")
-        # The given layers are copied into one flat buffer, and this
-        # network's layers are reshaped views of it.
+        # The given layers are copied into one flat buffer, `params`, and
+        # this network's layers are views of it; optimizers step it in place.
         layers = [*body, *heads.values()]
-        self._flat = np.concatenate(
+        self.params = np.concatenate(
             [np.concatenate([l.w.ravel(), l.b]) for l in layers]
         ).astype(np.float64)
-        self.param_count = self._flat.size
+        self.param_count = self.params.size
         self._offsets: dict[object, tuple[slice, slice]] = {}
         views = []
         pos = 0
@@ -146,8 +146,8 @@ class Network:
             bs = slice(ws.stop, pos + layer.size)
             pos = bs.stop
             self._offsets[key] = (ws, bs)
-            views.append(DenseLayer(self._flat[ws].reshape(layer.w.shape),
-                                    self._flat[bs], layer.activation))
+            views.append(DenseLayer(self.params[ws].reshape(layer.w.shape),
+                                    self.params[bs], layer.activation))
         self.body = views[:len(body)]
         self.heads = dict(zip(heads, views[len(body):]))
         # Per head: (layer, weight slice, bias slice) from input to output.
@@ -184,25 +184,19 @@ class Network:
                 self.body[0].activation if self.body else "identity",
                 {name: h.out_dim for name, h in self.heads.items()})
 
-    def reinit_head(self, name: str, key) -> None:
-        head = self.heads[name]
-        fresh = _init_layer(head.in_dim, head.out_dim, "identity", key)
-        head.w[...] = fresh.w
-        head.b[...] = fresh.b
-
     # -- flat parameter view ------------------------------------------------
 
     def get_params(self) -> np.ndarray:
         """A snapshot of the flat parameter vector; later updates to the
         network do not reach it."""
-        return self._flat.copy()
+        return self.params.copy()
 
     def set_params(self, params: np.ndarray) -> None:
         params = np.asarray(params, dtype=np.float64)
         if params.shape != (self.param_count,):
             raise ShapeError(f"expected {self.param_count} parameters, "
                              f"got shape {params.shape}")
-        self._flat[...] = params
+        self.params[...] = params
 
     def head_slice(self, name: str) -> slice:
         ws, bs = self._offsets[name]
@@ -353,7 +347,7 @@ def finite_diff_check(net: Network, batch: Batch, loss_kind: str,
 
 
 class SGD:
-    """Plain SGD with optional momentum."""
+    """Plain SGD with optional momentum; `step` updates `params` in place."""
 
     def __init__(self, lr: float = 0.01, momentum: float = 0.0):
         self.lr = lr
@@ -370,11 +364,13 @@ class SGD:
         velocity = self._velocity
         velocity *= self.momentum
         velocity += grad
-        return params - self.lr * velocity
+        params -= self.lr * velocity
+        return params
 
 
 class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
+    `step` updates `params` in place and returns it."""
 
     def __init__(self, lr: float = 0.001, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -395,8 +391,9 @@ class Adam:
             self._m = np.zeros_like(params)
             self._v = np.zeros_like(params)
         self._t += 1
-        # The textbook recurrence with the moments updated in place; every
-        # operation keeps its operands and order, so results are unchanged.
+        # The textbook recurrence, with the moments and then the parameters
+        # updated in place after the checks above, so a failed step writes
+        # nothing; every operation keeps its operands and order.
         m, v = self._m, self._v
         m *= self.beta1
         m += (1.0 - self.beta1) * grad
@@ -410,7 +407,8 @@ class Adam:
         np.sqrt(denom, out=denom)
         denom += self.eps
         update /= denom
-        return params - update
+        params -= update
+        return params
 
 
 _OPTIMIZER_KEYS = {"sgd": {"kind", "lr", "momentum"}, "adam": {"kind", "lr"}}

@@ -40,13 +40,6 @@ class DiagGaussian:
         if np.any(self.precision < 0) or not np.all(np.isfinite(self.precision)):
             raise ShapeError("precision entries must be finite and >= 0")
 
-    def to_json(self) -> dict:
-        return {"mean": self.mean.tolist(), "precision": self.precision.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DiagGaussian":
-        return cls(np.asarray(obj["mean"]), np.asarray(obj["precision"]))
-
 
 @dataclass
 class WeightedProductResult:

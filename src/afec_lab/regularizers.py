@@ -11,7 +11,7 @@ number of tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -57,26 +57,22 @@ class RegState:
     def to_doc(self) -> dict:
         """The state's JSON layout with each vector still an array. The
         state file, the run digest and to_json all derive from it."""
-        return _field_dict(self)
+        return {"anchor": {"mean": self.anchor.mean,
+                           "precision": self.anchor.precision},
+                "importance": self.importance, "path_accum": self.path_accum,
+                "prev_params": self.prev_params, "fisher_ema": self.fisher_ema,
+                "score_accum": self.score_accum, "task_count": self.task_count}
 
     def to_json(self) -> dict:
         return _tolists(self.to_doc())
 
     @classmethod
     def from_json(cls, obj: dict) -> "RegState":
-        parse = {"anchor": DiagGaussian.from_json, "task_count": int}
-        return cls(**{f.name: parse.get(f.name, np.asarray)(obj[f.name])
-                      for f in fields(cls)})
-
-
-def _field_dict(obj) -> dict:
-    """A dataclass's fields by name, nested dataclasses as dicts; unlike
-    dataclasses.asdict, no value is copied."""
-    doc = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        doc[f.name] = _field_dict(value) if is_dataclass(value) else value
-    return doc
+        anchor = obj["anchor"]
+        return cls(anchor=DiagGaussian(anchor["mean"], anchor["precision"]),
+                   task_count=int(obj["task_count"]),
+                   **{f.name: np.asarray(obj[f.name]) for f in fields(cls)
+                      if f.name not in ("anchor", "task_count")})
 
 
 def _tolists(doc: dict) -> dict:
@@ -114,64 +110,56 @@ def train_expanded(net: Network, task, opt_spec: dict, *, epochs: int,
     """Synaptic expansion: train a temporary network (a copy of `net`, or
     freshly initialized) on the task loss alone and return its anchor
     (parameter snapshot + Fisher). The main network is never touched and
-    the temporary one is discarded by the caller."""
+    the temporary one is discarded when this returns."""
     if init not in EXPANSION_INITS:
         raise ConfigError(f"unknown expansion_init {init!r}")
     if task.n_train == 0:
         raise ShapeError("expansion needs a non-empty task")
-    tmp = net.clone()
     if init == "fresh_random":
         fresh_seed = (_EXPAND_INIT_KEY + 1000003 * seed + 997 * task_index) % (2 ** 31)
-        fresh = Network.create(*net.arch(), seed=fresh_seed)
-        tmp.set_params(fresh.get_params())
+        tmp = Network.create(*net.arch(), seed=fresh_seed)
+    else:
+        tmp = net.clone()
     opt = make_optimizer(opt_spec)
     for epoch in range(epochs):
         for batch in epoch_batches(task, batch_size,
                                    [_EXPAND_SHUFFLE_KEY, seed, task_index, epoch]):
             _, grad = tmp.loss_and_grad(batch, loss_kind)
-            tmp.set_params(opt.step(tmp.get_params(), grad))
+            opt.step(tmp.params, grad)
     return snapshot_anchor(tmp, task, loss_kind)
 
 
 # -- baseline importance estimators ------------------------------------------
 
-@dataclass
-class StepInfo:
-    """Event payload for importance_update.
+def importance_update(method: str, state: RegState, event: str, *,
+                      net: Network | None = None, task=None,
+                      grad: np.ndarray | None = None,
+                      delta: np.ndarray | None = None) -> RegState:
+    """Advance the method-specific importance. Mutates and returns `state`.
 
-    event "task_start": marks the pre-task parameters.
-    event "step": one optimizer step; carries the unpenalized loss gradient
-    and the resulting parameter change.
-    event "task_end": consolidates per-task accumulators into the importance;
-    MAS additionally needs the trained network and the task data.
+    event "task_start" (`net`): marks the pre-task parameters.
+    event "step" (`grad`, `delta`): one optimizer step, with the unpenalized
+    loss gradient and the parameter change it made.
+    event "task_end" (`net`, and for MAS `task`): consolidates the per-task
+    accumulators into the importance.
     """
-
-    event: str
-    grad: np.ndarray | None = None
-    delta: np.ndarray | None = None
-    net: Network | None = None
-    task: object = None
-
-
-def importance_update(method: str, state: RegState, info: StepInfo) -> RegState:
-    """Advance the method-specific importance. Mutates and returns `state`."""
     if method not in ("mas", "si", "rwalk"):
         raise ConfigError(f"unknown importance method {method!r}")
-    if info.event == "task_start":
-        state.prev_params = info.net.get_params()
+    if event == "task_start":
+        state.prev_params = net.get_params()
         state.path_accum = np.zeros_like(state.path_accum)
         return state
-    if info.event == "step":
+    if event == "step":
         if method in ("si", "rwalk"):
-            state.path_accum = state.path_accum - info.grad * info.delta
+            state.path_accum = state.path_accum - grad * delta
         if method == "rwalk":
             state.fisher_ema = (RWALK_EMA_DECAY * state.fisher_ema
-                                + (1.0 - RWALK_EMA_DECAY) * info.grad ** 2)
+                                + (1.0 - RWALK_EMA_DECAY) * grad ** 2)
         return state
-    if info.event == "task_end":
-        params = info.net.get_params()
+    if event == "task_end":
+        params = net.get_params()
         if method == "mas":
-            state.importance = state.importance + _mas_increment(info.net, info.task)
+            state.importance = state.importance + _mas_increment(net, task)
         else:
             task_delta = params - state.prev_params
             score = np.maximum(state.path_accum, 0.0) / (task_delta ** 2 + SI_DAMP)
@@ -183,7 +171,7 @@ def importance_update(method: str, state: RegState, info: StepInfo) -> RegState:
             state.path_accum = np.zeros_like(state.path_accum)
         state.prev_params = params
         return state
-    raise ConfigError(f"unknown importance event {info.event!r}")
+    raise ConfigError(f"unknown importance event {event!r}")
 
 
 def _mas_increment(net: Network, task) -> np.ndarray:

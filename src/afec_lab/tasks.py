@@ -23,7 +23,6 @@ from .errors import ConfigError, FormatError, ShapeError
 from .nn import batch_arrays
 
 ANGLE_HEAD = "angle"
-PAPER_PROBE_ROTATIONS_DEG = (60, 120, 180, 240, 300)
 
 _CENTER_KEY = 700301
 _SAMPLE_KEY = 700302

@@ -723,6 +723,23 @@ class TestCellFailures:
             "result_finetune_lam1e+09_lame0_seed0.json"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_grid_of_failed_cells_keeps_its_table(self, tmp_path, capsys,
+                                                  jobs):
+        # The output directory appears with the first outcome, a failed one
+        # included, so the table of failures still has a home.
+        out = tmp_path / "g"
+        doc = diverging_grid(out)
+        doc["lambda"] = [1e9]
+        path = write_config(tmp_path, doc)
+        assert main(["grid", "--config", path, "--jobs", jobs]) == 1
+        assert "ERROR 1 of 1 cells failed" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["grid.csv"]
+        with open(out / "grid.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][:7] == ["ewc", "1e+09", "0", "", "", "", "0"]
+        assert len(rows) == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_unwritable_result_stops_the_grid(self, tmp_path, capsys, jobs):
         # A directory where the first result file goes: writing it fails,
         # which is not a cell failure, so the command stops there.
@@ -757,7 +774,8 @@ class TestCellFailures:
 
 class TestTaskBuildErrors:
     """An error that only building the tasks finds is reported alike
-    serially and from the pool: exit 2, one line, no traceback."""
+    serially and from the pool: exit 2, one line, no traceback, and no
+    output directory."""
 
     @pytest.mark.parametrize("problem", ["bad_magic", "indivisible"])
     def test_serial_and_pool_alike(self, tmp_path, problem):
@@ -778,7 +796,7 @@ class TestTaskBuildErrors:
                                   env=fresh_env(), capture_output=True,
                                   text=True)
             assert proc.returncode == 2
-            assert not list(tmp_path.glob("**/result_*.json"))
+            assert not (tmp_path / "out").exists()
             errors.append(proc.stderr)
         assert errors[0] == errors[1]
         assert errors[0].startswith("config error: ")
@@ -800,7 +818,7 @@ class TestTaskBuildErrors:
         assert "has 2 image(s); split_idx needs at least 3 per class" in \
             proc.stderr
         assert proc.stderr.count("\n") == 1
-        assert not list(tmp_path.glob("**/result_*.json"))
+        assert not (tmp_path / "out").exists()
 
 
 # -- OpenBLAS idle-thread timeout ---------------------------------------------

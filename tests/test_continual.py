@@ -21,7 +21,8 @@ from afec_lab.continual import (METHODS, ArchSpec, SequenceConfig, _canonical,
                                 save_state, transfer_probe)
 from afec_lab.errors import ConfigError, FormatError
 from afec_lab.nn import DenseLayer, Network
-from afec_lab.regularizers import EXPANSION_INITS
+from afec_lab.regularizers import (EXPANSION_INITS, RegState,
+                                   importance_update, train_expanded)
 from afec_lab.tasks import (AngularLayout, gen_angular_task,
                             make_angular_sequence, make_conflicting_pair,
                             split_tasks)
@@ -308,6 +309,55 @@ class TestTransferProbe:
         net = Network([], {task.head: DenseLayer(np.eye(2), np.zeros(2))})
         with pytest.raises(ConfigError):
             transfer_probe(net, task, epochs=1, lr=0.01)
+
+
+class TestSnapshotsOwnTheirMemory:
+    """The optimizers step `net.params` in place, so every value that must
+    not move with it (the anchors and SI/RWalk's previous parameters) has
+    to be a copy. An alias would silently change every later penalty."""
+
+    def _assert_own_memory(self, net, arrays):
+        for a in arrays:
+            assert not np.shares_memory(a, net.params)
+        kept = [a.copy() for a in arrays]
+        net.params += 1.0
+        for a, k in zip(arrays, kept):
+            np.testing.assert_array_equal(a, k)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_learn_task_snapshots(self, method):
+        tasks = _RESUME_TASKS[:2]
+        cfg = quick_cfg(method, lam=1.0, lam_e=1.0, epochs=1)
+        net = Network.create(tasks[0].input_dim, cfg.arch.hidden,
+                             cfg.arch.activation,
+                             continual._collect_heads(tasks), cfg.seed)
+        state = RegState.zeros(net.param_count)
+        for t, task in enumerate(tasks):
+            expanded = None
+            if cfg.uses_expansion:
+                expanded = train_expanded(
+                    net, task, cfg.optimizer, epochs=1, batch_size=8,
+                    loss_kind=continual._loss_kind(task), seed=0,
+                    task_index=t)
+            if cfg.base_method in ("mas", "si", "rwalk"):
+                importance_update(cfg.base_method, state, "task_start",
+                                  net=net)
+            continual._learn_task(cfg, net, state, tasks, t,
+                                  continual.penalty_terms(cfg, state,
+                                                          expanded))
+        self._assert_own_memory(net, [state.anchor.mean, state.prev_params])
+
+    @pytest.mark.parametrize("init", EXPANSION_INITS)
+    def test_expanded_anchor(self, init):
+        task = _RESUME_TASKS[0]
+        net = Network.create(task.input_dim, [8], "relu",
+                             {task.head: task.head_dim}, 0)
+        for epochs in (0, 2):
+            anchor = train_expanded(net, task, {"kind": "adam"},
+                                    epochs=epochs, init=init, batch_size=8,
+                                    loss_kind=continual._loss_kind(task),
+                                    seed=0)
+            self._assert_own_memory(net, [anchor.mean])
 
 
 _RESUME_TASKS = make_angular_sequence(3, 4, 0, samples_per_class=10,

@@ -39,12 +39,6 @@ class TestDiagGaussian:
         with pytest.raises(ShapeError):
             DiagGaussian(np.zeros(2), np.zeros(3))
 
-    def test_json_roundtrip(self):
-        g = DiagGaussian(np.array([1.5, -2.0]), np.array([0.0, 3.0]))
-        back = DiagGaussian.from_json(g.to_json())
-        np.testing.assert_array_equal(back.mean, g.mean)
-        np.testing.assert_array_equal(back.precision, g.precision)
-
 
 class TestEstimateDiagFisher:
     def test_zero_residual_gives_zero_fisher(self):

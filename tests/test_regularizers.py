@@ -11,7 +11,7 @@ from afec_lab.continual import SequenceConfig, penalized_grad, penalty_terms
 from afec_lab.errors import ConfigError, ShapeError
 from afec_lab.nn import Batch, DenseLayer, Network, SGD
 from afec_lab.posterior import DiagGaussian, gaussian_weighted_product
-from afec_lab.regularizers import (RegState, StepInfo, importance_update,
+from afec_lab.regularizers import (RegState, importance_update,
                                    quadratic_penalty, train_expanded)
 from afec_lab.tasks import AngularLayout, gen_angular_task
 
@@ -100,9 +100,16 @@ class TestRegState:
     def test_json_roundtrip(self):
         state = RegState.zeros(4)
         state.importance = np.array([0.0, 1.0, 2.0, 3.0])
+        state.anchor = DiagGaussian(np.array([1.5, -2.0, 0.25, -0.0]),
+                                    np.array([0.0, 3.0, 0.5, 7.0]))
         state.task_count = 3
-        back = RegState.from_json(state.to_json())
+        back = RegState.from_json(json.loads(json.dumps(state.to_json())))
         np.testing.assert_array_equal(back.importance, state.importance)
+        np.testing.assert_array_equal(back.anchor.mean, state.anchor.mean)
+        np.testing.assert_array_equal(back.anchor.precision,
+                                      state.anchor.precision)
+        assert back.anchor.mean.dtype == np.float64
+        assert np.signbit(back.anchor.mean[3])
         assert back.task_count == 3
 
     def test_serialized_size_constant_in_task_count(self):
@@ -332,12 +339,12 @@ class TestImportanceUpdate:
 
     def test_zero_gradients_leave_importance_unchanged(self):
         task, net, state = self._state_and_net()
-        importance_update("si", state, StepInfo("task_start", net=net))
+        importance_update("si", state, "task_start", net=net)
         for _ in range(5):
-            importance_update("si", state,
-                              StepInfo("step", grad=np.zeros(net.param_count),
-                                       delta=np.zeros(net.param_count)))
-        importance_update("si", state, StepInfo("task_end", net=net, task=task))
+            importance_update("si", state, "step",
+                              grad=np.zeros(net.param_count),
+                              delta=np.zeros(net.param_count))
+        importance_update("si", state, "task_end", net=net, task=task)
         np.testing.assert_array_equal(state.importance,
                                       np.zeros(net.param_count))
 
@@ -350,8 +357,8 @@ class TestImportanceUpdate:
         params = np.zeros(net.param_count)
         net.set_params(params)
         state = RegState.zeros(net.param_count)
-        importance_update("mas", state, StepInfo("task_start", net=net))
-        importance_update("mas", state, StepInfo("task_end", net=net, task=task))
+        importance_update("mas", state, "task_start", net=net)
+        importance_update("mas", state, "task_end", net=net, task=task)
         np.testing.assert_array_equal(state.importance,
                                       np.zeros(net.param_count))
 
@@ -364,10 +371,10 @@ class TestImportanceUpdate:
         opt = SGD(lr=0.1)
         for _ in range(10):
             grad = w.copy()
-            new_w = opt.step(w, grad)
-            importance_update("si", state,
-                              StepInfo("step", grad=grad, delta=new_w - w))
-            w = new_w
+            before = w.copy()  # the step updates w in place
+            opt.step(w, grad)
+            importance_update("si", state, "step", grad=grad,
+                              delta=w - before)
         assert state.path_accum[0] > 0
 
     def test_si_consolidation_hand_oracle(self):
@@ -376,8 +383,7 @@ class TestImportanceUpdate:
         state.path_accum = np.array([3.0, -1.0])
         fake_net = Network([], {"out": DenseLayer(np.array([[1.0]]),
                                                   np.array([0.5]), "identity")})
-        importance_update("si", state, StepInfo("task_end", net=fake_net,
-                                                task=None))
+        importance_update("si", state, "task_end", net=fake_net, task=None)
         params = fake_net.get_params()
         expect0 = 3.0 / ((params[0] - 0.0) ** 2 + 0.1)
         np.testing.assert_allclose(state.importance, [expect0, 0.0])
@@ -386,13 +392,12 @@ class TestImportanceUpdate:
         state = RegState.zeros(2)
         net = Network([], {"out": DenseLayer(np.array([[0.0]]), np.zeros(1),
                                              "identity")})
-        importance_update("rwalk", state, StepInfo("task_start", net=net))
+        importance_update("rwalk", state, "task_start", net=net)
         grad = np.array([2.0, 0.0])
-        importance_update("rwalk", state,
-                          StepInfo("step", grad=grad, delta=np.array([-0.2, 0.0])))
+        importance_update("rwalk", state, "step", grad=grad,
+                          delta=np.array([-0.2, 0.0]))
         assert state.fisher_ema[0] == pytest.approx(0.1 * 4.0)
-        importance_update("rwalk", state, StepInfo("task_end", net=net,
-                                                   task=None))
+        importance_update("rwalk", state, "task_end", net=net, task=None)
         assert state.importance[0] > 0
 
     @pytest.mark.parametrize("method", ["mas", "si", "rwalk"])
@@ -400,18 +405,18 @@ class TestImportanceUpdate:
         task, net, state = self._state_and_net(1)
         rng = np.random.default_rng(9)
         for round_ in range(3):
-            importance_update(method, state, StepInfo("task_start", net=net))
+            importance_update(method, state, "task_start", net=net)
             for _ in range(4):
-                importance_update(method, state, StepInfo(
-                    "step", grad=rng.normal(size=net.param_count),
-                    delta=rng.normal(size=net.param_count) * 0.01))
-            importance_update(method, state,
-                              StepInfo("task_end", net=net, task=task))
+                importance_update(
+                    method, state, "step",
+                    grad=rng.normal(size=net.param_count),
+                    delta=rng.normal(size=net.param_count) * 0.01)
+            importance_update(method, state, "task_end", net=net, task=task)
             assert np.all(state.importance >= 0)
 
     def test_unknown_method_and_event_rejected(self):
         state = RegState.zeros(2)
         with pytest.raises(ConfigError):
-            importance_update("ewc", state, StepInfo("task_start"))
+            importance_update("ewc", state, "task_start")
         with pytest.raises(ConfigError):
-            importance_update("si", state, StepInfo("checkpoint"))
+            importance_update("si", state, "checkpoint")
