@@ -65,15 +65,12 @@ class ExperimentConfig:
     out_dir: str
     run: dict
 
-    def cells(self) -> list[tuple]:
-        """Every (method, lam, lam_e, seed) of the grid, in run order."""
-        return list(itertools.product(self.methods, self.lam_values,
-                                      self.lam_e_values, self.seeds))
-
-    def sequence_config(self, method: str, lam: float, lam_e: float,
-                        seed: int) -> SequenceConfig:
-        return SequenceConfig(method=method, lam=lam, lam_e=lam_e, seed=seed,
-                              **self.run)
+    def cells(self) -> list[SequenceConfig]:
+        """The SequenceConfig of every cell of the grid, in run order."""
+        grid = itertools.product(self.methods, self.lam_values,
+                                 self.lam_e_values, self.seeds)
+        return [SequenceConfig(method=m, lam=lam, lam_e=lam_e, seed=seed,
+                               **self.run) for m, lam, lam_e, seed in grid]
 
 
 def _as_list(value, path: str) -> list[float]:
@@ -121,23 +118,34 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for key in ("methods", "seeds"):
         if not isinstance(doc.get(key), list) or not doc[key]:
             raise ConfigError(f"{key}: expected a non-empty list")
+    out_dir = doc.get("out_dir", "results")
+    if not (isinstance(out_dir, str) and out_dir):
+        raise ConfigError(f"out_dir: expected a non-empty string, "
+                          f"got {out_dir!r}")
     config = ExperimentConfig(
         benchmark=doc["benchmark"], methods=list(doc["methods"]),
         lam_values=_as_list(doc.get("lambda", SequenceConfig.lam), "lambda"),
         lam_e_values=_as_list(doc.get("lambda_e", SequenceConfig.lam_e),
                               "lambda_e"),
-        seeds=list(doc["seeds"]), out_dir=doc.get("out_dir", "results"),
+        seeds=list(doc["seeds"]), out_dir=out_dir,
         run={key: doc[key] for key in _RUN_FIELDS if key in doc})
     # SequenceConfig checks the method, the seed and the run settings, so a
-    # bad value fails before any cell trains.
+    # bad value fails before any cell trains; so does a result file that
+    # two cells would write.
+    named: dict[str, tuple] = {}  # result file name -> its cell's values
     for cell in config.cells():
-        config.sequence_config(*cell)
-    if len(set(config.seeds)) != len(config.seeds):
-        raise ConfigError("seeds: seeds must be distinct")
+        values = (cell.method, cell.lam, cell.lam_e, cell.seed)
+        name = metrics.cell_name(asdict(cell))
+        if name in named:
+            raise ConfigError(f"methods, lambda, lambda_e and seeds: cells "
+                              f"{named[name]!r} and {values!r} share the "
+                              f"result file result_{name}.json")
+        named[name] = values
     return config
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, **overrides) -> ExperimentConfig:
+    """Parse the config file, each override that is not None in its key."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -145,6 +153,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
+    if isinstance(doc, dict):
+        doc.update((k, v) for k, v in overrides.items() if v is not None)
     return parse_config(doc)
 
 
@@ -188,20 +198,15 @@ def result_from_json(doc: dict) -> RunResult:
 
 # -- cell execution -----------------------------------------------------------
 
-def _run_cell(config: ExperimentConfig, task_list: list,
-              cells: list[tuple]) -> list:
-    """Train one unit of work: the runs of `cells`, which share a family,
-    in one walk. Returns each cell's result doc, or the exception that
-    failed its run."""
-    results = run_sequence([config.sequence_config(*cell) for cell in cells],
-                           task_list)
-    return [r if isinstance(r, Exception) else result_to_json(r)
-            for r in results]
+def _run_cell(task_list: list, cells: list[SequenceConfig]) -> list:
+    """Train one unit of work: `cells`, which share a family, in one walk.
+    Returns each cell's RunResult, or the exception that failed its run."""
+    return run_sequence(cells, task_list)
 
 
-# The parsed config and built tasks of this pool worker, or why the tasks
-# could not be built; set once by _init_worker, read by every unit it runs.
-_worker_setup: tuple | Exception | None = None
+# The built tasks of this pool worker, or why they could not be built; set
+# once by _init_worker, read by every unit it runs.
+_worker_setup: list | Exception | None = None
 
 
 class _BuildFailed(Exception):
@@ -230,19 +235,23 @@ class _Returned:
         return _with_cause, (self.exc, self.text)
 
 
-def _init_worker(config: ExperimentConfig) -> None:
+def _init_worker(benchmark: dict) -> None:
     global _worker_setup
+    _setup_logging()  # a spawned worker does not inherit main's handler
     try:
-        _worker_setup = (config, build_tasks(config.benchmark))
+        _worker_setup = build_tasks(benchmark)
     except Exception as exc:  # an initializer that raised breaks the pool
         _worker_setup = _BuildFailed(exc)
 
 
-def _run_worker_unit(cells: list[tuple]) -> list:
+def _run_worker_unit(cells: list[SequenceConfig]) -> list:
     if isinstance(_worker_setup, _BuildFailed):
         raise _worker_setup  # _run_cells raises args[0], as if serial
-    return [_Returned(r) if isinstance(r, Exception) else r
-            for r in _run_cell(*_worker_setup, cells)]
+    outcomes = _run_cell(_worker_setup, cells)
+    # A branch's cells share its exception; a second wrap would lose the trace
+    failed = {id(r): r for r in outcomes if isinstance(r, Exception)}
+    returned = {key: _Returned(exc) for key, exc in failed.items()}
+    return [returned.get(id(r), r) for r in outcomes]
 
 
 def _outcomes(get, items):
@@ -269,53 +278,49 @@ def _plan_units(families: list[list], jobs: int) -> list[list]:
 
 def _run_cells(config: ExperimentConfig, jobs: int):
     """Yield (cell, outcome) for every cell, in the config's cell order, as
-    each one finishes. The outcome is the cell's result doc, or the
+    each one finishes. The outcome is the cell's RunResult, or the
     exception it raised: one failed cell does not stop the others.
 
-    Cells with one run key train the same run bit for bit, so each run key
-    trains once, and every cell's doc then gets its own config. Runs of one
-    family (see SequenceConfig.family_key) train in one walk that shares
-    their common tasks; a family is the pool's unit of work. Tasks are
-    built once per process: here when serial, once in each pool worker
-    otherwise."""
+    The cells of one family (see SequenceConfig.family_key) train in one
+    walk, which trains cells of equal strengths once and shares their
+    common tasks; a family is the pool's unit of work. Units are sized and
+    split by distinct runs, so the cells of one run stay in one unit.
+    Tasks are built once per process: here when serial, once in each pool
+    worker otherwise."""
     cells = config.cells()
-    seqs = [config.sequence_config(*cell) for cell in cells]
-    keys = [seq.run_key() for seq in seqs]
-    # family key -> run key -> the first cell with that run key
-    families: dict[str, dict[str, tuple]] = {}
-    for seq, key, cell in zip(seqs, keys, cells):
-        families.setdefault(seq.family_key(), {}).setdefault(key, cell)
-    units = _plan_units([[*runs.items()] for runs in families.values()],
-                        jobs)
+    # family key -> strengths -> the indices of the cells of that run
+    families: dict[str, dict[tuple, list[int]]] = {}
+    for i, cell in enumerate(cells):
+        families.setdefault(cell.family_key(), {}).setdefault(
+            cell.strengths, []).append(i)
+    units = [[i for run in unit for i in run] for unit in _plan_units(
+        [[*runs.values()] for runs in families.values()], jobs)]
     pool = None
     if jobs <= 1:
         task_list = build_tasks(config.benchmark)
         outcomes = _outcomes(
-            lambda unit: _run_cell(config, task_list,
-                                   [cell for _, cell in unit]), units)
+            lambda unit: _run_cell(task_list, [cells[i] for i in unit]),
+            units)
     else:
         # Each worker builds the tasks once, so no more workers than units.
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, len(units)), initializer=_init_worker,
-            initargs=(config,))
-        futures = [pool.submit(_run_worker_unit, [cell for _, cell in unit])
+            initargs=(config.benchmark,))
+        futures = [pool.submit(_run_worker_unit, [cells[i] for i in unit])
                    for unit in units]
         outcomes = _outcomes(concurrent.futures.Future.result, futures)
     try:
         pending = zip(units, outcomes)
-        done: dict[str, object] = {}  # run key -> outcome
-        for cell, seq, key in zip(cells, seqs, keys):
-            while key not in done:
+        done: dict[int, object] = {}  # cell index -> outcome
+        for i, cell in enumerate(cells):
+            while i not in done:
                 unit, outcome = next(pending)
                 if isinstance(outcome, _BuildFailed):
                     raise outcome.args[0]
                 if isinstance(outcome, Exception):  # the whole unit failed
                     outcome = [outcome] * len(unit)
-                done.update(zip([run for run, _ in unit], outcome))
-            outcome = done[key]
-            if not isinstance(outcome, Exception):
-                outcome = {**outcome, "config": asdict(seq)}
-            yield cell, outcome
+                done.update(zip(unit, outcome))
+            yield cell, done.pop(i)
     finally:
         if pool is not None:
             # If the caller stops early (a result file could not be
@@ -334,28 +339,25 @@ def _log_failure(message: str, exc: BaseException) -> None:
               exc_info=exc if log.isEnabledFor(logging.DEBUG) else None)
 
 
-def _write_result(out_dir: str, cell: tuple, doc: dict) -> RunResult:
-    name = f"result_{metrics.cell_name(*cell)}.json"
-    write_atomic(os.path.join(out_dir, name),
-                 [json.dumps(doc, sort_keys=True), "\n"])
-    return result_from_json(doc)
-
-
 def _run_and_write(config: ExperimentConfig, jobs: int):
     """Run every cell and write each finished cell's result file as soon as
-    it is in. Returns ({cell: RunResult}, {cell: exception}); each failed
-    cell is logged with its name and error."""
-    results, failures = {}, {}
+    it is in. Returns the (cell, RunResult) and the (cell, exception) pairs
+    in cell order; each failed cell is logged with its name and error."""
+    results, failures = [], []
     for cell, outcome in _run_cells(config, jobs):
         if not (results or failures):  # so a task-build error makes no dir
             os.makedirs(config.out_dir, exist_ok=True)
         if isinstance(outcome, Exception):
-            failures[cell] = outcome
-            method, lam, lam_e, seed = cell
-            _log_failure(f"cell method={method} lambda={lam:g} "
-                         f"lambda_e={lam_e:g} seed={seed} failed", outcome)
+            failures.append((cell, outcome))
+            _log_failure(f"cell method={cell.method} lambda={cell.lam:g} "
+                         f"lambda_e={cell.lam_e:g} seed={cell.seed} failed",
+                         outcome)
         else:
-            results[cell] = _write_result(config.out_dir, cell, outcome)
+            results.append((cell, outcome))
+            name = f"result_{metrics.cell_name(outcome.config)}.json"
+            write_atomic(os.path.join(config.out_dir, name),
+                         [json.dumps(result_to_json(outcome), sort_keys=True),
+                          "\n"])
     if failures:
         log.error("%d of %d cells failed", len(failures),
                   len(failures) + len(results))
@@ -371,36 +373,37 @@ def cmd_run(config: ExperimentConfig, jobs: int) -> int:
     results, failures = _run_and_write(config, jobs)
     if failures:
         return 1
-    emit_report(list(results.values()), config.out_dir)
+    emit_report([result for _, result in results], config.out_dir)
     return 0
 
 
 def cmd_grid(config: ExperimentConfig, jobs: int) -> int:
     results, failures = _run_and_write(config, jobs)
-    by_cell: dict[tuple, list[float]] = {}
-    for cell, result in results.items():
-        by_cell.setdefault(cell[:3], []).append(metrics.acc(result.acc_matrix))
+    # (method, lambda, lambda_e) -> one of its cells, and each seed's ACC
+    by_setting: dict[tuple, tuple] = {}
+    for cell, result in results:
+        by_setting.setdefault((cell.method, cell.lam, cell.lam_e),
+                              (cell, []))[1].append(
+            metrics.acc(result.acc_matrix))
     header = ["method", "lambda", "lambda_e", "mean_acc", "std_acc", "seeds"]
     # Failed cells get rows of their own, so the table gains two columns.
     tail = ["failed_seed", "error"] if failures else []
     rows = [header + tail]
     best = None
-    for key in sorted(by_cell):
-        accs = by_cell[key]
+    for key in sorted(by_setting):
+        cell, accs = by_setting[key]
         mean, std = float(np.mean(accs)), float(np.std(accs))
         rows.append([key[0], f"{key[1]:g}", f"{key[2]:g}", f"{mean:.6f}",
                      f"{std:.6f}", str(len(accs))] + [""] * len(tail))
         # Ties break toward the smallest lambda_e, then the smallest lambda,
-        # then the method its run key names (ewc over afec at lambda_e 0).
+        # then the method that names its run (ewc over afec at lambda_e 0).
         # A cell setting with a failed seed is never reported as the best.
-        seq = config.sequence_config(*key, config.seeds[0])
-        rank = (-mean, key[2], key[1],
-                json.loads(seq.run_key())["method"] != key[0], key[0])
+        rank = (-mean, key[2], key[1], cell.run_method != key[0], key[0])
         if len(accs) == len(config.seeds) and (best is None or rank < best[0]):
             best = (rank, key, mean)
-    for (method, lam, lam_e, seed), exc in failures.items():
-        rows.append([method, f"{lam:g}", f"{lam_e:g}", "", "", "", str(seed),
-                     _error_text(exc)])
+    for cell, exc in failures:
+        rows.append([cell.method, f"{cell.lam:g}", f"{cell.lam_e:g}", "", "",
+                     "", str(cell.seed), _error_text(exc)])
     with open(os.path.join(config.out_dir, "grid.csv"), "w",
               newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
@@ -427,7 +430,8 @@ def cmd_datagen(config: ExperimentConfig) -> int:
 
 def cmd_report(config: ExperimentConfig) -> int:
     results = []
-    for name in sorted(os.listdir(config.out_dir)):
+    names = os.listdir(config.out_dir) if os.path.isdir(config.out_dir) else []
+    for name in sorted(names):
         if name.startswith("result_") and name.endswith(".json"):
             with open(os.path.join(config.out_dir, name)) as fh:
                 results.append(result_from_json(json.load(fh)))
@@ -473,11 +477,8 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise ConfigError("--jobs: expected an integer >= 1")
-        config = load_config(args.config)
-        if args.out is not None:
-            config.out_dir = args.out
-        if args.seed_override is not None:
-            config.seeds = [args.seed_override]
+        seeds = None if args.seed_override is None else [args.seed_override]
+        config = load_config(args.config, out_dir=args.out, seeds=seeds)
         if args.command == "run":
             return cmd_run(config, args.jobs)
         if args.command == "grid":

@@ -121,31 +121,28 @@ class SequenceConfig:
     def effective_lam(self) -> float:
         return 0.0 if self.method == "finetune" else self.lam
 
-    def _key_doc(self) -> dict:
-        doc = asdict(self)
-        if not self.uses_expansion:
-            doc["method"] = self.base_method
-            doc["lam_e"] = 0.0
-        doc["lam"] = self.effective_lam
-        return doc
+    @property
+    def run_method(self) -> str:
+        """The method whose run this config trains: without an expansion,
+        its base method (finetune and afec are ewc, mas_afec is mas)."""
+        return self.method if self.uses_expansion else self.base_method
 
-    def run_key(self) -> str:
-        """The canonical JSON of the config with three fields normalized, so
-        that configs with equal keys train the same run bit for bit:
-        without expansion a method is its base (finetune and afec are ewc,
-        mas_afec is mas), lam is the effective lam, and lam_e counts only
-        when there is an expansion. Every other field is kept as it is, so
-        a field added later splits runs by default."""
-        return _canonical(self._key_doc())
+    @property
+    def strengths(self) -> tuple[float, float]:
+        """The penalty strengths the run applies: the effective lam, and
+        lam_e only when there is an expansion. Configs of one family with
+        equal strengths train the same run bit for bit."""
+        return self.effective_lam, self.lam_e if self.uses_expansion else 0.0
 
     def family_key(self) -> str:
-        """The run key without lam and lam_e. The runs of one family differ
-        only in their penalty strengths, so they train the same tasks up to
-        the first task whose penalty terms tell them apart, and
-        run_sequence trains that common prefix once."""
-        doc = self._key_doc()
+        """The canonical JSON of the config without lam and lam_e, naming
+        its run method. A family's runs differ only in their strengths, so
+        they train the same tasks up to the first task whose penalty terms
+        tell them apart, and run_sequence trains that common prefix once.
+        A field added later splits families by default."""
+        doc = asdict(self)
         del doc["lam"], doc["lam_e"]
-        return _canonical(doc)
+        return _canonical({**doc, "method": self.run_method})
 
 
 @dataclass
@@ -343,7 +340,8 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
     each task its members share the pre-training evaluation, the expansion
     and the importance task_start event, then split by the penalty terms
     they apply, and each branch trains on its own copy of the network and
-    state only where there is more than one branch. Each member's result
+    state only where there is more than one branch, so members of equal
+    `strengths` train once. Each member's result, with its own config,
     equals that of its own run bit for bit. One config returns its
     RunResult and raises what its run raised; a list returns, per config,
     its RunResult or the exception that failed its branch.
@@ -438,7 +436,7 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
                 log.info("method=%s seed=%d task=%d new_acc=%.4f "
                          "running_acc=%.4f%s", cfg.method, cfg.seed, t + 1,
                          rows[-1][-1], float(np.mean(rows[-1])),
-                         f" runs={len(members)}" if len(members) > 1 else "")
+                         f" cells={len(members)}" if len(members) > 1 else "")
                 stack.append((t + 1, members, net, state, rows, pre_train,
                               None))
         except Exception as exc:

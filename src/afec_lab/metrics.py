@@ -134,9 +134,10 @@ def _metric_or_blank(fn, m: AccMatrix) -> str:
         return ""
 
 
-def cell_name(method: str, lam: float, lam_e: float, seed: int) -> str:
-    """A run's (method, lambda, lambda_e, seed) as its file names spell it."""
-    return f"{method}_lam{lam:g}_lame{lam_e:g}_seed{seed}"
+def cell_name(config: dict) -> str:
+    """The method, lam, lam_e and seed of a run's config, as its file names
+    spell them."""
+    return "{method}_lam{lam:g}_lame{lam_e:g}_seed{seed}".format_map(config)
 
 
 def _setting(r) -> tuple:
@@ -174,7 +175,7 @@ def emit_report(results, out_dir) -> list[str]:
     written.append("summary.csv")
 
     for r in results:
-        name = f"matrix_{cell_name(*_setting(r), r.config['seed'])}.json"
+        name = f"matrix_{cell_name(r.config)}.json"
         doc = {"A": r.acc_matrix.a, "Abar": r.acc_matrix.abar.tolist()}
         with open(os.path.join(out_dir, name), "w") as fh:
             json.dump(doc, fh, sort_keys=True)

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh", "identity")
-LOSS_KINDS = ("mse", "cross_entropy", "angular_mse")
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:

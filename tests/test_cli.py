@@ -1,20 +1,26 @@
 """Config parsing, subcommands, exit codes, and grid parallelism."""
 
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
+import io
 import itertools
 import json
+import multiprocessing
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afec_lab
-from afec_lab import cli, metrics, tasks
+from afec_lab import cli, continual, metrics, tasks
 from afec_lab.cli import (build_tasks, load_config, main,
                           parse_config, result_from_json, result_to_json)
 from afec_lab.continual import SequenceConfig, run_sequence
@@ -174,7 +180,7 @@ class TestRunSettings:
         doc = minimal_config(tmp_path / "g", seeds=[0, 1])
         assert main(["grid", "--config", write_config(tmp_path, doc),
                      "--jobs", "2"]) == 0
-        assert seen == [(parse_config(doc),)]
+        assert seen == [(parse_config(doc).benchmark,)]
 
 
 class TestBuildTasks:
@@ -421,6 +427,101 @@ class TestConfigErrorsBeforeTraining:
         assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
         assert len(list(out.glob("result_*.json"))) == 1
 
+    @pytest.mark.parametrize("out_dir,flags", [
+        (5, []), ("", []), (None, ["--out", ""])])
+    def test_bad_out_dir(self, tmp_path, capsys, out_dir, flags):
+        doc = minimal_config(tmp_path / "out")
+        if out_dir is not None:
+            doc["out_dir"] = out_dir
+        self.assert_rejected(tmp_path, "grid", doc, *flags)
+        shown = "" if out_dir is None else out_dir
+        assert capsys.readouterr().err == (
+            f"config error: out_dir: expected a non-empty string, "
+            f"got {shown!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("key,values,first,second", [
+        ("lambda", [1, 1.0000000001], ("ewc", 1.0, 0.0, 0),
+         ("ewc", 1.0000000001, 0.0, 0)),
+        ("lambda", [1, 1], ("ewc", 1.0, 0.0, 0), ("ewc", 1.0, 0.0, 0)),
+        ("lambda_e", [1234567, 1234568], ("ewc", 0.0, 1234567.0, 0),
+         ("ewc", 0.0, 1234568.0, 0)),
+        ("methods", ["ewc", "afec", "ewc"], ("ewc", 0.0, 0.0, 0),
+         ("ewc", 0.0, 0.0, 0)),
+        ("seeds", [0, 1, 0], ("ewc", 0.0, 0.0, 0), ("ewc", 0.0, 0.0, 0))])
+    def test_cells_sharing_a_result_file(self, tmp_path, capsys, jobs, key,
+                                         values, first, second):
+        doc = minimal_config(tmp_path / "out", methods=["ewc"])
+        doc[key] = values
+        self.assert_rejected(tmp_path, "grid", doc, "--jobs", jobs)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: methods, lambda, lambda_e and "
+                              "seeds: ")
+        assert f"cells {first!r} and {second!r} share the result file " in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+_DROP = object()  # the key is left out
+_ODD_VALUES = [_DROP, None, True, -1, 0, 1.5, float("nan"), "", "x", [], {},
+               [0, -1], ["ewc", "afec"], {"kind": "sgd", "lr": 0.1}]
+# Axis values whose cells share file names: repeated, or printed alike.
+_COLLIDING = [[1, 1], [0, 0], [1, 1.0000000001], [1234567, 1234568],
+              ["ewc", "ewc"]]
+
+
+class TestCliPromises:
+    """A tiny grid config with one key dropped or set to an odd value keeps
+    the CLI's promises: a config error exits 2 with one line before any
+    cell trains and leaves nothing behind; an output path that a file
+    blocks exits 1; otherwise each cell has its own result file or is
+    named as failed (SGD can diverge), and only a failed cell exits 1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.sampled_from(sorted(cli._TOP_FIELDS))
+           | st.sampled_from(["out_dir", "lambda", "lambda_e", "methods",
+                              "seeds"]),
+           value=st.sampled_from(_ODD_VALUES) | st.sampled_from(_COLLIDING),
+           out=st.sampled_from(["fresh", "file", "under_file"]))
+    def test_exit_codes_keep_their_promises(self, key, value, out):
+        doc = minimal_config(
+            {"fresh": "out", "file": "blocker",
+             "under_file": os.path.join("blocker", "out")}[out],
+            methods=["ewc", "afec"], epochs=1, **{"lambda": [0, 1],
+                                                  "lambda_e": 1})
+        doc.pop(key, None)
+        if value is not _DROP:
+            doc[key] = value
+        blocked = out != "fresh" and key != "out_dir"
+        cwd, err = os.getcwd(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # so a relative out_dir lands in tmp
+            try:
+                with open("blocker", "w"), open("config.json", "w") as fh:
+                    json.dump(doc, fh)
+                with contextlib.redirect_stderr(err):
+                    code = main(["grid", "--config", "config.json"])
+                if code == 2:
+                    assert err.getvalue().startswith("config error: ")
+                    assert err.getvalue().count("\n") == 1
+                    assert sorted(os.listdir()) == ["blocker", "config.json"]
+                    return
+                if blocked:
+                    assert code == 1 and "ERROR run failed: " in err.getvalue()
+                    return
+                failed = err.getvalue().count("ERROR cell ")
+                assert code == (1 if failed else 0), err.getvalue()
+                config = parse_config(doc)
+                names = {f"result_{metrics.cell_name(vars(cell))}.json"
+                         for cell in config.cells()}
+                written = {name for name in os.listdir(config.out_dir)
+                           if name.startswith("result_")}
+                assert written <= names
+                assert len(written) + failed == len(config.cells())
+            finally:
+                os.chdir(cwd)
+
 
 class TestGrid:
     def grid_config(self, out_dir):
@@ -494,25 +595,31 @@ class TestGrid:
                              seeds=[0, 1],
                              **{"lambda": [0, 1], "lambda_e": [0, 1]})
         path = write_config(tmp_path, doc)
-        units = []
+        units, learned = [], []
 
-        def counted(config, task_list, cells, _run_cell=cli._run_cell):
-            units.append(cells)
-            return _run_cell(config, task_list, cells)
+        def counted(task_list, cells, _run_cell=cli._run_cell):
+            units.append((len(cells), {cell.strengths for cell in cells}))
+            return _run_cell(task_list, cells)
+
+        def learn(cfg, *args, _learn_task=continual._learn_task):
+            learned.append(cfg.seed)
+            return _learn_task(cfg, *args)
         monkeypatch.setattr(cli, "_run_cell", counted)
+        monkeypatch.setattr(continual, "_learn_task", learn)
         assert main(["grid", "--config", path, "--jobs", "1"]) == 0
-        assert len(units) == 4 and sum(map(len, units)) == 8
+        # One walk per family gets every cell of the family; each family
+        # trains two runs of two tasks that share the first, so three tasks.
+        ewc, afec = {(0.0, 0.0), (1.0, 0.0)}, {(0.0, 1.0), (1.0, 1.0)}
+        assert units == [(10, ewc), (10, ewc), (2, afec), (2, afec)]
+        assert len(learned) == 12
         assert main(["grid", "--config", path, "--jobs", "2",
                      "--out", str(tmp_path / "pool")]) == 0
         config = parse_config(doc)
         task_list = build_tasks(config.benchmark)
         names = set()
-        for cell in itertools.product(config.methods, config.lam_values,
-                                      config.lam_e_values, config.seeds):
-            method, lam, lam_e, seed = cell
-            name = f"result_{method}_lam{lam:g}_lame{lam_e:g}_seed{seed}.json"
-            own = result_to_json(run_sequence(
-                config.sequence_config(*cell), task_list))
+        for cell in config.cells():
+            name = f"result_{metrics.cell_name(dataclasses.asdict(cell))}.json"
+            own = result_to_json(run_sequence(cell, task_list))
             text = json.dumps(own, sort_keys=True) + "\n"
             assert (tmp_path / "serial" / name).read_text() == text
             assert (tmp_path / "pool" / name).read_text() == text
@@ -525,7 +632,10 @@ class TestGrid:
     @pytest.mark.parametrize("methods,jobs,workers", [
         (["ewc"], 4, 2),    # ewc ignores lambda_e: one run per seed
         (["afec"], 4, 4),   # two families of three runs, split to 2+2+1+1
-        (["afec"], 2, 2)])  # one family per seed
+        (["afec"], 2, 2),   # one family per seed
+        # finetune and ewc form one family of six cells and two runs per
+        # seed, so four runs in all, each cell of a run in its unit
+        (["finetune", "ewc"], 8, 4)])
     def test_pool_capped_at_distinct_runs(self, tmp_path, monkeypatch,
                                           methods, jobs, workers):
         seen = []
@@ -613,6 +723,14 @@ class TestDatagenAndReport:
         path = write_config(tmp_path, minimal_config(out))
         assert main(["report", "--config", path]) == 2
 
+    def test_report_on_a_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing"
+        path = write_config(tmp_path, minimal_config(out))
+        assert main(["report", "--config", path]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: no result_*.json files in {out}\n"
+        assert not out.exists()
+
 
 def diverging_grid(out_dir):
     """Two cells; SGD with lambda=1e9 diverges on the second task."""
@@ -679,10 +797,9 @@ class TestCellFailures:
         assert "ERROR 1 of 3 cells failed" in err
         config = parse_config(doc)
         task_list = build_tasks(config.benchmark)
-        for lam in (1.0, 10.0):
-            own = result_to_json(run_sequence(
-                config.sequence_config("ewc", lam, 0.0, 0), task_list))
-            name = f"result_ewc_lam{lam:g}_lame0_seed0.json"
+        for cell in config.cells()[::2]:  # lambda 1 and 10
+            own = result_to_json(run_sequence(cell, task_list))
+            name = f"result_ewc_lam{cell.lam:g}_lame0_seed0.json"
             assert (out / name).read_text() == \
                 json.dumps(own, sort_keys=True) + "\n"
         assert sorted(p.name for p in out.glob("result_*")) == [
@@ -709,6 +826,19 @@ class TestCellFailures:
         # from a pool worker, the worker's own frames come along
         assert "Traceback (most recent call last)" in err
         assert "in run_sequence" in err
+
+    def test_shared_failure_traceback_at_debug(self, tmp_path, capsys,
+                                               monkeypatch):
+        # ewc and afec at lambda_e 0 fail in one branch of a pool worker's
+        # walk; each cell's log keeps the worker's frames
+        monkeypatch.setenv("AFEC_LAB_LOG", "debug")
+        doc = diverging_grid(tmp_path / "g")
+        doc.update(methods=["ewc", "afec"], **{"lambda": [1e9]})
+        path = write_config(tmp_path, doc)
+        assert main(["grid", "--config", path, "--jobs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "ERROR 2 of 2 cells failed" in err
+        assert err.count("in run_sequence") == 2
 
     def test_run_keeps_finished_results(self, tmp_path, capsys):
         out = tmp_path / "r"
@@ -881,3 +1011,46 @@ class TestBlasThreadTimeout:
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert sum(name.startswith("result_") for name in outputs[0]) == 4
         assert outputs[0] == outputs[1]
+
+
+# -- pool start methods -------------------------------------------------------
+
+# Runs the CLI with every ProcessPoolExecutor on the start method argv[1].
+_WITH_START_METHOD = """
+import concurrent.futures, functools, multiprocessing, sys
+import afec_lab.cli as cli
+concurrent.futures.ProcessPoolExecutor = functools.partial(
+    concurrent.futures.ProcessPoolExecutor,
+    mp_context=multiprocessing.get_context(sys.argv[1]))
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+class TestStartMethods:
+    """Under every start method this platform has, a pool writes the files
+    and the INFO lines of the serial run."""
+
+    @staticmethod
+    def grid(tmp_path, method, jobs):
+        doc = minimal_config(tmp_path, methods=["ewc", "afec"], seeds=[0, 1],
+                             epochs=1, **{"lambda": [1, 10],
+                                          "lambda_e": [0, 1]})
+        out = tmp_path / f"{method}_{jobs}"
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITH_START_METHOD, method, "grid",
+             "--config", write_config(tmp_path, doc), "--out", str(out),
+             "--jobs", jobs],
+            env={**fresh_env(), "AFEC_LAB_LOG": "info"}, capture_output=True,
+            text=True, check=True)
+        info = sorted(line for line in proc.stderr.splitlines()
+                      if line.startswith("INFO "))
+        return {p.name: p.read_bytes() for p in out.iterdir()}, info
+
+    @pytest.mark.parametrize("method",
+                             multiprocessing.get_all_start_methods())
+    def test_pool_matches_serial(self, tmp_path, method):
+        files, info = self.grid(tmp_path, method, "2")
+        serial_files, serial_info = self.grid(tmp_path, method, "1")
+        assert len(serial_info) == 12
+        assert info == serial_info
+        assert files == serial_files

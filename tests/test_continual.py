@@ -233,12 +233,13 @@ class TestSequenceConfig:
                               expansion_epochs=2).expansion_epochs == 2
 
 
-class TestRunKey:
-    def test_equal_keys_give_equal_runs(self):
-        """Over every method and zero/nonzero strengths, configs with one
-        run key give result docs that differ only in their config."""
+class TestStrengths:
+    def test_equal_strengths_give_equal_runs(self):
+        """Over every method and zero/nonzero strengths, configs of one
+        family and equal strengths give result docs that differ only in
+        their config."""
         tasks = quick_pair()
-        docs: dict[str, set] = {}
+        docs: dict[tuple, set] = {}
         for method in METHODS:
             for lam in (0.0, 1.0):
                 for lam_e in (0.0, 1.0):
@@ -246,19 +247,27 @@ class TestRunKey:
                                     epochs=1)
                     doc = result_to_json(run_sequence(cfg, tasks))
                     del doc["config"]
-                    docs.setdefault(cfg.run_key(), set()).add(
-                        json.dumps(doc, sort_keys=True))
+                    docs.setdefault((cfg.family_key(), cfg.strengths),
+                                    set()).add(json.dumps(doc, sort_keys=True))
         # Per base method: lam 0 and 1 without expansion, and with it.
         assert len(docs) == 16
         assert all(len(texts) == 1 for texts in docs.values())
 
-    def test_other_fields_enter_unchanged(self):
+    def test_other_fields_enter_the_family_key_unchanged(self):
         cfg = SequenceConfig(method="afec", lam=2.0, lam_e=0.5, seed=3,
                              expansion_init="fresh_random")
-        assert json.loads(cfg.run_key()) == asdict(cfg)
-        assert json.loads(SequenceConfig(method="mas_afec", lam=2.0,
-                                         seed=3).run_key()) == asdict(
-            SequenceConfig(method="mas", lam=2.0, seed=3))
+        doc = asdict(cfg)
+        del doc["lam"], doc["lam_e"]
+        assert json.loads(cfg.family_key()) == doc
+        assert cfg.strengths == (2.0, 0.5)
+        mas_afec = SequenceConfig(method="mas_afec", lam=2.0, lam_e=0.0,
+                                  seed=3)
+        mas = SequenceConfig(method="mas", lam=2.0, lam_e=7.0, seed=3)
+        assert mas_afec.run_method == mas.run_method == "mas"
+        assert mas_afec.family_key() == mas.family_key()
+        assert mas_afec.strengths == mas.strengths == (2.0, 0.0)
+        assert SequenceConfig(method="finetune", lam=2.0).strengths == \
+            (0.0, 0.0)
 
 
 class TestTransferProbe:
