@@ -55,22 +55,11 @@ _TOP_FIELDS = {"version", "benchmark", "methods", "lambda", "lambda_e",
 
 @dataclass
 class ExperimentConfig:
-    """The grid axes of an experiment, plus the run settings (`run`) the
-    config file sets; every cell is one SequenceConfig."""
+    """A checked config: the benchmark, the output directory, and the
+    SequenceConfig of every cell of the grid, in run order."""
     benchmark: dict
-    methods: list[str]
-    lam_values: list[float]
-    lam_e_values: list[float]
-    seeds: list[int]
     out_dir: str
-    run: dict
-
-    def cells(self) -> list[SequenceConfig]:
-        """The SequenceConfig of every cell of the grid, in run order."""
-        grid = itertools.product(self.methods, self.lam_values,
-                                 self.lam_e_values, self.seeds)
-        return [SequenceConfig(method=m, lam=lam, lam_e=lam_e, seed=seed,
-                               **self.run) for m, lam, lam_e, seed in grid]
+    cells: list[SequenceConfig]
 
 
 def _as_list(value, path: str) -> list[float]:
@@ -122,18 +111,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not (isinstance(out_dir, str) and out_dir):
         raise ConfigError(f"out_dir: expected a non-empty string, "
                           f"got {out_dir!r}")
-    config = ExperimentConfig(
-        benchmark=doc["benchmark"], methods=list(doc["methods"]),
-        lam_values=_as_list(doc.get("lambda", SequenceConfig.lam), "lambda"),
-        lam_e_values=_as_list(doc.get("lambda_e", SequenceConfig.lam_e),
-                              "lambda_e"),
-        seeds=list(doc["seeds"]), out_dir=out_dir,
-        run={key: doc[key] for key in _RUN_FIELDS if key in doc})
+    lams = _as_list(doc.get("lambda", SequenceConfig.lam), "lambda")
+    lam_es = _as_list(doc.get("lambda_e", SequenceConfig.lam_e), "lambda_e")
+    run = {key: doc[key] for key in _RUN_FIELDS if key in doc}
     # SequenceConfig checks the method, the seed and the run settings, so a
     # bad value fails before any cell trains; so does a result file that
     # two cells would write.
+    cells = [SequenceConfig(method=m, lam=lam, lam_e=lam_e, seed=seed, **run)
+             for m, lam, lam_e, seed in itertools.product(
+                 doc["methods"], lams, lam_es, doc["seeds"])]
     named: dict[str, tuple] = {}  # result file name -> its cell's values
-    for cell in config.cells():
+    for cell in cells:
         values = (cell.method, cell.lam, cell.lam_e, cell.seed)
         name = metrics.cell_name(asdict(cell))
         if name in named:
@@ -141,7 +129,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
                               f"{named[name]!r} and {values!r} share the "
                               f"result file result_{name}.json")
         named[name] = values
-    return config
+    return ExperimentConfig(benchmark=doc["benchmark"], out_dir=out_dir,
+                            cells=cells)
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
@@ -213,28 +202,6 @@ class _BuildFailed(Exception):
     """A pool worker could not build the tasks; args[0] is the error."""
 
 
-class _RemoteTraceback(Exception):
-    """The traceback text of an exception a pool worker returned."""
-
-
-def _with_cause(exc: Exception, text: str) -> Exception:
-    exc.__cause__ = _RemoteTraceback(text)
-    return exc
-
-
-class _Returned:
-    """An exception a pool worker returns rather than raises. It unpickles
-    as the exception itself, with the worker's traceback text as its cause,
-    as concurrent.futures ships an exception that a worker raises."""
-
-    def __init__(self, exc: Exception):
-        self.text = '\n"""\n' + "".join(traceback.format_exception(exc)) + '"""'
-        self.exc = exc.with_traceback(None)  # frees the worker's frames
-
-    def __reduce__(self):
-        return _with_cause, (self.exc, self.text)
-
-
 def _init_worker(benchmark: dict) -> None:
     global _worker_setup
     _setup_logging()  # a spawned worker does not inherit main's handler
@@ -248,10 +215,11 @@ def _run_worker_unit(cells: list[SequenceConfig]) -> list:
     if isinstance(_worker_setup, _BuildFailed):
         raise _worker_setup  # _run_cells raises args[0], as if serial
     outcomes = _run_cell(_worker_setup, cells)
-    # A branch's cells share its exception; a second wrap would lose the trace
-    failed = {id(r): r for r in outcomes if isinstance(r, Exception)}
-    returned = {key: _Returned(exc) for key, exc in failed.items()}
-    return [returned.get(id(r), r) for r in outcomes]
+    for outcome in outcomes:  # a traceback does not pickle; its text does
+        if isinstance(outcome, Exception):
+            outcome.traceback_text = "".join(
+                traceback.format_exception(outcome))
+    return outcomes
 
 
 def _outcomes(get, items):
@@ -285,9 +253,9 @@ def _run_cells(config: ExperimentConfig, jobs: int):
     walk, which trains cells of equal strengths once and shares their
     common tasks; a family is the pool's unit of work. Units are sized and
     split by distinct runs, so the cells of one run stay in one unit.
-    Tasks are built once per process: here when serial, once in each pool
-    worker otherwise."""
-    cells = config.cells()
+    Tasks are built once per process: here when serial or when there is
+    one unit, once in each pool worker otherwise."""
+    cells = config.cells
     # family key -> strengths -> the indices of the cells of that run
     families: dict[str, dict[tuple, list[int]]] = {}
     for i, cell in enumerate(cells):
@@ -296,7 +264,7 @@ def _run_cells(config: ExperimentConfig, jobs: int):
     units = [[i for run in unit for i in run] for unit in _plan_units(
         [[*runs.values()] for runs in families.values()], jobs)]
     pool = None
-    if jobs <= 1:
+    if jobs <= 1 or len(units) == 1:
         task_list = build_tasks(config.benchmark)
         outcomes = _outcomes(
             lambda unit: _run_cell(task_list, [cells[i] for i in unit]),
@@ -333,10 +301,14 @@ def _error_text(exc: BaseException) -> str:
 
 
 def _log_failure(message: str, exc: BaseException) -> None:
-    """Log one line; at AFEC_LAB_LOG=debug, with the traceback (a pool
-    worker's traceback comes along as the exception's cause)."""
-    log.error("%s: %s", message, _error_text(exc),
-              exc_info=exc if log.isEnabledFor(logging.DEBUG) else None)
+    """Log one line; at AFEC_LAB_LOG=debug, with the traceback: the text a
+    pool worker stored on the exception, else the exception's own."""
+    text = _error_text(exc)
+    if log.isEnabledFor(logging.DEBUG):
+        trace = getattr(exc, "traceback_text", None) or "".join(
+            traceback.format_exception(exc))
+        text += "\n" + trace.rstrip("\n")
+    log.error("%s: %s", message, text)
 
 
 def _run_and_write(config: ExperimentConfig, jobs: int):
@@ -367,7 +339,8 @@ def _run_and_write(config: ExperimentConfig, jobs: int):
 # -- subcommands --------------------------------------------------------------
 
 def cmd_run(config: ExperimentConfig, jobs: int) -> int:
-    if len(config.lam_values) != 1 or len(config.lam_e_values) != 1:
+    if len({(cell.method, cell.seed) for cell in config.cells}) < len(
+            config.cells):
         raise ConfigError("lambda / lambda_e: run takes single values; "
                           "use the grid subcommand for lists")
     results, failures = _run_and_write(config, jobs)
@@ -379,6 +352,7 @@ def cmd_run(config: ExperimentConfig, jobs: int) -> int:
 
 def cmd_grid(config: ExperimentConfig, jobs: int) -> int:
     results, failures = _run_and_write(config, jobs)
+    failed = {(cell.method, cell.lam, cell.lam_e) for cell, _ in failures}
     # (method, lambda, lambda_e) -> one of its cells, and each seed's ACC
     by_setting: dict[tuple, tuple] = {}
     for cell, result in results:
@@ -399,7 +373,7 @@ def cmd_grid(config: ExperimentConfig, jobs: int) -> int:
         # then the method that names its run (ewc over afec at lambda_e 0).
         # A cell setting with a failed seed is never reported as the best.
         rank = (-mean, key[2], key[1], cell.run_method != key[0], key[0])
-        if len(accs) == len(config.seeds) and (best is None or rank < best[0]):
+        if key not in failed and (best is None or rank < best[0]):
             best = (rank, key, mean)
     for cell, exc in failures:
         rows.append([cell.method, f"{cell.lam:g}", f"{cell.lam_e:g}", "", "",

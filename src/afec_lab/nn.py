@@ -314,7 +314,10 @@ class Network:
             raise ConfigError("power must be 1 or 2")
         _, cache = self._forward_cached(batch.inputs, batch.head)
         pw = np.square if power == 2 else np.abs
-        return self._backward(batch.head, cache, delta, pw) / batch.n
+        moment = self._backward(batch.head, cache, delta, pw) / batch.n
+        if not np.isfinite(moment).all():
+            raise NumericError("non-finite per-sample gradient moment")
+        return moment
 
 
 def finite_diff_check(net: Network, batch: Batch, loss_kind: str,

@@ -251,6 +251,8 @@ def split_tasks(images: np.ndarray, labels: np.ndarray,
     """Partition classes into contiguous seeded groups, one classification
     task per group with labels remapped to [0, classes_per_task)."""
     classes = np.unique(labels)
+    if not len(classes):
+        raise ConfigError("split_idx: the IDX pair holds no images")
     if len(classes) % classes_per_task != 0:
         raise ConfigError(
             f"{len(classes)} classes not divisible by {classes_per_task}")

@@ -117,10 +117,10 @@ class TestParseConfig:
 
     def test_scalar_and_list_hyperparameters(self, tmp_path):
         cfg = parse_config(minimal_config(tmp_path, **{"lambda": 5}))
-        assert cfg.lam_values == [5.0]
+        assert [cell.lam for cell in cfg.cells] == [5.0]
         cfg = parse_config(minimal_config(tmp_path,
                                           **{"lambda": [0, 1, 10]}))
-        assert cfg.lam_values == [0.0, 1.0, 10.0]
+        assert [cell.lam for cell in cfg.cells] == [0.0, 1.0, 10.0]
 
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -139,20 +139,22 @@ class TestParseConfig:
 
 class TestRunSettings:
     """SequenceConfig owns the run settings: ExperimentConfig holds only
-    the grid axes and the run keys the config file sets."""
+    the benchmark, the output directory and the cells."""
 
     RUN_KEYS = ("epochs", "batch_size", "optimizer", "arch",
                 "expansion_epochs", "expansion_init")
 
     def test_no_shared_field(self):
         own = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+        assert own == {"benchmark", "out_dir", "cells"}
         assert not own & {f.name for f in dataclasses.fields(SequenceConfig)}
 
     def test_run_holds_the_keys_the_file_sets(self, tmp_path):
         doc = minimal_config(tmp_path, expansion_init="fresh_random")
-        assert parse_config(doc).run == {
-            "epochs": 2, "batch_size": 16, "expansion_init": "fresh_random",
-            "arch": {"hidden": [8], "activation": "relu"}}
+        assert parse_config(doc).cells == [SequenceConfig(
+            "finetune", 0.0, 0.0, epochs=2, batch_size=16,
+            expansion_init="fresh_random",
+            arch={"hidden": [8], "activation": "relu"})]
 
     def test_omitted_run_keys_take_sequence_config_defaults(self, tmp_path):
         out = tmp_path / "g"
@@ -247,10 +249,16 @@ class TestMainExitCodes:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
 
-    def test_run_rejects_hyperparameter_lists(self, tmp_path):
-        doc = minimal_config(tmp_path, **{"lambda": [0, 1]})
-        path = write_config(tmp_path, doc)
-        assert main(["run", "--config", path]) == 2
+    def test_run_rejects_hyperparameter_lists(self, tmp_path, capsys):
+        # 0 and -0.0 are equal values, but two cells with their own files
+        for key, values in (("lambda", [0, 1]), ("lambda", [0, -0.0]),
+                            ("lambda_e", [0, 1])):
+            doc = minimal_config(tmp_path / "out", **{key: values})
+            path = write_config(tmp_path, doc)
+            assert main(["run", "--config", path]) == 2
+            assert capsys.readouterr().err.startswith(
+                "config error: lambda / lambda_e: run takes single values")
+            assert not (tmp_path / "out").exists()
 
     def test_rerun_identical_summary(self, tmp_path):
         out1 = tmp_path / "r1"
@@ -514,11 +522,11 @@ class TestCliPromises:
                 assert code == (1 if failed else 0), err.getvalue()
                 config = parse_config(doc)
                 names = {f"result_{metrics.cell_name(vars(cell))}.json"
-                         for cell in config.cells()}
+                         for cell in config.cells}
                 written = {name for name in os.listdir(config.out_dir)
                            if name.startswith("result_")}
                 assert written <= names
-                assert len(written) + failed == len(config.cells())
+                assert len(written) + failed == len(config.cells)
             finally:
                 os.chdir(cwd)
 
@@ -617,7 +625,7 @@ class TestGrid:
         config = parse_config(doc)
         task_list = build_tasks(config.benchmark)
         names = set()
-        for cell in config.cells():
+        for cell in config.cells:
             name = f"result_{metrics.cell_name(dataclasses.asdict(cell))}.json"
             own = result_to_json(run_sequence(cell, task_list))
             text = json.dumps(own, sort_keys=True) + "\n"
@@ -651,6 +659,28 @@ class TestGrid:
         path = write_config(tmp_path, doc)
         assert main(["grid", "--config", path, "--jobs", str(jobs)]) == 0
         assert seen == [workers]
+
+    def test_one_unit_starts_no_pool(self, tmp_path, monkeypatch):
+        # afec at lambda_e 0 is the ewc run: two cells, one run, one unit
+        seen = []
+        pool_class = concurrent.futures.ProcessPoolExecutor
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["max_workers"])
+            return pool_class(*args, **kwargs)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            recording)
+        doc = minimal_config(tmp_path, methods=["ewc", "afec"],
+                             **{"lambda": 1, "lambda_e": 0})
+        path = write_config(tmp_path, doc)
+        files = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main(["grid", "--config", path, "--jobs", jobs,
+                         "--out", str(out)]) == 0
+            files.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert seen == []
+        assert files[0] == files[1] and len(files[0]) == 3
 
     def test_units_split_largest_first(self):
         assert cli._plan_units([[1], [2, 3, 4]], 1) == [[2, 3, 4], [1]]
@@ -797,7 +827,7 @@ class TestCellFailures:
         assert "ERROR 1 of 3 cells failed" in err
         config = parse_config(doc)
         task_list = build_tasks(config.benchmark)
-        for cell in config.cells()[::2]:  # lambda 1 and 10
+        for cell in config.cells[::2]:  # lambda 1 and 10
             own = result_to_json(run_sequence(cell, task_list))
             name = f"result_ewc_lam{cell.lam:g}_lame0_seed0.json"
             assert (out / name).read_text() == \
@@ -829,16 +859,74 @@ class TestCellFailures:
 
     def test_shared_failure_traceback_at_debug(self, tmp_path, capsys,
                                                monkeypatch):
-        # ewc and afec at lambda_e 0 fail in one branch of a pool worker's
-        # walk; each cell's log keeps the worker's frames
+        # Per seed, ewc and afec at lambda_e 0 fail in one branch of a pool
+        # worker's walk; each cell's log keeps the worker's frames. Two
+        # seeds make two units, so a pool runs them.
         monkeypatch.setenv("AFEC_LAB_LOG", "debug")
         doc = diverging_grid(tmp_path / "g")
-        doc.update(methods=["ewc", "afec"], **{"lambda": [1e9]})
+        doc.update(methods=["ewc", "afec"], seeds=[0, 1], **{"lambda": [1e9]})
         path = write_config(tmp_path, doc)
         assert main(["grid", "--config", path, "--jobs", "2"]) == 1
         err = capsys.readouterr().err
-        assert "ERROR 2 of 2 cells failed" in err
-        assert err.count("in run_sequence") == 2
+        assert "ERROR 4 of 4 cells failed" in err
+        assert err.count("in run_sequence") == 4
+
+    def test_debug_log_same_from_the_pool(self, tmp_path):
+        # The ERROR lines and their tracebacks, byte for byte; workers
+        # interleave their INFO lines with the parent's, so those go.
+        doc = diverging_grid(tmp_path / "g")
+        doc["methods"] = ["ewc", "afec"]
+        path = write_config(tmp_path, doc)
+        logs = []
+        for jobs in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "afec_lab.cli", "grid", "--config",
+                 path, "--jobs", jobs, "--out", str(tmp_path / jobs)],
+                env={**fresh_env(), "AFEC_LAB_LOG": "debug"},
+                capture_output=True, text=True)
+            assert proc.returncode == 1
+            logs.append([line for line in proc.stderr.splitlines()
+                         if not line.startswith("INFO ")])
+        assert logs[0] == logs[1]
+        assert sum(line.startswith("ERROR cell ") for line in logs[0]) == 2
+        assert logs[0].count("Traceback (most recent call last):") == 2
+
+    def test_diverging_fisher_is_a_numeric_error(self, tmp_path, capsys):
+        # SGD at lr 0.1 diverges on the first task, and the afec runs'
+        # Fisher estimates meet the overflowed per-sample gradients
+        doc = minimal_config(tmp_path / "g", methods=["ewc", "afec"],
+                             seeds=[1], epochs=1,
+                             optimizer={"kind": "sgd", "lr": 0.1},
+                             **{"lambda": [0, 1], "lambda_e": 1})
+        assert main(["grid", "--config", write_config(tmp_path, doc)]) == 1
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("ERROR cell ")]
+        assert failed and all("NumericError" in line for line in failed)
+        assert any("per-sample gradient moment" in line for line in failed)
+
+    def test_setting_with_a_failed_seed_is_never_best(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # finetune ignores lambda, so lambda 0 and 1 tie and 0 wins; with
+        # its weaker seed failed, lambda 0 would have the higher mean
+        out = tmp_path / "g"
+        doc = minimal_config(out, seeds=[0, 1], **{"lambda": [0, 1]})
+        path = write_config(tmp_path, doc)
+        assert main(["grid", "--config", path]) == 0
+        assert capsys.readouterr().out.startswith(
+            "best: method=finetune lambda=0 ")
+        weak = int(np.argmin([metrics.acc(result_from_json(json.loads(
+            (out / f"result_finetune_lam0_lame0_seed{seed}.json")
+            .read_text())).acc_matrix) for seed in (0, 1)]))
+
+        def failing(task_list, cells, _run_cell=cli._run_cell):
+            return [RuntimeError("injected") if (cell.lam, cell.seed) ==
+                    (0.0, weak) else outcome for cell, outcome in
+                    zip(cells, _run_cell(task_list, cells))]
+        monkeypatch.setattr(cli, "_run_cell", failing)
+        assert main(["grid", "--config", path, "--out",
+                     str(tmp_path / "f")]) == 1
+        assert capsys.readouterr().out.startswith(
+            "best: method=finetune lambda=1 ")
 
     def test_run_keeps_finished_results(self, tmp_path, capsys):
         out = tmp_path / "r"
@@ -907,11 +995,12 @@ class TestTaskBuildErrors:
     serially and from the pool: exit 2, one line, no traceback, and no
     output directory."""
 
-    @pytest.mark.parametrize("problem", ["bad_magic", "indivisible"])
+    @pytest.mark.parametrize("problem", ["bad_magic", "indivisible",
+                                         "no_images"])
     def test_serial_and_pool_alike(self, tmp_path, problem):
         images, labels = write_idx(
-            tmp_path, 6, 4, magic=0xDEAD if problem == "bad_magic"
-            else 0x00000803)
+            tmp_path, 0 if problem == "no_images" else 6, 4,
+            magic=0xDEAD if problem == "bad_magic" else 0x00000803)
         doc = minimal_config(tmp_path / "out", methods=["ewc", "afec"],
                              seeds=[0, 1])
         doc["benchmark"] = {"kind": "split_idx", "images": images,

@@ -280,6 +280,19 @@ class TestPerSampleGradMoment:
         with pytest.raises(ConfigError):
             net.per_sample_grad_moment(batch, np.zeros((batch.n, 3)), power=3)
 
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_moment_raises(self, power, bad):
+        # one output gradient of a diverged network; as in training, numpy
+        # does not warn of the inf - inf it makes
+        net = random_net(0)
+        batch = random_batch(1, net)
+        delta = np.zeros((batch.n, 3))
+        delta[1, 2] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericError, match="per-sample gradient"):
+            net.per_sample_grad_moment(batch, delta, power=power)
+
 
 class TestOptimizers:
     def test_sgd_hand_arithmetic(self):
