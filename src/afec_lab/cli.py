@@ -188,8 +188,8 @@ def result_from_json(doc: dict) -> RunResult:
 # -- cell execution -----------------------------------------------------------
 
 def _run_cell(task_list: list, cells: list[SequenceConfig]) -> list:
-    """Train one unit of work: `cells`, which share a family, in one walk.
-    Returns each cell's RunResult, or the exception that failed its run."""
+    """Train one unit of work, `cells`, in one walk. Returns each cell's
+    RunResult, or the exception that failed its run."""
     return run_sequence(cells, task_list)
 
 
@@ -249,12 +249,14 @@ def _run_cells(config: ExperimentConfig, jobs: int):
     each one finishes. The outcome is the cell's RunResult, or the
     exception it raised: one failed cell does not stop the others.
 
-    The cells of one family (see SequenceConfig.family_key) train in one
-    walk, which trains cells of equal strengths once and shares their
-    common tasks; a family is the pool's unit of work. Units are sized and
-    split by distinct runs, so the cells of one run stay in one unit.
-    Tasks are built once per process: here when serial or when there is
-    one unit, once in each pool worker otherwise."""
+    Serially, or when the plan has one unit, every cell trains in one walk
+    (see run_sequence), which trains cells of equal strengths once, shares
+    the common tasks of a family (see SequenceConfig.family_key) and trains
+    the runs of one seed in lock-step. Otherwise a family is the pool's
+    unit of work, walked the same way. Units are sized and split by
+    distinct runs, so the cells of one run stay in one unit. Tasks are
+    built once per process: here when serial or when there is one unit,
+    once in each pool worker otherwise."""
     cells = config.cells
     # family key -> strengths -> the indices of the cells of that run
     families: dict[str, dict[tuple, list[int]]] = {}
@@ -265,6 +267,7 @@ def _run_cells(config: ExperimentConfig, jobs: int):
         [[*runs.values()] for runs in families.values()], jobs)]
     pool = None
     if jobs <= 1 or len(units) == 1:
+        units = [[*range(len(cells))]]
         task_list = build_tasks(config.benchmark)
         outcomes = _outcomes(
             lambda unit: _run_cell(task_list, [cells[i] for i in unit]),
@@ -350,40 +353,48 @@ def cmd_run(config: ExperimentConfig, jobs: int) -> int:
     return 0
 
 
+def _setting(cell: SequenceConfig) -> tuple[str, str, str]:
+    """The method, lambda and lambda_e of a cell as its result file names
+    print them, so 0 and -0 are two settings, as they are two files."""
+    return cell.method, f"{cell.lam:g}", f"{cell.lam_e:g}"
+
+
 def cmd_grid(config: ExperimentConfig, jobs: int) -> int:
     results, failures = _run_and_write(config, jobs)
-    failed = {(cell.method, cell.lam, cell.lam_e) for cell, _ in failures}
-    # (method, lambda, lambda_e) -> one of its cells, and each seed's ACC
+    failed = {_setting(cell) for cell, _ in failures}
+    # setting -> one of its cells, and each seed's ACC
     by_setting: dict[tuple, tuple] = {}
     for cell, result in results:
-        by_setting.setdefault((cell.method, cell.lam, cell.lam_e),
-                              (cell, []))[1].append(
+        by_setting.setdefault(_setting(cell), (cell, []))[1].append(
             metrics.acc(result.acc_matrix))
     header = ["method", "lambda", "lambda_e", "mean_acc", "std_acc", "seeds"]
     # Failed cells get rows of their own, so the table gains two columns.
     tail = ["failed_seed", "error"] if failures else []
     rows = [header + tail]
     best = None
-    for key in sorted(by_setting):
-        cell, accs = by_setting[key]
+    for key, (cell, accs) in sorted(
+            by_setting.items(),
+            key=lambda item: (item[1][0].method, item[1][0].lam,
+                              item[1][0].lam_e, item[0])):
         mean, std = float(np.mean(accs)), float(np.std(accs))
-        rows.append([key[0], f"{key[1]:g}", f"{key[2]:g}", f"{mean:.6f}",
-                     f"{std:.6f}", str(len(accs))] + [""] * len(tail))
+        rows.append([*key, f"{mean:.6f}", f"{std:.6f}", str(len(accs))]
+                    + [""] * len(tail))
         # Ties break toward the smallest lambda_e, then the smallest lambda,
         # then the method that names its run (ewc over afec at lambda_e 0).
         # A cell setting with a failed seed is never reported as the best.
-        rank = (-mean, key[2], key[1], cell.run_method != key[0], key[0])
+        rank = (-mean, cell.lam_e, cell.lam, cell.run_method != cell.method,
+                key)
         if key not in failed and (best is None or rank < best[0]):
             best = (rank, key, mean)
     for cell, exc in failures:
-        rows.append([cell.method, f"{cell.lam:g}", f"{cell.lam_e:g}", "", "",
-                     "", str(cell.seed), _error_text(exc)])
+        rows.append([*_setting(cell), "", "", "", str(cell.seed),
+                     _error_text(exc)])
     with open(os.path.join(config.out_dir, "grid.csv"), "w",
               newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
     if best is not None:
         (_, (method, lam, lam_e), mean) = best
-        print(f"best: method={method} lambda={lam:g} lambda_e={lam_e:g} "
+        print(f"best: method={method} lambda={lam} lambda_e={lam_e} "
               f"mean_acc={mean:.6f}")
     return 1 if failures else 0
 

@@ -23,7 +23,8 @@ from .nn import (ACTIVATIONS, Batch, Network, SGD, _is_finite_number,
                  make_optimizer)
 from .posterior import DiagGaussian, estimate_diag_fisher, fisher_running_average
 from .regularizers import (EXPANSION_INITS, RegState, epoch_batches,
-                           importance_update, quadratic_penalty, train_expanded)
+                           importance_update, quadratic_penalty, train_expanded,
+                           train_lockstep)
 
 log = logging.getLogger("afec_lab")
 
@@ -327,6 +328,44 @@ def penalized_grad(params: np.ndarray, grad: np.ndarray,
     return total
 
 
+# A lock-step group's [S, P] buffer holds at most this many parameters, or
+# one network's: the walk trains S = max(1, _LOCKSTEP_BUDGET // P) rows at
+# once. Beyond it, more rows would add live memory (their networks, states
+# and optimizer moments) faster than they save per-step dispatch.
+_LOCKSTEP_BUDGET = 2 ** 16
+
+
+def _param_count(input_dim, hidden, activation, heads) -> int:
+    """The parameter count of Network.create(input_dim, hidden, ...)."""
+    dims = [input_dim, *hidden]
+    return (sum((a + 1) * b for a, b in zip(dims, dims[1:]))
+            + sum((dims[-1] + 1) * d for d in heads.values()))
+
+
+def _shared_settings(cfg: SequenceConfig) -> str:
+    """The config without the fields the configs of one walk may differ in."""
+    doc = asdict(cfg)
+    for name in ("method", "lam", "lam_e", "seed"):
+        del doc[name]
+    return _canonical(doc)
+
+
+@dataclass
+class _Node:
+    """The configs (`members`, indices) that share `net` and `state` at the
+    start of task t, with their accuracy rows and pre-training accuracies
+    so far. `terms` is None while the task's shared part is still to run,
+    else the penalty terms of the branch to train. A root's `net` and
+    `state` are None until it is popped."""
+    t: int
+    members: list[int]
+    net: Network | None
+    state: RegState | None
+    rows: list
+    pre_train: np.ndarray
+    terms: list | None = None
+
+
 # A diverging run overflows before its isfinite checks raise NumericError;
 # numpy's own overflow warnings would only repeat that error, outside the
 # log format.
@@ -335,27 +374,41 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
                  resume: tuple | None = None, save_state_to=None):
     """Continually learn the task sequence with the configured method.
 
-    `cfg` is one SequenceConfig, or a list of configs of one family (equal
-    `family_key`). A family is walked depth first as a tree of tasks: at
-    each task its members share the pre-training evaluation, the expansion
-    and the importance task_start event, then split by the penalty terms
-    they apply, and each branch trains on its own copy of the network and
-    state only where there is more than one branch, so members of equal
-    `strengths` train once. Each member's result, with its own config,
-    equals that of its own run bit for bit. One config returns its
-    RunResult and raises what its run raised; a list returns, per config,
-    its RunResult or the exception that failed its branch.
+    `cfg` is one SequenceConfig, or a list of configs that differ only in
+    method, lam, lam_e and seed. The configs of one family (equal
+    `family_key`) are walked as a tree of tasks from one root: at each task
+    its members share the pre-training evaluation, the expansion and the
+    importance task_start event, then split by the penalty terms they
+    apply, so members of equal `strengths` train once.
 
-    `resume` is a (net, state, seed) triple from load_state; training then
-    continues from state.task_count and the result only contains rows for the
-    newly trained tasks. All randomness is keyed by (seed, task, epoch), so a
-    resumed run reproduces the uninterrupted one exactly.
+    The walk is depth first, but it pops up to K = max(1, _LOCKSTEP_BUDGET
+    // P) nodes at a time that are at one task, in one phase, with one
+    seed. Such nodes draw the same minibatches, so their expansions, and
+    then their branches, train in lock-step: one stacked forward and
+    backward per batch (see train_lockstep). K = 1 walks one node at a
+    time. A root's network and state are made when it is popped.
+
+    Each member's result, with its own config, equals that of its own run
+    bit for bit. One config returns its RunResult and raises what its run
+    raised; a list returns, per config, its RunResult or the exception that
+    failed its branch.
+
+    `resume` is a (net, state, seed) triple from load_state, for configs of
+    one family; training then continues from state.task_count and the
+    result only contains rows for the newly trained tasks. All randomness
+    is keyed by (seed, task, epoch), so a resumed run reproduces the
+    uninterrupted one exactly.
     """
     single = isinstance(cfg, SequenceConfig)
     configs = [cfg] if single else list(cfg)
-    if not configs or len({c.family_key() for c in configs}) != 1:
+    if not configs or len(set(map(_shared_settings, configs))) != 1:
         raise ConfigError("run_sequence takes configs that differ only in "
-                          "lam and lam_e")
+                          "method, lam, lam_e and seed")
+    families: dict[str, list[int]] = {}
+    for i, c in enumerate(configs):
+        families.setdefault(c.family_key(), []).append(i)
+    if resume is not None and len(families) > 1:
+        raise ConfigError("resume takes configs of one family")
     if save_state_to is not None and len(configs) > 1:
         raise ConfigError("save_state_to takes a single config")
     if not tasks:
@@ -369,110 +422,227 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
     arch = (input_dim, list(first.arch.hidden),
             first.arch.activation if first.arch.hidden else "identity",
             _collect_heads(tasks))
+    net = state = None
     if resume is not None:
         net, state, seed = resume
         if seed != first.seed:
             raise ConfigError("resume state was written with a different seed")
         if net.arch() != arch:
             raise ConfigError("resume state does not match the configured arch")
-    else:
-        net = Network.create(*arch, first.seed)
-        state = RegState.zeros(net.param_count)
-
-    abar = random_init_baseline(tasks, first.arch, [first.seed])
-    start_task = state.task_count
-    outcomes: list = [None] * len(configs)
-
-    # Each item: the members that share `net` and `state` at the start of
-    # task t, their accuracy rows and pre-training accuracies so far, and a
-    # plan: None while the task's shared part is still to run, else the
-    # (terms, copy) of one branch.
-    stack = [(start_task, list(range(len(configs))), net, state, [],
-              np.full(len(tasks), np.nan), None)]
-    while stack:
-        t, members, net, state, rows, pre_train, plan = stack.pop()
-        cfg = configs[members[0]]
-        try:
-            if t == len(tasks):
-                digest = _state_digest(net, state)
-                for i in members:
-                    outcomes[i] = _run_result(configs[i], rows, abar,
-                                              pre_train, digest, start_task)
-            elif plan is None:
-                task = tasks[t]
-                if t > 0:
-                    pre_train = pre_train.copy()
-                    pre_train[t] = evaluate(net, task)
-                expanded = None
-                if cfg.uses_expansion:
-                    expanded = train_expanded(
-                        net, task, cfg.optimizer,
-                        epochs=cfg.expansion_epochs or cfg.epochs,
-                        init=cfg.expansion_init, batch_size=cfg.batch_size,
-                        loss_kind=_loss_kind(task), seed=cfg.seed,
-                        task_index=t)
-                if cfg.base_method in _IMPORTANCE_METHODS:
-                    importance_update(cfg.base_method, state, "task_start",
-                                      net=net)
-                branches: dict[tuple, tuple] = {}
-                for i in members:
-                    terms = penalty_terms(configs[i], state, expanded)
-                    branches.setdefault(tuple(lam for _, lam in terms),
-                                        (terms, []))[1].append(i)
-                # Popped in order, so the last branch runs after its
-                # siblings have copied the shared net and state, and trains
-                # on them in place.
-                for k, (terms, branch) in reversed([*enumerate(
-                        branches.values())]):
-                    stack.append((t, branch, net, state, rows, pre_train,
-                                  (terms, k < len(branches) - 1)))
-            else:
-                terms, copy = plan
-                if copy:
-                    net, state = net.clone(), state.copy()
-                rows = rows + [_learn_task(cfg, net, state, tasks, t, terms)]
-                if save_state_to is not None:
-                    save_state(save_state_to, net, state, cfg.seed)
-                log.info("method=%s seed=%d task=%d new_acc=%.4f "
-                         "running_acc=%.4f%s", cfg.method, cfg.seed, t + 1,
-                         rows[-1][-1], float(np.mean(rows[-1])),
-                         f" cells={len(members)}" if len(members) > 1 else "")
-                stack.append((t + 1, members, net, state, rows, pre_train,
-                              None))
-        except Exception as exc:
-            if single:
-                raise
-            for i in members:
-                outcomes[i] = exc
+    start_task = state.task_count if state else 0
+    walk = _Walk(configs, tasks, arch, start_task, save_state_to)
+    walk.push([_Node(start_task, members, net, state, [],
+                     np.full(len(tasks), np.nan))
+               for members in families.values()])
+    outcomes = walk.run(max(1, _LOCKSTEP_BUDGET // _param_count(*arch)))
+    if single and isinstance(outcomes[0], Exception):
+        raise outcomes[0]
     return outcomes[0] if single else outcomes
 
 
-def _learn_task(cfg: SequenceConfig, net: Network, state: RegState, tasks,
-                t: int, terms: list[tuple]) -> list[float]:
-    """Train task t with the penalty `terms` (and SI/RWalk's per-step
-    importance) by stepping `net.params` in place, evaluate every task so
-    far, then anchor `state` at a copy of the trained network. Returns the
-    accuracies."""
-    task, loss_kind = tasks[t], _loss_kind(tasks[t])
-    opt = make_optimizer(cfg.optimizer)
-    tracks_path = cfg.base_method in ("si", "rwalk")
-    for epoch in range(cfg.epochs):
-        for batch in epoch_batches(task, cfg.batch_size,
-                                   [_MAIN_SHUFFLE_KEY, cfg.seed, t, epoch]):
-            _, grad = net.loss_and_grad(batch, loss_kind)
-            before = net.get_params() if tracks_path else None
-            opt.step(net.params, penalized_grad(net.params, grad, terms))
-            if tracks_path:
-                importance_update(cfg.base_method, state, "step", grad=grad,
-                                  delta=net.params - before)
+class _Walk:
+    """One run_sequence walk: its stack of nodes and, per config, its
+    outcome so far."""
 
+    def __init__(self, configs, tasks, arch, start_task, save_state_to):
+        self.configs, self.tasks, self.arch = configs, tasks, arch
+        self.start_task, self.save_state_to = start_task, save_state_to
+        self.stack: list[_Node] = []
+        self.outcomes: list = [None] * len(configs)
+        self.abar: dict[int, np.ndarray] = {}  # seed -> random-init ACC
+
+    def run(self, width: int) -> list:
+        """Walk the stack, `width` nodes at most at a time; returns the
+        outcomes."""
+        while self.stack:
+            group = self.pop_group(width)
+            if group[0].t == len(self.tasks):
+                for node in group:
+                    self.finish(node)
+            elif group[0].terms is None:
+                self.open(group)
+            else:
+                self.train(group)
+        return self.outcomes
+
+    def cfg(self, node: _Node) -> SequenceConfig:
+        return self.configs[node.members[0]]
+
+    def fail(self, node: _Node, exc: Exception) -> None:
+        for i in node.members:
+            self.outcomes[i] = exc
+
+    def push(self, children: list[_Node]) -> None:
+        """Push the nodes so that the first is popped first."""
+        self.stack.extend(reversed(children))
+
+    def pop_group(self, width: int) -> list[_Node]:
+        """The top node, and the nodes nearest the top at its task, in its
+        phase and with its seed, up to `width` nodes in all."""
+        head = self.stack.pop()
+        kind = (head.t, head.terms is None, self.cfg(head).seed)
+        group = [head]
+        for j in range(len(self.stack) - 1, -1, -1):
+            if len(group) == width:
+                break
+            node = self.stack[j]
+            if (node.t, node.terms is None, self.cfg(node).seed) == kind:
+                group.append(self.stack.pop(j))
+        return group
+
+    def open(self, group: list[_Node]) -> None:
+        """The shared part of each node's task: the pre-training evaluation,
+        the expansion (in lock-step across the group) and task_start; then
+        push each node's branches."""
+        t = group[0].t
+        task = self.tasks[t]
+        live = []
+        for node in group:
+            try:
+                if node.net is None:  # a root
+                    node.net = Network.create(*self.arch, self.cfg(node).seed)
+                    node.state = RegState.zeros(node.net.param_count)
+                if t > 0:
+                    node.pre_train = node.pre_train.copy()
+                    node.pre_train[t] = evaluate(node.net, task)
+                live.append(node)
+            except Exception as exc:
+                self.fail(node, exc)
+        grow = [node for node in live if self.cfg(node).uses_expansion]
+        anchors = iter(self.expand(grow, t) if grow else [])
+        children = []
+        for node in live:
+            cfg = self.cfg(node)
+            anchor = next(anchors) if cfg.uses_expansion else None
+            if isinstance(anchor, Exception):
+                self.fail(node, anchor)
+                continue
+            try:
+                if cfg.base_method in _IMPORTANCE_METHODS:
+                    importance_update(cfg.base_method, node.state,
+                                      "task_start", net=node.net)
+                branches: dict[tuple, tuple] = {}
+                for i in node.members:
+                    terms = penalty_terms(self.configs[i], node.state, anchor)
+                    branches.setdefault(tuple(lam for _, lam in terms),
+                                        (terms, []))[1].append(i)
+            except Exception as exc:
+                self.fail(node, exc)
+                continue
+            children += [_Node(t, branch, node.net, node.state, node.rows,
+                               node.pre_train, terms)
+                         for terms, branch in branches.values()]
+        self.push(children)
+
+    def expand(self, nodes: list[_Node], t: int) -> list:
+        """Each node's expanded anchor at task t, or the exception that
+        failed it; the nodes expand in lock-step."""
+        cfg, task = self.cfg(nodes[0]), self.tasks[t]
+        try:
+            return train_expanded(
+                [node.net for node in nodes], task, cfg.optimizer,
+                epochs=cfg.expansion_epochs or cfg.epochs,
+                init=cfg.expansion_init, batch_size=cfg.batch_size,
+                loss_kind=_loss_kind(task), seed=cfg.seed, task_index=t)
+        except Exception as exc:  # raised for all, as for a bad init
+            return [exc] * len(nodes)
+
+    def train(self, group: list[_Node]) -> None:
+        """Train the group's branches in lock-step, each on a copy of its
+        network and state, and push each one's next task."""
+        t = group[0].t
+        states = [node.state.copy() for node in group]
+        outcomes = _learn_task([self.cfg(node) for node in group],
+                               [node.net for node in group], states,
+                               self.tasks, t, [node.terms for node in group])
+        children = []
+        for node, state, outcome in zip(group, states, outcomes):
+            if isinstance(outcome, Exception):
+                self.fail(node, outcome)
+                continue
+            net, row = outcome
+            cfg = self.cfg(node)
+            rows = node.rows + [row]
+            if self.save_state_to is not None:
+                try:
+                    save_state(self.save_state_to, net, state, cfg.seed)
+                except Exception as exc:
+                    self.fail(node, exc)
+                    continue
+            log.info("method=%s seed=%d task=%d new_acc=%.4f "
+                     "running_acc=%.4f%s", cfg.method, cfg.seed, t + 1,
+                     row[-1], float(np.mean(row)),
+                     f" cells={len(node.members)}"
+                     if len(node.members) > 1 else "")
+            children.append(_Node(t + 1, node.members, net, state, rows,
+                                  node.pre_train))
+        self.push(children)
+
+    def finish(self, node: _Node) -> None:
+        """Each member's RunResult, from the node's trained run."""
+        cfg = self.cfg(node)
+        try:
+            if cfg.seed not in self.abar:
+                self.abar[cfg.seed] = random_init_baseline(
+                    self.tasks, cfg.arch, [cfg.seed])
+            digest = _state_digest(node.net, node.state)
+            for i in node.members:
+                self.outcomes[i] = _run_result(
+                    self.configs[i], node.rows, self.abar[cfg.seed],
+                    node.pre_train, digest, self.start_task)
+        except Exception as exc:
+            self.fail(node, exc)
+
+
+def _learn_task(cfgs: list[SequenceConfig], nets: list[Network],
+                states: list[RegState], tasks, t: int,
+                terms: list[list[tuple]]) -> list:
+    """Train task t on each row i: `nets[i]` with the penalty `terms[i]`
+    and SI/RWalk's per-step importance into `states[i]`, all rows in
+    lock-step on the minibatches of (seed, t, epoch), which they share.
+    Then evaluate every task so far and anchor `states[i]` at a copy of
+    the trained network. The rows share a seed and their run settings.
+    Returns, per row, (its trained network, its accuracies) or the
+    exception that failed it; the given networks are not touched."""
+    task, loss_kind = tasks[t], _loss_kind(tasks[t])
+    opts = [make_optimizer(cfg.optimizer) for cfg in cfgs]
+    paths = [cfg.base_method if cfg.base_method in ("si", "rwalk") else None
+             for cfg in cfgs]
+
+    def step(i, net, grad):
+        before = net.get_params() if paths[i] else None
+        opts[i].step(net.params, penalized_grad(net.params, grad, terms[i]))
+        if paths[i]:
+            importance_update(paths[i], states[i], "step", grad=grad,
+                              delta=net.params - before)
+
+    outcomes = train_lockstep(
+        nets, task, epochs=cfgs[0].epochs, batch_size=cfgs[0].batch_size,
+        key=[_MAIN_SHUFFLE_KEY, cfgs[0].seed, t], loss_kind=loss_kind,
+        step=step)
+    opts.clear()  # each row's optimizer moments go before its Fisher
+    for i, net in enumerate(outcomes):
+        if not isinstance(net, Exception):
+            try:
+                outcomes[i] = net, _consolidate(cfgs[i], net, states[i],
+                                                tasks, t)
+            except Exception as exc:
+                outcomes[i] = exc
+    return outcomes
+
+
+def _consolidate(cfg: SequenceConfig, net: Network, state: RegState, tasks,
+                 t: int) -> list[float]:
+    """Evaluate every task so far, then anchor `state` at a copy of the
+    network trained on task t. Returns the accuracies."""
+    task = tasks[t]
     row = [evaluate(net, tasks[k]) for k in range(t + 1)]
     if cfg.base_method in _IMPORTANCE_METHODS:
         importance_update(cfg.base_method, state, "task_end", net=net,
                           task=task)
         state.anchor = DiagGaussian(net.get_params(), state.anchor.precision)
     else:
-        fisher = estimate_diag_fisher(net, task, loss_kind)
+        fisher = estimate_diag_fisher(net, task, _loss_kind(task))
         state.anchor = DiagGaussian(
             net.get_params(),
             fisher_running_average(state.anchor.precision, fisher, t + 1))

@@ -6,7 +6,9 @@ class ShapeError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """Non-finite values encountered during a numeric computation."""
+    """Non-finite values encountered during a numeric computation. Raised
+    by a stacked network's forward pass, it has `rows`, a boolean array
+    that marks the networks whose activations are non-finite."""
 
 
 class ConfigError(ValueError):

@@ -51,15 +51,11 @@ class DenseLayer:
 
     @property
     def in_dim(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[-2]
 
     @property
     def out_dim(self) -> int:
-        return self.w.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.w.size + self.b.size
+        return self.w.shape[-1]
 
 
 @dataclass
@@ -118,9 +114,18 @@ class Network:
 
     The flat parameter layout is fixed at construction: body layer 0 (w then
     b), body layer 1, ..., then each head in insertion order.
+
+    A stacked network (see `stack`) holds the parameters of S networks of
+    one architecture as the rows of an [S, P] buffer; its layer views are
+    [S, in, out] and [S, out], and its forward and backward passes run all
+    S networks on one [n, d_in] batch at once.
     """
 
-    def __init__(self, body: list[DenseLayer], heads: dict[str, DenseLayer]):
+    def __init__(self, body: list[DenseLayer], heads: dict[str, DenseLayer],
+                 params: np.ndarray | None = None):
+        """The layers' values are copied into a new flat buffer; a given
+        float64 `params` of shape [P] or [S, P] is used as the buffer
+        instead, and the layers only lend their shapes and activations."""
         if not heads:
             raise ConfigError("network needs at least one head")
         for i in range(1, len(body)):
@@ -130,23 +135,30 @@ class Network:
         for name, h in heads.items():
             if feat is not None and h.in_dim != feat:
                 raise ShapeError(f"head {name!r} does not match body output dim")
-        # The given layers are copied into one flat buffer, `params`, and
-        # this network's layers are views of it; optimizers step it in place.
+        # This network's layers are views of one flat buffer, `params`;
+        # optimizers step it in place.
         layers = [*body, *heads.values()]
-        self.params = np.concatenate(
-            [np.concatenate([l.w.ravel(), l.b]) for l in layers]
-        ).astype(np.float64)
-        self.param_count = self.params.size
+        if params is None:
+            params = np.concatenate(
+                [np.concatenate([l.w.ravel(), l.b]) for l in layers]
+            ).astype(np.float64)
+        self.params = params
         self._offsets: dict[object, tuple[slice, slice]] = {}
+        lead = params.shape[:-1]  # (S,) when stacked
         views = []
         pos = 0
         for key, layer in zip([*range(len(body)), *heads], layers):
-            ws = slice(pos, pos + layer.w.size)
-            bs = slice(ws.stop, pos + layer.size)
+            ws = slice(pos, pos + layer.in_dim * layer.out_dim)
+            bs = slice(ws.stop, ws.stop + layer.out_dim)
             pos = bs.stop
             self._offsets[key] = (ws, bs)
-            views.append(DenseLayer(self.params[ws].reshape(layer.w.shape),
-                                    self.params[bs], layer.activation))
+            views.append(DenseLayer(
+                params[..., ws].reshape(*lead, layer.in_dim, layer.out_dim),
+                params[..., bs], layer.activation))
+        if params.dtype != np.float64 or params.shape[-1] != pos:
+            raise ShapeError(f"expected float64 parameters of length {pos}, "
+                             f"got {params.dtype} of shape {params.shape}")
+        self.param_count = pos
         self.body = views[:len(body)]
         self.heads = dict(zip(heads, views[len(body):]))
         # Per head: (layer, weight slice, bias slice) from input to output.
@@ -175,6 +187,18 @@ class Network:
 
     def clone(self) -> "Network":
         return Network(self.body, self.heads)
+
+    @classmethod
+    def stack(cls, nets: list["Network"]) -> tuple["Network", list["Network"]]:
+        """A stacked network whose [S, P] buffer holds a copy of each
+        network's parameters as a row, and one network per row that views
+        that row; the given networks are not touched."""
+        first = nets[0]
+        if any(net.arch() != first.arch() for net in nets):
+            raise ShapeError("stacked networks must share one architecture")
+        params = np.stack([net.params for net in nets])
+        return (cls(first.body, first.heads, params),
+                [cls(first.body, first.heads, row) for row in params])
 
     def arch(self) -> tuple:
         """(input_dim, hidden, activation, heads), as `create` takes them."""
@@ -214,21 +238,21 @@ class Network:
         if inputs.shape[1] != (self.body[0].in_dim if self.body
                                else self.heads[head].in_dim):
             raise ShapeError("input dimension does not match the network")
+        # Stacked, every product is [n, d] or [S, n, d] @ [S, d, h]: one
+        # gemm per row, as an unstacked network of that row would make.
         acts = [inputs]  # activations entering each layer, head last
         zs = []  # body pre-activations
         x = inputs
         for i, layer in enumerate(self.body):
             z = x @ layer.w
-            z += layer.b
+            z += layer.b[..., None, :]
             x = _activate(layer.activation, z)
-            if not np.isfinite(x).all():
-                raise NumericError(f"non-finite activations in body layer {i}")
+            _check_finite(x, f"body layer {i}")
             zs.append(z)
             acts.append(x)
         out = x @ self.heads[head].w
-        out += self.heads[head].b
-        if not np.isfinite(out).all():
-            raise NumericError(f"non-finite activations in head {head!r}")
+        out += self.heads[head].b[..., None, :]
+        _check_finite(out, f"head {head!r}")
         return out, (acts, zs)
 
     def forward(self, batch: Batch) -> np.ndarray:
@@ -240,7 +264,7 @@ class Network:
         n = batch.n
         if loss_kind in ("mse", "angular_mse"):
             targets = batch.targets
-            if targets.ndim != 2 or targets.shape != outputs.shape:
+            if targets.ndim != 2 or targets.shape != outputs.shape[-2:]:
                 raise ShapeError("regression targets must match output shape")
             if loss_kind == "angular_mse":
                 # np.linalg.norm(targets, axis=1), computed the same way.
@@ -249,20 +273,22 @@ class Network:
                         or not (np.abs(norms - 1.0) <= _UNIT_TOL).all()):
                     raise ShapeError("angular_mse targets must be unit 2-vectors")
             resid = outputs - targets
-            loss = float((resid * resid).sum() / n)
-            return loss, 2.0 * resid / n
+            loss = (resid * resid).reshape(*outputs.shape[:-2], -1).sum(-1) / n
+            return _per_row(loss), 2.0 * resid / n
         if loss_kind == "cross_entropy":
             labels = batch.targets
             if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
                 raise ShapeError("cross_entropy targets must be class indices")
-            if labels.min() < 0 or labels.max() >= outputs.shape[1]:
+            if labels.min() < 0 or labels.max() >= outputs.shape[-1]:
                 raise ShapeError("class index out of range for head")
-            shifted = outputs - outputs.max(axis=1, keepdims=True)
-            logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            loss = float(-logp[np.arange(n), labels].mean())
+            shifted = outputs - outputs.max(axis=-1, keepdims=True)
+            logp = shifted - np.log(np.exp(shifted).sum(axis=-1,
+                                                        keepdims=True))
+            picked = (..., np.arange(n), labels)
+            loss = -logp[picked].mean(axis=-1)
             delta = np.exp(logp)
-            delta[np.arange(n), labels] -= 1.0
-            return loss, delta / n
+            delta[picked] -= 1.0
+            return _per_row(loss), delta / n
         raise ConfigError(f"unknown loss kind {loss_kind!r}")
 
     def _backward(self, head: str, cache, delta: np.ndarray,
@@ -275,21 +301,23 @@ class Network:
         """
         acts, zs = cache
         chain = self._chains[head]
-        grad = np.zeros(self.param_count)
+        grad = np.zeros(self.params.shape)
         d = delta
         for i in range(len(chain) - 1, -1, -1):
             layer, ws, bs = chain[i]
             if i < len(self.body):
                 d = d * _activate_grad(layer.activation, zs[i], acts[i + 1])
             x, g = (acts[i], d) if pw is None else (pw(acts[i]), pw(d))
-            np.matmul(x.T, g, out=grad[ws].reshape(layer.w.shape))
-            np.add.reduce(g, axis=0, out=grad[bs])
+            np.matmul(np.swapaxes(x, -1, -2), g,
+                      out=grad[..., ws].reshape(layer.w.shape))
+            np.add.reduce(g, axis=-2, out=grad[..., bs])
             if i > 0:
-                d = d @ layer.w.T
+                d = d @ np.swapaxes(layer.w, -1, -2)
         return grad
 
     def loss_and_grad(self, batch: Batch, loss_kind: str):
-        """Exact reverse-mode gradient of the batch loss; grad is flat."""
+        """Exact reverse-mode gradient of the batch loss; grad is flat. A
+        stacked network returns each row's loss and an [S, P] gradient."""
         out, cache = self._forward_cached(batch.inputs, batch.head)
         loss, delta = self._loss_delta(out, batch, loss_kind)
         return loss, self._backward(batch.head, cache, delta)
@@ -318,6 +346,20 @@ class Network:
         if not np.isfinite(moment).all():
             raise NumericError("non-finite per-sample gradient moment")
         return moment
+
+
+def _check_finite(x: np.ndarray, where: str) -> None:
+    """Raise NumericError if `x` holds a non-finite value; for a stacked
+    [S, n, d] `x`, the error's `rows` marks the networks whose rows do."""
+    if not np.isfinite(x).all():
+        exc = NumericError(f"non-finite activations in {where}")
+        exc.rows = ~np.isfinite(x).all(axis=(-2, -1))
+        raise exc
+
+
+def _per_row(loss):
+    """A loss per stacked network, or a float for one network."""
+    return float(loss) if np.ndim(loss) == 0 else loss
 
 
 def finite_diff_check(net: Network, batch: Batch, loss_kind: str,

@@ -43,10 +43,13 @@ class RegState:
 
     @classmethod
     def zeros(cls, param_count: int) -> "RegState":
-        z = lambda: np.zeros(param_count)
-        return cls(anchor=DiagGaussian(z(), z()), importance=z(),
-                   path_accum=z(), prev_params=z(), fisher_ema=z(),
-                   score_accum=z(), task_count=0)
+        """A state whose seven vectors are one read-only zero vector: no
+        update writes into a field (see copy), and one that tried would
+        raise ValueError rather than change its siblings."""
+        z = np.zeros(param_count)
+        z.flags.writeable = False
+        return cls(anchor=DiagGaussian(z, z), importance=z, path_accum=z,
+                   prev_params=z, fisher_ema=z, score_accum=z, task_count=0)
 
     def copy(self) -> "RegState":
         """A copy that shares the vectors. Every update rebinds a field to a
@@ -104,29 +107,84 @@ def epoch_batches(task, batch_size: int, key):
                                task.head)
 
 
-def train_expanded(net: Network, task, opt_spec: dict, *, epochs: int,
-                   init: str = "copy_main", batch_size: int, loss_kind: str,
-                   seed: int, task_index: int = 0) -> DiagGaussian:
+def train_lockstep(nets: list[Network], task, *, epochs: int, batch_size: int,
+                   key: list, loss_kind: str, step) -> list:
+    """Train networks of one architecture in lock-step on the same
+    minibatches, shuffled by `key` + [epoch]: per batch, one stacked
+    loss_and_grad, then `step(i, net, grad)` for each network i still
+    training, with the network that now holds its parameters and its own
+    gradient row. A network whose forward pass or step raises stops there,
+    as it would alone; the others go on. Returns, per network, the trained
+    network (a view of a stacked buffer; the given networks are not
+    touched) or the exception that stopped it."""
+    outcomes: list = [None] * len(nets)
+    live = [*range(len(nets))]
+    stacked, rows = Network.stack(nets)
+    for epoch in range(epochs):
+        for batch in epoch_batches(task, batch_size, [*key, epoch]):
+            stepped = False
+            while live and not stepped:
+                failed: dict[int, Exception] = {}
+                try:
+                    _, grads = stacked.loss_and_grad(batch, loss_kind)
+                except Exception as exc:  # `rows` names the failed networks
+                    mask = getattr(exc, "rows", np.ones(len(live), bool))
+                    failed = {i: exc for i, bad in zip(live, mask) if bad}
+                else:
+                    stepped = True
+                    for i, net, grad in zip(live, rows, grads):
+                        try:
+                            step(i, net, grad)
+                        except Exception as exc:
+                            failed[i] = exc
+                if failed:  # the others go on in a stack of their own
+                    outcomes = [failed.get(i, o) for i, o in
+                                enumerate(outcomes)]
+                    rows = [net for i, net in zip(live, rows)
+                            if i not in failed]
+                    live = [i for i in live if i not in failed]
+                    if live:
+                        stacked, rows = Network.stack(rows)
+    for i, net in zip(live, rows):
+        outcomes[i] = net
+    return outcomes
+
+
+def train_expanded(net: Network | list[Network], task, opt_spec: dict, *,
+                   epochs: int, init: str = "copy_main", batch_size: int,
+                   loss_kind: str, seed: int, task_index: int = 0):
     """Synaptic expansion: train a temporary network (a copy of `net`, or
     freshly initialized) on the task loss alone and return its anchor
     (parameter snapshot + Fisher). The main network is never touched and
-    the temporary one is discarded when this returns."""
+    the temporary one is discarded when this returns.
+
+    A list of networks of one architecture expands them in lock-step and
+    returns, per network, its anchor or the exception that failed it."""
     if init not in EXPANSION_INITS:
         raise ConfigError(f"unknown expansion_init {init!r}")
     if task.n_train == 0:
         raise ShapeError("expansion needs a non-empty task")
+    nets = [net] if isinstance(net, Network) else list(net)
     if init == "fresh_random":
         fresh_seed = (_EXPAND_INIT_KEY + 1000003 * seed + 997 * task_index) % (2 ** 31)
-        tmp = Network.create(*net.arch(), seed=fresh_seed)
-    else:
-        tmp = net.clone()
-    opt = make_optimizer(opt_spec)
-    for epoch in range(epochs):
-        for batch in epoch_batches(task, batch_size,
-                                   [_EXPAND_SHUFFLE_KEY, seed, task_index, epoch]):
-            _, grad = tmp.loss_and_grad(batch, loss_kind)
-            opt.step(tmp.params, grad)
-    return snapshot_anchor(tmp, task, loss_kind)
+        nets = [Network.create(*n.arch(), seed=fresh_seed) for n in nets]
+    opts = [make_optimizer(opt_spec) for _ in nets]
+    outcomes = train_lockstep(
+        nets, task, epochs=epochs, batch_size=batch_size,
+        key=[_EXPAND_SHUFFLE_KEY, seed, task_index], loss_kind=loss_kind,
+        step=lambda i, tmp, grad: opts[i].step(tmp.params, grad))
+    opts.clear()  # the moments are not needed for the Fisher
+    for i, tmp in enumerate(outcomes):
+        if not isinstance(tmp, Exception):
+            try:
+                outcomes[i] = snapshot_anchor(tmp, task, loss_kind)
+            except Exception as exc:
+                outcomes[i] = exc
+    if isinstance(net, Network):
+        if isinstance(outcomes[0], Exception):
+            raise outcomes[0]
+        return outcomes[0]
+    return outcomes
 
 
 # -- baseline importance estimators ------------------------------------------

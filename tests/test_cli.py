@@ -547,6 +547,20 @@ class TestGrid:
         results = list(out.glob("result_*.json"))
         assert len(results) == 6
 
+    def test_signed_zero_settings_keep_their_rows(self, tmp_path):
+        # 0 and -0.0 are equal numbers, but two cells with their own files,
+        # so each is a setting of one seed, in numeric order
+        out = tmp_path / "g"
+        doc = minimal_config(out, methods=["ewc"], seeds=[0],
+                             **{"lambda": [0, -0.0, 1]})
+        assert main(["grid", "--config", write_config(tmp_path, doc)]) == 0
+        assert len(list(out.glob("result_*.json"))) == 3
+        rows = [line.split(",")
+                for line in (out / "grid.csv").read_text().splitlines()]
+        assert [row[:3] + row[5:] for row in rows[1:]] == [
+            ["ewc", "-0", "0", "1"], ["ewc", "0", "0", "1"],
+            ["ewc", "1", "0", "1"]]
+
     def test_best_cell_reported(self, tmp_path, capsys):
         out = tmp_path / "g"
         path = write_config(tmp_path, self.grid_config(out))
@@ -586,12 +600,13 @@ class TestGrid:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(cli, name, counted)
         # afec at lambda_e > 0 expands, so all six cells are distinct runs;
-        # the three of each seed form one family, trained by one _run_cell
+        # the three of each seed form one family, and serially one walk
+        # (one _run_cell) trains both families
         doc = self.grid_config(tmp_path / "g")
         doc["methods"] = ["afec"]
         path = write_config(tmp_path, doc)
         assert main(["grid", "--config", path, "--jobs", "1"]) == 0
-        assert calls == {"parse_config": 1, "build_tasks": 1, "_run_cell": 2}
+        assert calls == {"parse_config": 1, "build_tasks": 1, "_run_cell": 1}
 
     def test_equivalent_cells_train_once(self, tmp_path, monkeypatch):
         # Per seed, 12 cells hold 4 runs: finetune and ewc/afec at
@@ -609,17 +624,19 @@ class TestGrid:
             units.append((len(cells), {cell.strengths for cell in cells}))
             return _run_cell(task_list, cells)
 
-        def learn(cfg, *args, _learn_task=continual._learn_task):
-            learned.append(cfg.seed)
-            return _learn_task(cfg, *args)
+        def learn(cfgs, *args, _learn_task=continual._learn_task):
+            learned.append([cfg.seed for cfg in cfgs])
+            return _learn_task(cfgs, *args)
         monkeypatch.setattr(cli, "_run_cell", counted)
         monkeypatch.setattr(continual, "_learn_task", learn)
         assert main(["grid", "--config", path, "--jobs", "1"]) == 0
-        # One walk per family gets every cell of the family; each family
-        # trains two runs of two tasks that share the first, so three tasks.
+        # One walk gets every cell; each family trains two runs of two
+        # tasks that share the first, so three tasks. Per seed, the two
+        # families train the first task in lock-step, then their four
+        # branches the second.
         ewc, afec = {(0.0, 0.0), (1.0, 0.0)}, {(0.0, 1.0), (1.0, 1.0)}
-        assert units == [(10, ewc), (10, ewc), (2, afec), (2, afec)]
-        assert len(learned) == 12
+        assert units == [(24, ewc | afec)]
+        assert learned == [[0, 0], [0, 0, 0, 0], [1, 1], [1, 1, 1, 1]]
         assert main(["grid", "--config", path, "--jobs", "2",
                      "--out", str(tmp_path / "pool")]) == 0
         config = parse_config(doc)
@@ -855,7 +872,7 @@ class TestCellFailures:
         assert f"ERROR cell {self.FAILED} failed" in err
         # from a pool worker, the worker's own frames come along
         assert "Traceback (most recent call last)" in err
-        assert "in run_sequence" in err
+        assert "in train_lockstep" in err
 
     def test_shared_failure_traceback_at_debug(self, tmp_path, capsys,
                                                monkeypatch):
@@ -869,7 +886,7 @@ class TestCellFailures:
         assert main(["grid", "--config", path, "--jobs", "2"]) == 1
         err = capsys.readouterr().err
         assert "ERROR 4 of 4 cells failed" in err
-        assert err.count("in run_sequence") == 4
+        assert err.count("in train_lockstep") == 4
 
     def test_debug_log_same_from_the_pool(self, tmp_path):
         # The ERROR lines and their tracebacks, byte for byte; workers

@@ -351,9 +351,10 @@ class TestSnapshotsOwnTheirMemory:
             if cfg.base_method in ("mas", "si", "rwalk"):
                 importance_update(cfg.base_method, state, "task_start",
                                   net=net)
-            continual._learn_task(cfg, net, state, tasks, t,
-                                  continual.penalty_terms(cfg, state,
-                                                          expanded))
+            [outcome] = continual._learn_task(
+                [cfg], [net], [state], tasks, t,
+                [continual.penalty_terms(cfg, state, expanded)])
+            net, _ = outcome
         self._assert_own_memory(net, [state.anchor.mean, state.prev_params])
 
     @pytest.mark.parametrize("init", EXPANSION_INITS)
@@ -431,9 +432,12 @@ class TestFamilyWalk:
             quick_cfg("ewc", seed=2).family_key()
 
     def test_configs_of_two_families_rejected(self):
-        with pytest.raises(ConfigError, match="differ only in lam"):
-            run_sequence([quick_cfg("ewc", seed=1), quick_cfg("ewc", seed=2)],
+        with pytest.raises(ConfigError, match="differ only in method, lam"):
+            run_sequence([quick_cfg("ewc"), quick_cfg("ewc", epochs=2)],
                          quick_pair())
+        with pytest.raises(ConfigError, match="one family"):
+            run_sequence([quick_cfg("ewc", seed=1), quick_cfg("ewc", seed=2)],
+                         quick_pair(), resume=(None, None, 1))
         with pytest.raises(ConfigError, match="single config"):
             run_sequence([quick_cfg("ewc"), quick_cfg("ewc", lam=1.0)],
                          quick_pair(), save_state_to="unused.json")
@@ -441,19 +445,20 @@ class TestFamilyWalk:
     def test_shared_tasks_train_once(self, monkeypatch):
         # afec at lambda_e 1 and 5 splits on the first task, where only
         # lambda_e tells runs apart; lambda splits them on the second
-        calls = {"train_expanded": 0, "epoch_batches": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(continual, name),
-                        **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
+        rows = {"train_expanded": [], "_learn_task": []}
+        for name in rows:
+            def counted(nets, *args, _name=name,
+                        _fn=getattr(continual, name), **kwargs):
+                rows[_name].append(len(nets))
+                return _fn(nets, *args, **kwargs)
             monkeypatch.setattr(continual, name, counted)
         family = [quick_cfg("afec", lam=lam, lam_e=lam_e, epochs=1)
                   for lam in (1.0, 10.0, 100.0) for lam_e in (1.0, 5.0)]
         run_sequence(family, quick_pair())
         # expansions: 1 on task 1, then 1 per lambda_e branch on task 2;
-        # main-training epochs: 2 branches on task 1, 6 on task 2
-        assert calls == {"train_expanded": 3, "epoch_batches": 2 + 6}
+        # main training: 2 branches on task 1, 6 on task 2; each task's
+        # rows train in lock-step
+        assert rows == {"train_expanded": [1, 2], "_learn_task": [2, 6]}
 
     def test_diverging_branch_fails_only_its_runs(self):
         # SGD at lambda_e 1e9 diverges on the first task, and lambda 1e9
@@ -485,6 +490,93 @@ class TestFamilyWalk:
             assert result.acc_matrix.a[1:] == full.acc_matrix.a[1:]
             assert (result.per_task_new_accuracy
                     == full.per_task_new_accuracy[1:])
+
+
+def _stack_sizes(monkeypatch) -> list[int]:
+    """The number of rows of each stacked loss_and_grad call from now on."""
+    sizes = []
+
+    def counted(net, *args, _fn=Network.loss_and_grad):
+        sizes.append(net.params.shape[0])
+        return _fn(net, *args)
+    monkeypatch.setattr(Network, "loss_and_grad", counted)
+    return sizes
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestLockstep:
+    """run_sequence over configs of several methods and seeds trains the
+    runs of one seed that sit at one task in lock-step, and gives each
+    config the result of its own run_sequence bit for bit."""
+
+    @pytest.mark.parametrize("optimizer", _OPTIMIZERS, ids=["adam", "sgd"])
+    @pytest.mark.parametrize("init", EXPANSION_INITS)
+    @pytest.mark.parametrize("budget", [continual._LOCKSTEP_BUDGET, 3000])
+    def test_walk_equals_own_runs(self, optimizer, init, budget,
+                                  monkeypatch):
+        # at 3000 (7 rows of this 418-parameter net) the groups are capped
+        monkeypatch.setattr(continual, "_LOCKSTEP_BUDGET", budget)
+        tasks = _RESUME_TASKS
+        cells = [quick_cfg(method, lam=lam, lam_e=0.5, seed=seed, epochs=1,
+                           optimizer=optimizer, expansion_init=init)
+                 for method in METHODS for lam in (0.0, 20.0)
+                 for seed in (3, 4)]
+        sizes = _stack_sizes(monkeypatch)
+        shared = run_sequence(cells, tasks)
+        # finetune trains in ewc's run at lambda 0, and from the second
+        # task on each of the other 8 methods splits by lambda: 16 branches
+        # per seed
+        assert max(sizes) == min(16, budget // 418)
+        assert [_outcome_text(r) for r in shared] == [
+            _own_run(cell, tasks) for cell in cells]
+
+    @pytest.mark.parametrize("lam,error", [
+        (1e9, "non-finite gradient in optimizer step"),
+        (1e4, "non-finite activations in head 'angle'")])
+    def test_diverging_row_fails_alone(self, lam, error, monkeypatch):
+        # SGD at this lambda diverges on the second task, in the optimizer
+        # step or in the stacked forward pass; si at lambda 1 trains beside
+        # it in every stacked step until then
+        sgd = {"kind": "sgd", "lr": 0.01}
+        cells = [quick_cfg("ewc", lam=lam, seed=4, optimizer=sgd),
+                 quick_cfg("si", lam=1.0, seed=4, optimizer=sgd)]
+        tasks = quick_pair()
+        sizes = _stack_sizes(monkeypatch)
+        with pytest.raises(Exception, match=re.escape(error)) as alone:
+            run_sequence(cells[0], tasks)
+        steps = len(sizes)
+        sizes.clear()
+        diverged, sibling = run_sequence(cells, tasks)
+        assert type(diverged) is type(alone.value)
+        assert str(diverged) == str(alone.value)
+        # the failed row left the stack after the step its own run failed at
+        assert sizes == [2] * steps + [1] * (len(sizes) - steps)
+        assert _outcome_text(sibling) == _own_run(cells[1], tasks)
+
+    def test_beyond_the_budget_the_walk_is_depth_first(self, monkeypatch):
+        # P = 68,098 > 2**16, so one row at a time, one family after another
+        arch = ArchSpec(hidden=[256, 256])
+        cells = [quick_cfg("ewc", lam=lam, epochs=1, arch=arch)
+                 for lam in (1.0, 10.0)]
+        cells += [quick_cfg(method, lam=1.0, lam_e=1.0, epochs=1, arch=arch)
+                  for method in ("si", "afec")]
+        calls = []
+
+        def learn(cfgs, nets, states, tasks, t, terms,
+                  _fn=continual._learn_task):
+            calls.append((t, [(cfg.method, cfg.lam) for cfg in cfgs]))
+            return _fn(cfgs, nets, states, tasks, t, terms)
+        monkeypatch.setattr(continual, "_learn_task", learn)
+        tasks = quick_pair()
+        run_sequence(cells, tasks)
+        walked, calls[:] = calls[:], []
+        for family in (cells[:2], cells[2:3], cells[3:]):
+            run_sequence(family, tasks)
+        assert walked == calls
+        assert walked == [(0, [("ewc", 1.0)]), (1, [("ewc", 1.0)]),
+                          (1, [("ewc", 10.0)]), (0, [("si", 1.0)]),
+                          (1, [("si", 1.0)]), (0, [("afec", 1.0)]),
+                          (1, [("afec", 1.0)])]
 
 
 class TestStatePersistence:

@@ -148,6 +148,49 @@ class TestLossAndGrad:
         assert np.any(grad[net.head_slice("h1")] != 0.0)
 
 
+class TestStack:
+    """A stacked network runs S networks of one architecture on one batch;
+    each row's loss and gradient are its own network's bit for bit."""
+
+    @pytest.mark.parametrize("loss_kind,heads", [
+        ("mse", None), ("angular_mse", {"out": 2}),
+        ("cross_entropy", {"out": 4})])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_rows_equal_their_own_networks(self, loss_kind, heads, count):
+        nets = [random_net(seed, heads=heads) for seed in range(count)]
+        batch = random_batch(9, nets[0], loss_kind=loss_kind)
+        stacked, rows = Network.stack(nets)
+        losses, grads = stacked.loss_and_grad(batch, loss_kind)
+        assert grads.shape == (count, nets[0].param_count)
+        for net, row, loss, grad in zip(nets, rows, losses, grads):
+            np.testing.assert_array_equal(row.params, net.params)
+            own_loss, own_grad = net.loss_and_grad(batch, loss_kind)
+            assert loss == pytest.approx(own_loss, rel=1e-13)
+            assert grad.tobytes() == own_grad.tobytes()
+
+    def test_rows_view_the_stack_and_copy_the_networks(self):
+        nets = [random_net(seed) for seed in range(2)]
+        kept = [net.get_params() for net in nets]
+        stacked, rows = Network.stack(nets)
+        stacked.params += 1.0
+        for net, row, params in zip(nets, rows, kept):
+            np.testing.assert_array_equal(net.params, params)
+            np.testing.assert_array_equal(row.params, params + 1.0)
+            assert np.shares_memory(row.params, stacked.params)
+
+    def test_non_finite_rows_are_named(self):
+        nets = [random_net(seed) for seed in range(3)]
+        nets[1].body[0].w[0, 0] = np.nan
+        stacked, _ = Network.stack(nets)
+        with pytest.raises(NumericError, match="body layer 0") as caught:
+            stacked.loss_and_grad(random_batch(2, nets[0]), "mse")
+        assert caught.value.rows.tolist() == [False, True, False]
+
+    def test_architectures_must_match(self):
+        with pytest.raises(ShapeError, match="one architecture"):
+            Network.stack([random_net(0), random_net(0, hidden=(8, 5))])
+
+
 class TestFiniteDiff:
     def test_linear_model_tight(self):
         net = Network([], {"out": DenseLayer(np.array([[1.0]]), np.zeros(1),

@@ -97,6 +97,21 @@ class TestRegState:
         assert state.anchor.mean.shape == (12,)
         assert state.importance.shape == (12,)
 
+    def test_zeros_are_one_read_only_vector(self):
+        # no update writes into a field; one that tried must not change
+        # the sibling branches that share the vector
+        state = RegState.zeros(3)
+        vectors = [state.anchor.mean, state.anchor.precision,
+                   state.importance, state.path_accum, state.prev_params,
+                   state.fisher_ema, state.score_accum]
+        assert all(v is vectors[0] for v in vectors)
+        for vector in vectors:
+            with pytest.raises(ValueError, match="read-only"):
+                vector += 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                vector[0] = 1.0
+        np.testing.assert_array_equal(vectors[0], np.zeros(3))
+
     def test_json_roundtrip(self):
         state = RegState.zeros(4)
         state.importance = np.array([0.0, 1.0, 2.0, 3.0])
