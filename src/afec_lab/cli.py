@@ -251,17 +251,17 @@ def _run_cells(config: ExperimentConfig, jobs: int):
 
     Serially, or when the plan has one unit, every cell trains in one walk
     (see run_sequence), which trains cells of equal strengths once, shares
-    the common tasks of a family (see SequenceConfig.family_key) and trains
+    the common tasks of a family (see SequenceConfig.family) and trains
     the runs of one seed in lock-step. Otherwise a family is the pool's
     unit of work, walked the same way. Units are sized and split by
     distinct runs, so the cells of one run stay in one unit. Tasks are
     built once per process: here when serial or when there is one unit,
     once in each pool worker otherwise."""
     cells = config.cells
-    # family key -> strengths -> the indices of the cells of that run
-    families: dict[str, dict[tuple, list[int]]] = {}
+    # family -> strengths -> the indices of the cells of that run
+    families: dict[tuple, dict[tuple, list[int]]] = {}
     for i, cell in enumerate(cells):
-        families.setdefault(cell.family_key(), {}).setdefault(
+        families.setdefault(cell.family, {}).setdefault(
             cell.strengths, []).append(i)
     units = [[i for run in unit for i in run] for unit in _plan_units(
         [[*runs.values()] for runs in families.values()], jobs)]

@@ -135,15 +135,12 @@ class SequenceConfig:
         equal strengths train the same run bit for bit."""
         return self.effective_lam, self.lam_e if self.uses_expansion else 0.0
 
-    def family_key(self) -> str:
-        """The canonical JSON of the config without lam and lam_e, naming
-        its run method. A family's runs differ only in their strengths, so
-        they train the same tasks up to the first task whose penalty terms
-        tell them apart, and run_sequence trains that common prefix once.
-        A field added later splits families by default."""
-        doc = asdict(self)
-        del doc["lam"], doc["lam_e"]
-        return _canonical({**doc, "method": self.run_method})
+    @property
+    def family(self) -> tuple[int, str]:
+        """The seed and run method. Configs of one family that agree in every
+        other field, as run_sequence's do, share each task until their
+        penalty terms tell them apart; run_sequence trains it once."""
+        return self.seed, self.run_method
 
 
 @dataclass
@@ -356,7 +353,7 @@ class _Node:
     start of task t, with their accuracy rows and pre-training accuracies
     so far. `terms` is None while the task's shared part is still to run,
     else the penalty terms of the branch to train. A root's `net` and
-    `state` are None until it is popped."""
+    `state` are None until its group is popped."""
     t: int
     members: list[int]
     net: Network | None
@@ -376,17 +373,17 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
 
     `cfg` is one SequenceConfig, or a list of configs that differ only in
     method, lam, lam_e and seed. The configs of one family (equal
-    `family_key`) are walked as a tree of tasks from one root: at each task
+    `family`) are walked as a tree of tasks from one root: at each task
     its members share the pre-training evaluation, the expansion and the
     importance task_start event, then split by the penalty terms they
     apply, so members of equal `strengths` train once.
 
-    The walk is depth first, but it pops up to K = max(1, _LOCKSTEP_BUDGET
-    // P) nodes at a time that are at one task, in one phase, with one
-    seed. Such nodes draw the same minibatches, so their expansions, and
-    then their branches, train in lock-step: one stacked forward and
-    backward per batch (see train_lockstep). K = 1 walks one node at a
-    time. A root's network and state are made when it is popped.
+    The walk is depth first over groups of up to K = max(1,
+    _LOCKSTEP_BUDGET // P) nodes at one task, in one phase, with one seed
+    (see _Walk.run). A group's nodes draw the same minibatches, so their
+    expansions, one per distinct network, and then their branches train
+    in lock-step: one stacked forward and backward per batch (see
+    train_lockstep). K = 1 walks one node at a time.
 
     Each member's result, with its own config, equals that of its own run
     bit for bit. One config returns its RunResult and raises what its run
@@ -404,9 +401,9 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
     if not configs or len(set(map(_shared_settings, configs))) != 1:
         raise ConfigError("run_sequence takes configs that differ only in "
                           "method, lam, lam_e and seed")
-    families: dict[str, list[int]] = {}
+    families: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
-        families.setdefault(c.family_key(), []).append(i)
+        families.setdefault(c.family, []).append(i)
     if resume is not None and len(families) > 1:
         raise ConfigError("resume takes configs of one family")
     if save_state_to is not None and len(configs) > 1:
@@ -429,41 +426,51 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
             raise ConfigError("resume state was written with a different seed")
         if net.arch() != arch:
             raise ConfigError("resume state does not match the configured arch")
-    start_task = state.task_count if state else 0
-    walk = _Walk(configs, tasks, arch, start_task, save_state_to)
-    walk.push([_Node(start_task, members, net, state, [],
-                     np.full(len(tasks), np.nan))
-               for members in families.values()])
-    outcomes = walk.run(max(1, _LOCKSTEP_BUDGET // _param_count(*arch)))
+    walk = _Walk(configs, tasks, arch, state.task_count if state else 0,
+                 save_state_to)
+    outcomes = walk.run(families, net, state,
+                        max(1, _LOCKSTEP_BUDGET // _param_count(*arch)))
     if single and isinstance(outcomes[0], Exception):
         raise outcomes[0]
     return outcomes[0] if single else outcomes
 
 
 class _Walk:
-    """One run_sequence walk: its stack of nodes and, per config, its
-    outcome so far."""
+    """One run_sequence walk and, per config, its outcome so far."""
 
     def __init__(self, configs, tasks, arch, start_task, save_state_to):
         self.configs, self.tasks, self.arch = configs, tasks, arch
         self.start_task, self.save_state_to = start_task, save_state_to
-        self.stack: list[_Node] = []
         self.outcomes: list = [None] * len(configs)
         self.abar: dict[int, np.ndarray] = {}  # seed -> random-init ACC
 
-    def run(self, width: int) -> list:
-        """Walk the stack, `width` nodes at most at a time; returns the
+    def run(self, families: dict, net, state, width: int) -> list:
+        """Walk a stack of groups of at most `width` nodes, depth first:
+        the roots' groups, an opened group's branches `width` to a group,
+        and a trained group's children as one group. Returns the
         outcomes."""
-        while self.stack:
-            group = self.pop_group(width)
-            if group[0].t == len(self.tasks):
-                for node in group:
-                    self.finish(node)
-            elif group[0].terms is None:
-                self.open(group)
-            else:
-                self.train(group)
+        stack = self.roots(families, net, state, width)[::-1]
+        while stack:
+            group = stack.pop()
+            children = (self.finish if group[0].t == len(self.tasks)
+                        else self.open if group[0].terms is None
+                        else self.train)(group)
+            stack += [children[i:i + width]
+                      for i in range(0, len(children), width)][::-1]
         return self.outcomes
+
+    def roots(self, families: dict, net, state, width: int) -> list:
+        """One root per family (its members) at `net` and `state`: a seed's
+        roots, `width` to a group, the groups in the order of their first
+        roots."""
+        groups: dict[tuple, list[_Node]] = {}
+        seeds = [seed for seed, _ in families]
+        for k, members in enumerate(families.values()):
+            key = seeds[k], seeds[:k].count(seeds[k]) // width
+            groups.setdefault(key, []).append(_Node(
+                self.start_task, members, net, state, [],
+                np.full(len(self.tasks), np.nan)))
+        return [*groups.values()]
 
     def cfg(self, node: _Node) -> SequenceConfig:
         return self.configs[node.members[0]]
@@ -472,48 +479,34 @@ class _Walk:
         for i in node.members:
             self.outcomes[i] = exc
 
-    def push(self, children: list[_Node]) -> None:
-        """Push the nodes so that the first is popped first."""
-        self.stack.extend(reversed(children))
-
-    def pop_group(self, width: int) -> list[_Node]:
-        """The top node, and the nodes nearest the top at its task, in its
-        phase and with its seed, up to `width` nodes in all."""
-        head = self.stack.pop()
-        kind = (head.t, head.terms is None, self.cfg(head).seed)
-        group = [head]
-        for j in range(len(self.stack) - 1, -1, -1):
-            if len(group) == width:
-                break
-            node = self.stack[j]
-            if (node.t, node.terms is None, self.cfg(node).seed) == kind:
-                group.append(self.stack.pop(j))
-        return group
-
-    def open(self, group: list[_Node]) -> None:
-        """The shared part of each node's task: the pre-training evaluation,
-        the expansion (in lock-step across the group) and task_start; then
-        push each node's branches."""
-        t = group[0].t
+    def open(self, group: list[_Node]) -> list[_Node]:
+        """The shared part of each node's task: the expansion of each
+        distinct network (in lock-step across the group), the pre-training
+        evaluation and task_start. Returns each node's branches."""
+        t, cfg = group[0].t, self.cfg(group[0])
         task = self.tasks[t]
-        live = []
+        if group[0].net is None:  # roots, of one seed and architecture
+            net = Network.create(*self.arch, cfg.seed)
+            for node in group:
+                node.net, node.state = net, RegState.zeros(net.param_count)
+        nets = [*dict.fromkeys(node.net for node in group
+                               if self.cfg(node).uses_expansion)]
+        anchors = dict(zip(nets, train_expanded(
+            nets, task, cfg.optimizer,
+            epochs=cfg.expansion_epochs or cfg.epochs,
+            init=cfg.expansion_init, batch_size=cfg.batch_size,
+            loss_kind=_loss_kind(task), seed=cfg.seed, task_index=t)
+            if nets else []))
+        children = []
         for node in group:
+            cfg = self.cfg(node)
+            anchor = anchors[node.net] if cfg.uses_expansion else None
             try:
-                if node.net is None:  # a root
-                    node.net = Network.create(*self.arch, self.cfg(node).seed)
-                    node.state = RegState.zeros(node.net.param_count)
                 if t > 0:
                     node.pre_train = node.pre_train.copy()
                     node.pre_train[t] = evaluate(node.net, task)
-                live.append(node)
             except Exception as exc:
-                self.fail(node, exc)
-        grow = [node for node in live if self.cfg(node).uses_expansion]
-        anchors = iter(self.expand(grow, t) if grow else [])
-        children = []
-        for node in live:
-            cfg = self.cfg(node)
-            anchor = next(anchors) if cfg.uses_expansion else None
+                anchor = exc
             if isinstance(anchor, Exception):
                 self.fail(node, anchor)
                 continue
@@ -532,24 +525,11 @@ class _Walk:
             children += [_Node(t, branch, node.net, node.state, node.rows,
                                node.pre_train, terms)
                          for terms, branch in branches.values()]
-        self.push(children)
+        return children
 
-    def expand(self, nodes: list[_Node], t: int) -> list:
-        """Each node's expanded anchor at task t, or the exception that
-        failed it; the nodes expand in lock-step."""
-        cfg, task = self.cfg(nodes[0]), self.tasks[t]
-        try:
-            return train_expanded(
-                [node.net for node in nodes], task, cfg.optimizer,
-                epochs=cfg.expansion_epochs or cfg.epochs,
-                init=cfg.expansion_init, batch_size=cfg.batch_size,
-                loss_kind=_loss_kind(task), seed=cfg.seed, task_index=t)
-        except Exception as exc:  # raised for all, as for a bad init
-            return [exc] * len(nodes)
-
-    def train(self, group: list[_Node]) -> None:
+    def train(self, group: list[_Node]) -> list[_Node]:
         """Train the group's branches in lock-step, each on a copy of its
-        network and state, and push each one's next task."""
+        network and state. Returns each one's node at the next task."""
         t = group[0].t
         states = [node.state.copy() for node in group]
         outcomes = _learn_task([self.cfg(node) for node in group],
@@ -576,22 +556,24 @@ class _Walk:
                      if len(node.members) > 1 else "")
             children.append(_Node(t + 1, node.members, net, state, rows,
                                   node.pre_train))
-        self.push(children)
+        return children
 
-    def finish(self, node: _Node) -> None:
-        """Each member's RunResult, from the node's trained run."""
-        cfg = self.cfg(node)
-        try:
-            if cfg.seed not in self.abar:
-                self.abar[cfg.seed] = random_init_baseline(
-                    self.tasks, cfg.arch, [cfg.seed])
-            digest = _state_digest(node.net, node.state)
-            for i in node.members:
-                self.outcomes[i] = _run_result(
-                    self.configs[i], node.rows, self.abar[cfg.seed],
-                    node.pre_train, digest, self.start_task)
-        except Exception as exc:
-            self.fail(node, exc)
+    def finish(self, group: list[_Node]) -> list:
+        """Each member's RunResult, from its node's trained run."""
+        for node in group:
+            cfg = self.cfg(node)
+            try:
+                if cfg.seed not in self.abar:
+                    self.abar[cfg.seed] = random_init_baseline(
+                        self.tasks, cfg.arch, [cfg.seed])
+                digest = _state_digest(node.net, node.state)
+                for i in node.members:
+                    self.outcomes[i] = _run_result(
+                        self.configs[i], node.rows, self.abar[cfg.seed],
+                        node.pre_train, digest, self.start_task)
+            except Exception as exc:
+                self.fail(node, exc)
+        return []
 
 
 def _learn_task(cfgs: list[SequenceConfig], nets: list[Network],

@@ -189,11 +189,11 @@ def emit_report(results, out_dir) -> list[str]:
                               []).append(r)
     avg_series, new_series = {}, {}
     for label, runs in by_setting.items():
-        curves = np.stack([_running_mean_accuracy(r.acc_matrix) for r in runs
-                           if r.acc_matrix.T == t_max])
+        t_run = max(r.acc_matrix.T for r in runs)
+        mats = [r.acc_matrix for r in runs if r.acc_matrix.T == t_run]
+        curves = np.stack([_running_mean_accuracy(m) for m in mats])
         avg_series[label] = (curves.mean(axis=0), curves.std(axis=0))
-        diags = np.stack([[r.acc_matrix.a[i][i] for i in range(t_max)]
-                          for r in runs if r.acc_matrix.T == t_max])
+        diags = np.stack([[m.a[i][i] for i in range(t_run)] for m in mats])
         new_series[label] = (diags.mean(axis=0), diags.std(axis=0))
     for fname, series, title in (
             ("avg_accuracy.svg", avg_series, "Averaged accuracy vs tasks learned"),

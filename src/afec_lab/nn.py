@@ -327,22 +327,23 @@ class Network:
         loss, _ = self._loss_delta(out, batch, loss_kind)
         return loss
 
-    def per_sample_grad_moment(self, batch: Batch, delta: np.ndarray,
+    def per_sample_grad_moment(self, batch: Batch, delta_of,
                                power: int) -> np.ndarray:
         """Mean over samples of |per-sample parameter gradient|**power.
 
-        `delta` is the per-sample output-space gradient [n, d_out] (no batch
-        averaging). For a dense layer the per-sample weight gradient is the
-        outer product of its input activation and delta, so elementwise powers
+        `delta_of(outputs)` is the per-sample output-space gradient
+        [n, d_out] (no batch averaging) at the outputs of this one forward
+        pass. For a dense layer the per-sample weight gradient is the outer
+        product of its input activation and delta, so elementwise powers
         factorize and the whole moment reduces to one matrix product per
         layer. Used for diagonal Fisher estimates (power=2) and gradient-
         magnitude importances (power=1).
         """
         if power not in (1, 2):
             raise ConfigError("power must be 1 or 2")
-        _, cache = self._forward_cached(batch.inputs, batch.head)
+        out, cache = self._forward_cached(batch.inputs, batch.head)
         pw = np.square if power == 2 else np.abs
-        moment = self._backward(batch.head, cache, delta, pw) / batch.n
+        moment = self._backward(batch.head, cache, delta_of(out), pw) / batch.n
         if not np.isfinite(moment).all():
             raise NumericError("non-finite per-sample gradient moment")
         return moment

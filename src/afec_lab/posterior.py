@@ -48,14 +48,14 @@ class WeightedProductResult:
     beta: float
 
 
-def _nll_delta(net: Network, batch: Batch, loss_kind: str) -> np.ndarray:
-    """Per-sample output-space gradient of the negative log-likelihood.
+def _nll_delta(out: np.ndarray, batch: Batch, loss_kind: str) -> np.ndarray:
+    """Per-sample output-space gradient of the negative log-likelihood at
+    the network's outputs `out`.
 
     For regression the per-sample NLL is 0.5 * ||output - target||^2 (unit
     observation noise), so the delta is the raw residual; for classification
     it is the usual softmax cross-entropy delta.
     """
-    out = net.forward(batch)
     if loss_kind in ("mse", "angular_mse"):
         return out - batch.targets
     if loss_kind == "cross_entropy":
@@ -73,8 +73,8 @@ def estimate_diag_fisher(net: Network, data, loss_kind: str) -> np.ndarray:
     if len(data.inputs_train) == 0:
         raise ShapeError("cannot estimate Fisher on an empty dataset")
     batch = Batch(data.inputs_train, data.targets_train, data.head)
-    delta = _nll_delta(net, batch, loss_kind)
-    return net.per_sample_grad_moment(batch, delta, power=2)
+    return net.per_sample_grad_moment(
+        batch, lambda out: _nll_delta(out, batch, loss_kind), power=2)
 
 
 def fisher_running_average(f_prev: np.ndarray, f_new: np.ndarray,

@@ -150,27 +150,29 @@ def train_lockstep(nets: list[Network], task, *, epochs: int, batch_size: int,
     return outcomes
 
 
-def train_expanded(net: Network | list[Network], task, opt_spec: dict, *,
+def train_expanded(nets: list[Network], task, opt_spec: dict, *,
                    epochs: int, init: str = "copy_main", batch_size: int,
-                   loss_kind: str, seed: int, task_index: int = 0):
-    """Synaptic expansion: train a temporary network (a copy of `net`, or
-    freshly initialized) on the task loss alone and return its anchor
-    (parameter snapshot + Fisher). The main network is never touched and
-    the temporary one is discarded when this returns.
-
-    A list of networks of one architecture expands them in lock-step and
-    returns, per network, its anchor or the exception that failed it."""
-    if init not in EXPANSION_INITS:
-        raise ConfigError(f"unknown expansion_init {init!r}")
-    if task.n_train == 0:
-        raise ShapeError("expansion needs a non-empty task")
-    nets = [net] if isinstance(net, Network) else list(net)
-    if init == "fresh_random":
-        fresh_seed = (_EXPAND_INIT_KEY + 1000003 * seed + 997 * task_index) % (2 ** 31)
-        nets = [Network.create(*n.arch(), seed=fresh_seed) for n in nets]
-    opts = [make_optimizer(opt_spec) for _ in nets]
+                   loss_kind: str, seed: int, task_index: int = 0) -> list:
+    """Synaptic expansion: train a temporary network on the task loss
+    alone, in lock-step (a copy of each given network, or one fresh network
+    for them all), and snapshot its anchor (parameters + Fisher). Returns,
+    per given network, its anchor, which rows may share, or the exception
+    that failed it. The given networks are never touched."""
+    try:
+        if init not in EXPANSION_INITS:
+            raise ConfigError(f"unknown expansion_init {init!r}")
+        if task.n_train == 0:
+            raise ShapeError("expansion needs a non-empty task")
+        starts = nets
+        if init == "fresh_random":
+            fresh_seed = (_EXPAND_INIT_KEY + 1000003 * seed
+                          + 997 * task_index) % (2 ** 31)
+            starts = [Network.create(*nets[0].arch(), seed=fresh_seed)]
+        opts = [make_optimizer(opt_spec) for _ in starts]
+    except Exception as exc:
+        return [exc] * len(nets)
     outcomes = train_lockstep(
-        nets, task, epochs=epochs, batch_size=batch_size,
+        starts, task, epochs=epochs, batch_size=batch_size,
         key=[_EXPAND_SHUFFLE_KEY, seed, task_index], loss_kind=loss_kind,
         step=lambda i, tmp, grad: opts[i].step(tmp.params, grad))
     opts.clear()  # the moments are not needed for the Fisher
@@ -180,11 +182,7 @@ def train_expanded(net: Network | list[Network], task, opt_spec: dict, *,
                 outcomes[i] = snapshot_anchor(tmp, task, loss_kind)
             except Exception as exc:
                 outcomes[i] = exc
-    if isinstance(net, Network):
-        if isinstance(outcomes[0], Exception):
-            raise outcomes[0]
-        return outcomes[0]
-    return outcomes
+    return outcomes * len(nets) if init == "fresh_random" else outcomes
 
 
 # -- baseline importance estimators ------------------------------------------
@@ -235,5 +233,4 @@ def importance_update(method: str, state: RegState, event: str, *,
 def _mas_increment(net: Network, task) -> np.ndarray:
     """Mean absolute per-sample gradient of the squared output norm."""
     batch = Batch(task.inputs_train, task.targets_train, task.head)
-    outputs = net.forward(batch)
-    return net.per_sample_grad_moment(batch, 2.0 * outputs, power=1)
+    return net.per_sample_grad_moment(batch, lambda out: 2.0 * out, power=1)

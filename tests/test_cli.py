@@ -9,6 +9,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -763,6 +764,25 @@ class TestDatagenAndReport:
         assert len(results) == 8
         assert sorted(p.name for p in out.glob("matrix_*.json")) == [
             "matrix_" + name.removeprefix("result_") for name in results]
+
+    def test_report_on_two_benchmarks(self, tmp_path):
+        # a 3-task ewc run and a 2-task afec run in one directory
+        out = tmp_path / "mixed"
+        three = minimal_config(out, methods=["ewc"], epochs=1)
+        three["benchmark"] = {"kind": "angular_sequence", "num_tasks": 3,
+                              "num_classes": 4, "samples_per_class": 10,
+                              "input_dim": 6}
+        assert main(["run", "--config", write_config(tmp_path, three)]) == 0
+        two = minimal_config(out, methods=["afec"], lambda_e=1, epochs=1)
+        assert main(["run", "--config", write_config(tmp_path, two)]) == 0
+        (out / "new_task_accuracy.svg").unlink()
+        assert main(["report", "--config", write_config(tmp_path, two)]) == 0
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["2", "3"]
+        svg = (out / "new_task_accuracy.svg").read_text()
+        lines = re.findall(r'<polyline points="([^"]*)"', svg)
+        assert [len(points.split()) for points in lines] == [2, 3]
+        assert (out / "avg_accuracy.svg").exists()
 
     def test_report_without_results_exits_2(self, tmp_path):
         out = tmp_path / "empty"

@@ -6,7 +6,7 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import asdict
+import weakref
 
 import numpy as np
 import pytest
@@ -247,24 +247,22 @@ class TestStrengths:
                                     epochs=1)
                     doc = result_to_json(run_sequence(cfg, tasks))
                     del doc["config"]
-                    docs.setdefault((cfg.family_key(), cfg.strengths),
+                    docs.setdefault((cfg.family, cfg.strengths),
                                     set()).add(json.dumps(doc, sort_keys=True))
         # Per base method: lam 0 and 1 without expansion, and with it.
         assert len(docs) == 16
         assert all(len(texts) == 1 for texts in docs.values())
 
-    def test_other_fields_enter_the_family_key_unchanged(self):
+    def test_family_is_the_seed_and_run_method(self):
         cfg = SequenceConfig(method="afec", lam=2.0, lam_e=0.5, seed=3,
                              expansion_init="fresh_random")
-        doc = asdict(cfg)
-        del doc["lam"], doc["lam_e"]
-        assert json.loads(cfg.family_key()) == doc
+        assert cfg.family == (3, "afec")
         assert cfg.strengths == (2.0, 0.5)
         mas_afec = SequenceConfig(method="mas_afec", lam=2.0, lam_e=0.0,
                                   seed=3)
         mas = SequenceConfig(method="mas", lam=2.0, lam_e=7.0, seed=3)
         assert mas_afec.run_method == mas.run_method == "mas"
-        assert mas_afec.family_key() == mas.family_key()
+        assert mas_afec.family == mas.family == (3, "mas")
         assert mas_afec.strengths == mas.strengths == (2.0, 0.0)
         assert SequenceConfig(method="finetune", lam=2.0).strengths == \
             (0.0, 0.0)
@@ -344,8 +342,8 @@ class TestSnapshotsOwnTheirMemory:
         for t, task in enumerate(tasks):
             expanded = None
             if cfg.uses_expansion:
-                expanded = train_expanded(
-                    net, task, cfg.optimizer, epochs=1, batch_size=8,
+                [expanded] = train_expanded(
+                    [net], task, cfg.optimizer, epochs=1, batch_size=8,
                     loss_kind=continual._loss_kind(task), seed=0,
                     task_index=t)
             if cfg.base_method in ("mas", "si", "rwalk"):
@@ -363,10 +361,10 @@ class TestSnapshotsOwnTheirMemory:
         net = Network.create(task.input_dim, [8], "relu",
                              {task.head: task.head_dim}, 0)
         for epochs in (0, 2):
-            anchor = train_expanded(net, task, {"kind": "adam"},
-                                    epochs=epochs, init=init, batch_size=8,
-                                    loss_kind=continual._loss_kind(task),
-                                    seed=0)
+            [anchor] = train_expanded([net], task, {"kind": "adam"},
+                                      epochs=epochs, init=init, batch_size=8,
+                                      loss_kind=continual._loss_kind(task),
+                                      seed=0)
             self._assert_own_memory(net, [anchor.mean])
 
 
@@ -414,22 +412,22 @@ class TestFamilyWalk:
             cfg = quick_cfg(method, lam=lam, lam_e=lam_e, seed=seed,
                             epochs=1, optimizer=optimizer,
                             expansion_init=init)
-            families.setdefault(cfg.family_key(), []).append(cfg)
+            families.setdefault(cfg.family, []).append(cfg)
         for family in families.values():
             shared = run_sequence(family, tasks)
             assert [_outcome_text(r) for r in shared] == [
                 _own_run(cfg, tasks) for cfg in family]
 
-    def test_family_key_drops_only_the_strengths(self):
-        keys = {quick_cfg("afec", lam=lam, lam_e=lam_e).family_key()
+    def test_family_drops_only_the_strengths(self):
+        keys = {quick_cfg("afec", lam=lam, lam_e=lam_e).family
                 for lam in (0.0, 1.0, 5.0) for lam_e in (1.0, 2.0)}
         assert len(keys) == 1
-        assert quick_cfg("afec", lam_e=1.0).family_key() != \
-            quick_cfg("afec", lam_e=0.0).family_key()  # ewc's family
-        assert quick_cfg("afec", lam_e=0.0).family_key() == \
-            quick_cfg("finetune", lam=3.0).family_key()
-        assert quick_cfg("ewc", seed=1).family_key() != \
-            quick_cfg("ewc", seed=2).family_key()
+        assert quick_cfg("afec", lam_e=1.0).family != \
+            quick_cfg("afec", lam_e=0.0).family  # ewc's family
+        assert quick_cfg("afec", lam_e=0.0).family == \
+            quick_cfg("finetune", lam=3.0).family
+        assert quick_cfg("ewc", seed=1).family != \
+            quick_cfg("ewc", seed=2).family
 
     def test_configs_of_two_families_rejected(self):
         with pytest.raises(ConfigError, match="differ only in method, lam"):
@@ -552,6 +550,65 @@ class TestLockstep:
         # the failed row left the stack after the step its own run failed at
         assert sizes == [2] * steps + [1] * (len(sizes) - steps)
         assert _outcome_text(sibling) == _own_run(cells[1], tasks)
+
+    def test_root_groups_keep_the_order_of_their_first_roots(self,
+                                                             monkeypatch):
+        # two rows per group of this 418-parameter net: seed 0's third
+        # root waits for seed 1's, as the families come in that order
+        monkeypatch.setattr(continual, "_LOCKSTEP_BUDGET", 2 * 418)
+        cells = [quick_cfg(method, lam=1.0, lam_e=1.0, seed=seed, epochs=1)
+                 for method, seed in (("ewc", 0), ("ewc", 1), ("si", 0),
+                                      ("afec", 0))]
+        calls = []
+
+        def learn(cfgs, *args, _fn=continual._learn_task):
+            calls.append((args[3], [(c.method, c.seed) for c in cfgs]))
+            return _fn(cfgs, *args)
+        monkeypatch.setattr(continual, "_learn_task", learn)
+        run_sequence(cells, quick_pair())
+        assert calls == [(t, rows) for rows in (
+            [("ewc", 0), ("si", 0)], [("ewc", 1)], [("afec", 0)])
+            for t in (0, 1)]
+
+    def test_one_expansion_per_starting_network(self, monkeypatch):
+        # the three roots share one network, so one expansion on the first
+        # task; on the second each run has a network of its own
+        rows = []
+
+        def expand(nets, *args, _fn=continual.train_expanded, **kwargs):
+            rows.append(len(nets))
+            return _fn(nets, *args, **kwargs)
+        monkeypatch.setattr(continual, "train_expanded", expand)
+        cells = [quick_cfg(method, lam=1.0, lam_e=1.0, epochs=1)
+                 for method in ("afec", "mas_afec", "si_afec", "ewc")]
+        tasks = quick_pair()
+        shared = run_sequence(cells, tasks)
+        assert rows == [1, 3]
+        assert [_outcome_text(r) for r in shared] == [
+            _own_run(cell, tasks) for cell in cells]
+
+    def test_finished_subtrees_are_freed(self, monkeypatch):
+        # one row per group: when a family starts its first task, the
+        # networks made for the families walked before it are gone
+        monkeypatch.setattr(continual, "_LOCKSTEP_BUDGET", 1)
+        made = []
+
+        def create(cls, *args, _fn=Network.create.__func__, **kwargs):
+            net = _fn(cls, *args, **kwargs)
+            made.append(weakref.ref(net))
+            return net
+        monkeypatch.setattr(Network, "create", classmethod(create))
+        alive = {}
+
+        def learn(cfgs, *args, _fn=continual._learn_task):
+            if cfgs[0].method not in alive:
+                gc.collect()
+                alive[cfgs[0].method] = sum(ref() is not None for ref in made)
+            return _fn(cfgs, *args)
+        monkeypatch.setattr(continual, "_learn_task", learn)
+        run_sequence([quick_cfg(method, lam=1.0, lam_e=1.0, epochs=1)
+                      for method in ("ewc", "afec", "si")], quick_pair())
+        assert alive == {"ewc": 1, "afec": 1, "si": 1}
 
     def test_beyond_the_budget_the_walk_is_depth_first(self, monkeypatch):
         # P = 68,098 > 2**16, so one row at a time, one family after another

@@ -189,6 +189,29 @@ class TestEmitReport:
         assert fields[6] == ""  # BWT undefined for one task
         assert fields[7] == ""  # FWT undefined for one task
 
+    def test_settings_of_different_lengths(self, tmp_path):
+        # every afec run is shorter than the longest run; each series takes
+        # its own setting's runs of that setting's largest T
+        rng = np.random.default_rng(4)
+        results = [FakeResult("ewc", 0, random_matrix(rng, 3)),
+                   FakeResult("afec", 0, random_matrix(rng, 2)),
+                   FakeResult("afec", 1, random_matrix(rng, 2))]
+        files = emit_report(results, tmp_path)
+        svg = "{http://www.w3.org/2000/svg}"
+        for name in ("avg_accuracy.svg", "new_task_accuracy.svg"):
+            assert name in files
+            root = ET.fromstring((tmp_path / name).read_text())
+            points = [len(line.get("points").split())
+                      for line in root.findall(f".//{svg}polyline")]
+            assert points == [2, 3]  # afec, then ewc, by label
+        afec = [r.acc_matrix for r in results[1:]]
+        line = ET.fromstring((tmp_path / "new_task_accuracy.svg").read_text()
+                             ).find(f".//{svg}polyline").get("points")
+        ys = [float(pt.split(",")[1]) for pt in line.split()]
+        means = [np.mean([m.a[i][i] for m in afec]) for i in range(2)]
+        np.testing.assert_allclose(ys, [350 - 300 * v for v in means],
+                                   atol=1e-4)
+
     def test_grid_runs_keyed_by_setting_and_seed(self, tmp_path):
         # one method over a 2x2 lambda x lambda_e grid and two seeds
         rng = np.random.default_rng(5)

@@ -308,7 +308,8 @@ class TestPerSampleGradMoment:
         batch = random_batch(4, net, n=9)
         rng = np.random.default_rng(5)
         delta = rng.standard_normal((batch.n, net.heads["out"].out_dim))
-        got = net.per_sample_grad_moment(batch, delta, power=power)
+        got = net.per_sample_grad_moment(batch, lambda out: delta,
+                                         power=power)
         total = np.zeros(net.param_count)
         for i in range(batch.n):
             one = Batch(batch.inputs[i:i + 1], batch.targets[i:i + 1], "out")
@@ -321,7 +322,7 @@ class TestPerSampleGradMoment:
         net = random_net(0)
         batch = random_batch(1, net)
         with pytest.raises(ConfigError):
-            net.per_sample_grad_moment(batch, np.zeros((batch.n, 3)), power=3)
+            net.per_sample_grad_moment(batch, np.zeros_like, power=3)
 
     @pytest.mark.parametrize("power", [1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -334,7 +335,7 @@ class TestPerSampleGradMoment:
         delta[1, 2] = bad
         with np.errstate(invalid="ignore"), \
                 pytest.raises(NumericError, match="per-sample gradient"):
-            net.per_sample_grad_moment(batch, delta, power=power)
+            net.per_sample_grad_moment(batch, lambda out: delta, power=power)
 
 
 class TestOptimizers:

@@ -111,8 +111,7 @@ class TestEstimateDiagFisher:
         total = np.zeros(net.param_count)
         for i in range(7):
             batch = Batch(x[i:i + 1], y[i:i + 1], "out")
-            out = net.forward(batch)
-            _, cache = net._forward_cached(batch.inputs, "out")
+            out, cache = net._forward_cached(batch.inputs, "out")
             g = net._backward("out", cache, out - y[i:i + 1])
             total += g * g
         np.testing.assert_allclose(f, total / 7, rtol=1e-12, atol=1e-18)

@@ -11,8 +11,9 @@ from afec_lab.continual import SequenceConfig, penalized_grad, penalty_terms
 from afec_lab.errors import ConfigError, ShapeError
 from afec_lab.nn import Batch, DenseLayer, Network, SGD
 from afec_lab.posterior import DiagGaussian, gaussian_weighted_product
-from afec_lab.regularizers import (RegState, importance_update,
-                                   quadratic_penalty, train_expanded)
+from afec_lab.regularizers import (EXPANSION_INITS, RegState,
+                                   importance_update, quadratic_penalty,
+                                   train_expanded)
 from afec_lab.tasks import AngularLayout, gen_angular_task
 
 
@@ -294,16 +295,16 @@ class TestTrainExpanded:
     def test_zero_epochs_copy_main_returns_current_params(self):
         task = small_task()
         net = small_net(task)
-        anchor = train_expanded(net, task, {"kind": "sgd", "lr": 0.01},
-                                epochs=0, batch_size=8,
-                                loss_kind="angular_mse", seed=0)
+        [anchor] = train_expanded([net], task, {"kind": "sgd", "lr": 0.01},
+                                  epochs=0, batch_size=8,
+                                  loss_kind="angular_mse", seed=0)
         np.testing.assert_array_equal(anchor.mean, net.get_params())
 
     def test_main_network_untouched(self):
         task = small_task()
         net = small_net(task)
         before = net.get_params()
-        train_expanded(net, task, {"kind": "adam", "lr": 0.001}, epochs=3,
+        train_expanded([net], task, {"kind": "adam", "lr": 0.001}, epochs=3,
                        batch_size=8, loss_kind="angular_mse", seed=0)
         np.testing.assert_array_equal(net.get_params(), before)
 
@@ -312,8 +313,8 @@ class TestTrainExpanded:
         net = small_net(task)
         kwargs = dict(epochs=2, batch_size=8, loss_kind="angular_mse",
                       seed=3, task_index=1)
-        a = train_expanded(net, task, {"kind": "adam"}, **kwargs)
-        b = train_expanded(net, task, {"kind": "adam"}, **kwargs)
+        [a] = train_expanded([net], task, {"kind": "adam"}, **kwargs)
+        [b] = train_expanded([net], task, {"kind": "adam"}, **kwargs)
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.precision, b.precision)
 
@@ -321,26 +322,55 @@ class TestTrainExpanded:
         task = small_task()
         net = small_net(task)
         kwargs = dict(epochs=1, batch_size=8, loss_kind="angular_mse", seed=0)
-        a = train_expanded(net, task, {"kind": "sgd", "lr": 1e-4}, **kwargs)
-        b = train_expanded(net, task, {"kind": "sgd", "lr": 1e-4},
-                           init="fresh_random", **kwargs)
+        [a] = train_expanded([net], task, {"kind": "sgd", "lr": 1e-4},
+                             **kwargs)
+        [b] = train_expanded([net], task, {"kind": "sgd", "lr": 1e-4},
+                             init="fresh_random", **kwargs)
         assert np.any(a.mean != b.mean)
 
-    def test_unknown_init_rejected(self):
+    def test_unknown_init_returned_for_every_network(self):
         task = small_task()
-        with pytest.raises(ConfigError):
-            train_expanded(small_net(task), task, {"kind": "sgd"}, epochs=1,
-                           init="warm", batch_size=8,
-                           loss_kind="angular_mse", seed=0)
+        nets = [small_net(task, seed) for seed in (0, 1)]
+        a, b = train_expanded(nets, task, {"kind": "sgd"}, epochs=1,
+                              init="warm", batch_size=8,
+                              loss_kind="angular_mse", seed=0)
+        assert a is b
+        assert isinstance(a, ConfigError)
+        assert str(a) == "unknown expansion_init 'warm'"
+
+    def test_empty_task_returned_for_every_network(self):
+        task = small_task()
+        nets = [small_net(task, seed) for seed in (0, 1)]
+        task.inputs_train = task.inputs_train[:0]
+        outcomes = train_expanded(nets, task, {"kind": "sgd"}, epochs=1,
+                                  batch_size=8, loss_kind="angular_mse",
+                                  seed=0)
+        assert [type(o) for o in outcomes] == [ShapeError] * 2
+        assert str(outcomes[0]) == "expansion needs a non-empty task"
+
+    @pytest.mark.parametrize("init", EXPANSION_INITS)
+    def test_rows_equal_their_own_expansions(self, init):
+        # fresh_random trains one network for every row: one anchor
+        task = small_task()
+        nets = [small_net(task, seed) for seed in (0, 1, 2)]
+        kwargs = dict(epochs=2, init=init, batch_size=8,
+                      loss_kind="angular_mse", seed=3, task_index=1)
+        rows = train_expanded(nets, task, {"kind": "adam"}, **kwargs)
+        for net, row in zip(nets, rows):
+            [own] = train_expanded([net], task, {"kind": "adam"}, **kwargs)
+            np.testing.assert_array_equal(row.mean, own.mean)
+            np.testing.assert_array_equal(row.precision, own.precision)
+        assert (len({id(row) for row in rows})
+                == (1 if init == "fresh_random" else 3))
 
     def test_training_reduces_task_loss(self):
         task = small_task()
         net = small_net(task)
         batch = Batch(task.inputs_train, task.targets_train, task.head)
         before = net.loss_only(batch, "angular_mse")
-        anchor = train_expanded(net, task, {"kind": "adam", "lr": 0.01},
-                                epochs=30, batch_size=16,
-                                loss_kind="angular_mse", seed=0)
+        [anchor] = train_expanded([net], task, {"kind": "adam", "lr": 0.01},
+                                  epochs=30, batch_size=16,
+                                  loss_kind="angular_mse", seed=0)
         probe = net.clone()
         probe.set_params(anchor.mean)
         assert probe.loss_only(batch, "angular_mse") < before
