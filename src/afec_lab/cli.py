@@ -222,15 +222,6 @@ def _run_worker_unit(cells: list[SequenceConfig]) -> list:
     return outcomes
 
 
-def _outcomes(get, items):
-    """get(item) for each item, or the exception it raised."""
-    for item in items:
-        try:
-            yield get(item)
-        except Exception as exc:
-            yield exc
-
-
 def _plan_units(families: list[list], jobs: int) -> list[list]:
     """The units of work, largest first: one per family, and while there
     are fewer units than `jobs`, the largest unit split in half, until
@@ -245,18 +236,19 @@ def _plan_units(families: list[list], jobs: int) -> list[list]:
 
 
 def _run_cells(config: ExperimentConfig, jobs: int):
-    """Yield (cell, outcome) for every cell, in the config's cell order, as
-    each one finishes. The outcome is the cell's RunResult, or the
-    exception it raised: one failed cell does not stop the others.
+    """Yield (cell index, outcome) for every cell as its unit of work
+    returns. The outcome is the cell's RunResult, or the exception it
+    raised: one failed cell does not stop the others.
 
-    Serially, or when the plan has one unit, every cell trains in one walk
-    (see run_sequence), which trains cells of equal strengths once, shares
-    the common tasks of a family (see SequenceConfig.family) and trains
-    the runs of one seed in lock-step. Otherwise a family is the pool's
-    unit of work, walked the same way. Units are sized and split by
-    distinct runs, so the cells of one run stay in one unit. Tasks are
-    built once per process: here when serial or when there is one unit,
-    once in each pool worker otherwise."""
+    A unit is walked by run_sequence, which trains cells of equal
+    strengths once, shares the common tasks of a family (see
+    SequenceConfig.family) and trains the runs of one seed in lock-step.
+    Serially, or when the plan has one unit, each seed's cells are a unit,
+    so a stopped run keeps the finished seeds' files. Otherwise a family is
+    the pool's unit of work, and units are sized and split by distinct
+    runs, so the cells of one run stay in one unit. Tasks are built once
+    per process: here when serial or when there is one unit, once in each
+    pool worker otherwise."""
     cells = config.cells
     # family -> strengths -> the indices of the cells of that run
     families: dict[tuple, dict[tuple, list[int]]] = {}
@@ -265,38 +257,32 @@ def _run_cells(config: ExperimentConfig, jobs: int):
             cell.strengths, []).append(i)
     units = [[i for run in unit for i in run] for unit in _plan_units(
         [[*runs.values()] for runs in families.values()], jobs)]
-    pool = None
     if jobs <= 1 or len(units) == 1:
-        units = [[*range(len(cells))]]
         task_list = build_tasks(config.benchmark)
-        outcomes = _outcomes(
-            lambda unit: _run_cell(task_list, [cells[i] for i in unit]),
-            units)
-    else:
-        # Each worker builds the tasks once, so no more workers than units.
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(jobs, len(units)), initializer=_init_worker,
-            initargs=(config.benchmark,))
-        futures = [pool.submit(_run_worker_unit, [cells[i] for i in unit])
-                   for unit in units]
-        outcomes = _outcomes(concurrent.futures.Future.result, futures)
+        for seed in dict.fromkeys(cell.seed for cell in cells):
+            unit = [i for i, cell in enumerate(cells) if cell.seed == seed]
+            outcomes = _run_cell(task_list, [cells[i] for i in unit])
+            yield from zip(unit, outcomes)
+        return
+    # Each worker builds the tasks once, so no more workers than units.
+    pool = concurrent.futures.ProcessPoolExecutor(
+        max_workers=min(jobs, len(units)), initializer=_init_worker,
+        initargs=(config.benchmark,))
     try:
-        pending = zip(units, outcomes)
-        done: dict[int, object] = {}  # cell index -> outcome
-        for i, cell in enumerate(cells):
-            while i not in done:
-                unit, outcome = next(pending)
-                if isinstance(outcome, _BuildFailed):
-                    raise outcome.args[0]
-                if isinstance(outcome, Exception):  # the whole unit failed
-                    outcome = [outcome] * len(unit)
-                done.update(zip(unit, outcome))
-            yield cell, done.pop(i)
+        futures = {pool.submit(_run_worker_unit, [cells[i] for i in unit]):
+                   unit for unit in units}
+        for future in concurrent.futures.as_completed(futures):
+            try:
+                outcomes = future.result()
+            except _BuildFailed as exc:
+                raise exc.args[0] from None
+            except Exception as exc:  # the whole unit failed
+                outcomes = [exc] * len(futures[future])
+            yield from zip(futures[future], outcomes)
     finally:
-        if pool is not None:
-            # If the caller stops early (a result file could not be
-            # written, say), the queued units are dropped instead of run.
-            pool.shutdown(cancel_futures=True)
+        # If the caller stops early (a result file could not be written,
+        # say), the queued units are dropped instead of run.
+        pool.shutdown(cancel_futures=True)
 
 
 def _error_text(exc: BaseException) -> str:
@@ -315,27 +301,28 @@ def _log_failure(message: str, exc: BaseException) -> None:
 
 
 def _run_and_write(config: ExperimentConfig, jobs: int):
-    """Run every cell and write each finished cell's result file as soon as
-    it is in. Returns the (cell, RunResult) and the (cell, exception) pairs
-    in cell order; each failed cell is logged with its name and error."""
-    results, failures = [], []
-    for cell, outcome in _run_cells(config, jobs):
-        if not (results or failures):  # so a task-build error makes no dir
+    """Run every cell and write each finished cell's result file as its
+    unit returns. After the last unit, log each failed cell with its name
+    and error, in cell order, and return the (cell, RunResult) and the
+    (cell, exception) pairs in cell order."""
+    outcomes: dict[int, object] = {}  # cell index -> outcome
+    for i, outcome in _run_cells(config, jobs):
+        if not outcomes:  # so a task-build error makes no dir
             os.makedirs(config.out_dir, exist_ok=True)
-        if isinstance(outcome, Exception):
-            failures.append((cell, outcome))
-            _log_failure(f"cell method={cell.method} lambda={cell.lam:g} "
-                         f"lambda_e={cell.lam_e:g} seed={cell.seed} failed",
-                         outcome)
-        else:
-            results.append((cell, outcome))
+        outcomes[i] = outcome
+        if not isinstance(outcome, Exception):
             name = f"result_{metrics.cell_name(outcome.config)}.json"
             write_atomic(os.path.join(config.out_dir, name),
                          [json.dumps(result_to_json(outcome), sort_keys=True),
                           "\n"])
+    pairs = [(config.cells[i], outcomes[i]) for i in sorted(outcomes)]
+    results = [pair for pair in pairs if not isinstance(pair[1], Exception)]
+    failures = [pair for pair in pairs if isinstance(pair[1], Exception)]
+    for cell, exc in failures:
+        _log_failure(f"cell method={cell.method} lambda={cell.lam:g} "
+                     f"lambda_e={cell.lam_e:g} seed={cell.seed} failed", exc)
     if failures:
-        log.error("%d of %d cells failed", len(failures),
-                  len(failures) + len(results))
+        log.error("%d of %d cells failed", len(failures), len(outcomes))
     return results, failures
 
 
@@ -418,8 +405,12 @@ def cmd_report(config: ExperimentConfig) -> int:
     names = os.listdir(config.out_dir) if os.path.isdir(config.out_dir) else []
     for name in sorted(names):
         if name.startswith("result_") and name.endswith(".json"):
-            with open(os.path.join(config.out_dir, name)) as fh:
-                results.append(result_from_json(json.load(fh)))
+            path = os.path.join(config.out_dir, name)
+            try:
+                with open(path) as fh:
+                    results.append(result_from_json(json.load(fh)))
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise FormatError(f"{path}: {_error_text(exc)}") from None
     if not results:
         raise ConfigError(f"no result_*.json files in {config.out_dir}")
     emit_report(results, config.out_dir)

@@ -228,9 +228,10 @@ def _iter_canonical(obj, memo: dict):
 
 def write_atomic(path, chunks) -> None:
     """Write the text chunks to `path` through a temporary file in the same
-    directory, so `path` holds either its old content or all of the new."""
+    directory, so `path` holds either its old content or all of the new.
+    The pid keeps live writers apart; a dead writer's leftover is replaced."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x")
+    fh = open(tmp, "w")
     try:
         with fh:
             for chunk in chunks:

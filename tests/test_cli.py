@@ -284,6 +284,19 @@ class TestMainExitCodes:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_stale_temp_file_is_replaced(self, tmp_path):
+        # A writer killed mid-write leaves <file>.<pid>.tmp behind; a later
+        # run with the same pid writes through it.
+        clean, out = tmp_path / "clean", tmp_path / "stale"
+        path = write_config(tmp_path, minimal_config(clean))
+        assert main(["run", "--config", path]) == 0
+        name = "result_finetune_lam0_lame0_seed0.json"
+        out.mkdir()
+        (out / f"{name}.{os.getpid()}.tmp").write_text("{\"partial")
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
+        assert not list(out.glob("*.tmp"))
+
     def test_repeated_failures_log_once_each(self, tmp_path, capsys):
         # out_dir is a file, so each run fails after training with exit 1
         # and logs through the package handler, which main() replaces.
@@ -601,13 +614,13 @@ class TestGrid:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(cli, name, counted)
         # afec at lambda_e > 0 expands, so all six cells are distinct runs;
-        # the three of each seed form one family, and serially one walk
-        # (one _run_cell) trains both families
+        # the three of each seed form one family, and serially each seed is
+        # one walk (one _run_cell) over the tasks built once
         doc = self.grid_config(tmp_path / "g")
         doc["methods"] = ["afec"]
         path = write_config(tmp_path, doc)
         assert main(["grid", "--config", path, "--jobs", "1"]) == 0
-        assert calls == {"parse_config": 1, "build_tasks": 1, "_run_cell": 1}
+        assert calls == {"parse_config": 1, "build_tasks": 1, "_run_cell": 2}
 
     def test_equivalent_cells_train_once(self, tmp_path, monkeypatch):
         # Per seed, 12 cells hold 4 runs: finetune and ewc/afec at
@@ -631,12 +644,12 @@ class TestGrid:
         monkeypatch.setattr(cli, "_run_cell", counted)
         monkeypatch.setattr(continual, "_learn_task", learn)
         assert main(["grid", "--config", path, "--jobs", "1"]) == 0
-        # One walk gets every cell; each family trains two runs of two
-        # tasks that share the first, so three tasks. Per seed, the two
-        # families train the first task in lock-step, then their four
+        # One walk per seed gets its 12 cells; each family trains two runs
+        # of two tasks that share the first, so three tasks. Per seed, the
+        # two families train the first task in lock-step, then their four
         # branches the second.
         ewc, afec = {(0.0, 0.0), (1.0, 0.0)}, {(0.0, 1.0), (1.0, 1.0)}
-        assert units == [(24, ewc | afec)]
+        assert units == [(12, ewc | afec), (12, ewc | afec)]
         assert learned == [[0, 0], [0, 0, 0, 0], [1, 1], [1, 1, 1, 1]]
         assert main(["grid", "--config", path, "--jobs", "2",
                      "--out", str(tmp_path / "pool")]) == 0
@@ -654,6 +667,31 @@ class TestGrid:
             assert {p.name for p in (tmp_path / out).glob("result_*")} == names
         assert (tmp_path / "serial" / "grid.csv").read_bytes() == \
                (tmp_path / "pool" / "grid.csv").read_bytes()
+
+    def test_stopped_serial_grid_keeps_finished_seeds(self, tmp_path,
+                                                      monkeypatch):
+        # Serially each seed is a unit, so seed 0's files are written when
+        # its walk returns, before seed 1 starts.
+        doc = minimal_config(tmp_path / "whole", methods=["ewc", "afec"],
+                             seeds=[0, 1],
+                             **{"lambda": [1, 10], "lambda_e": [0, 2]})
+        path = write_config(tmp_path, doc)
+        assert main(["grid", "--config", path, "--jobs", "1"]) == 0
+
+        def learn(cfgs, *args, _learn_task=continual._learn_task):
+            if cfgs[0].seed == 1:
+                raise KeyboardInterrupt
+            return _learn_task(cfgs, *args)
+        monkeypatch.setattr(continual, "_learn_task", learn)
+        stopped = tmp_path / "stopped"
+        with pytest.raises(KeyboardInterrupt):
+            main(["grid", "--config", path, "--jobs", "1",
+                  "--out", str(stopped)])
+        files = {p.name: p.read_bytes() for p in stopped.iterdir()}
+        assert len(files) == 8
+        assert all(name.endswith("_seed0.json") for name in files)
+        assert files == {name: (tmp_path / "whole" / name).read_bytes()
+                         for name in files}
 
     @pytest.mark.parametrize("methods,jobs,workers", [
         (["ewc"], 4, 2),    # ewc ignores lambda_e: one run per seed
@@ -789,6 +827,26 @@ class TestDatagenAndReport:
         out.mkdir()
         path = write_config(tmp_path, minimal_config(out))
         assert main(["report", "--config", path]) == 2
+
+    @pytest.mark.parametrize("corrupt,error", [
+        (lambda text: '{"config": {}}', "KeyError: 'pre_train'"),
+        (lambda text: text[:len(text) // 2], "JSONDecodeError: "),
+        (lambda text: re.sub(r'"acc_matrix": \[\[[^]]*', '"acc_matrix": [[2.0',
+                             text),
+         "ShapeError: accuracies must lie in [0, 1]")],
+        ids=["no_fields", "truncated", "accuracy_2"])
+    def test_report_names_an_unreadable_result(self, tmp_path, capsys,
+                                               corrupt, error):
+        out = tmp_path / "results"
+        path = write_config(tmp_path, minimal_config(out))
+        assert main(["run", "--config", path]) == 0
+        bad = out / "result_finetune_lam0_lame0_seed0.json"
+        bad.write_text(corrupt(bad.read_text()))
+        capsys.readouterr()
+        assert main(["report", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: {error}")
+        assert err.count("\n") == 1
 
     def test_report_on_a_missing_directory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing"
