@@ -136,12 +136,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
 def load_config(path, **overrides) -> ExperimentConfig:
     """Parse the config file, each override that is not None in its key."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file cannot be read: {path} "
+                          f"({_error_text(exc)})")
     if isinstance(doc, dict):
         doc.update((k, v) for k, v in overrides.items() if v is not None)
     return parse_config(doc)
@@ -178,9 +181,17 @@ def result_from_json(doc: dict) -> RunResult:
     pre = np.array([np.nan if v is None else v for v in doc["pre_train"]])
     matrix = AccMatrix(a=doc["acc_matrix"], abar=np.asarray(doc["abar"]),
                        pre_train=pre)
+    config = doc["config"]
+    if not (isinstance(config, dict) and isinstance(config.get("method"), str)
+            and _is_finite_number(config.get("lam"))
+            and _is_finite_number(config.get("lam_e"))
+            and _is_count(config.get("seed"), 0)):
+        raise FormatError("field 'config' must be an object with a string "
+                          "method, finite numbers lam and lam_e, and an "
+                          "integer seed >= 0")
     return RunResult(acc_matrix=matrix,
                      per_task_new_accuracy=doc["per_task_new_accuracy"],
-                     config=doc["config"],
+                     config=config,
                      state_digest=doc["state_digest"],
                      start_task=doc.get("start_task", 0))
 

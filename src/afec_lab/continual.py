@@ -379,9 +379,10 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
     importance task_start event, then split by the penalty terms they
     apply, so members of equal `strengths` train once.
 
-    The walk is depth first over groups of up to K = max(1,
-    _LOCKSTEP_BUDGET // P) nodes at one task, in one phase, with one seed
-    (see _Walk.run). A group's nodes draw the same minibatches, so their
+    Each seed's families are walked on their own, the seeds in the order
+    they first appear. A walk is depth first over groups of up to K =
+    max(1, _LOCKSTEP_BUDGET // P) nodes at one task, in one phase (see
+    _Walk.run). A group's nodes draw the same minibatches, so their
     expansions, one per distinct network, and then their branches train
     in lock-step: one stacked forward and backward per batch (see
     train_lockstep). K = 1 walks one node at a time.
@@ -427,17 +428,23 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
             raise ConfigError("resume state was written with a different seed")
         if net.arch() != arch:
             raise ConfigError("resume state does not match the configured arch")
+        if state.task_count > len(tasks):
+            raise ConfigError(f"resume state has trained {state.task_count} "
+                              f"tasks, more than the sequence's {len(tasks)}")
     walk = _Walk(configs, tasks, arch, state.task_count if state else 0,
                  save_state_to)
-    outcomes = walk.run(families, net, state,
-                        max(1, _LOCKSTEP_BUDGET // _param_count(*arch)))
-    if single and isinstance(outcomes[0], Exception):
-        raise outcomes[0]
-    return outcomes[0] if single else outcomes
+    width = max(1, _LOCKSTEP_BUDGET // _param_count(*arch))
+    for seed in dict.fromkeys(s for s, _ in families):
+        walk.run([_Node(walk.start_task, members, net, state, [],
+                        np.full(len(tasks), np.nan))
+                  for (s, _), members in families.items() if s == seed], width)
+    if single and isinstance(walk.outcomes[0], Exception):
+        raise walk.outcomes[0]
+    return walk.outcomes[0] if single else walk.outcomes
 
 
 class _Walk:
-    """One run_sequence walk and, per config, its outcome so far."""
+    """The walks of a run_sequence call and each config's outcome so far."""
 
     def __init__(self, configs, tasks, arch, start_task, save_state_to):
         self.configs, self.tasks, self.arch = configs, tasks, arch
@@ -445,33 +452,18 @@ class _Walk:
         self.outcomes: list = [None] * len(configs)
         self.abar: dict[int, np.ndarray] = {}  # seed -> random-init ACC
 
-    def run(self, families: dict, net, state, width: int) -> list:
-        """Walk a stack of groups of at most `width` nodes, depth first:
-        the roots' groups, an opened group's branches `width` to a group,
-        and a trained group's children as one group. Returns the
-        outcomes."""
-        stack = self.roots(families, net, state, width)[::-1]
-        while stack:
+    def run(self, children: list[_Node], width: int) -> None:
+        """Walk one seed's roots, `children`, depth first over a stack of
+        groups of at most `width` nodes: the roots, an opened group's
+        branches and a trained group's children, cut `width` to a group."""
+        stack: list[list[_Node]] = []
+        while children or stack:
+            stack += [children[i:i + width]
+                      for i in range(0, len(children), width)][::-1]
             group = stack.pop()
             children = (self.finish if group[0].t == len(self.tasks)
                         else self.open if group[0].terms is None
                         else self.train)(group)
-            stack += [children[i:i + width]
-                      for i in range(0, len(children), width)][::-1]
-        return self.outcomes
-
-    def roots(self, families: dict, net, state, width: int) -> list:
-        """One root per family (its members) at `net` and `state`: a seed's
-        roots, `width` to a group, the groups in the order of their first
-        roots."""
-        groups: dict[tuple, list[_Node]] = {}
-        seeds = [seed for seed, _ in families]
-        for k, members in enumerate(families.values()):
-            key = seeds[k], seeds[:k].count(seeds[k]) // width
-            groups.setdefault(key, []).append(_Node(
-                self.start_task, members, net, state, [],
-                np.full(len(self.tasks), np.nan)))
-        return [*groups.values()]
 
     def cfg(self, node: _Node) -> SequenceConfig:
         return self.configs[node.members[0]]

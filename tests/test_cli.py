@@ -137,6 +137,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(str(path))
 
+    def test_directory(self, tmp_path):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config file cannot be read: {tmp_path} (IsADirectoryError")):
+            load_config(str(tmp_path))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"out_dir": "r\xe9sultats"}')  # latin-1
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config file cannot be read: {path} (UnicodeDecodeError")):
+            load_config(str(path))
+
 
 class TestRunSettings:
     """SequenceConfig owns the run settings: ExperimentConfig holds only
@@ -249,6 +261,14 @@ class TestMainExitCodes:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"out_dir": "r\xe9sultats"}')
+        for path in (tmp_path, latin1):
+            assert main(["run", "--config", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"config error: config file cannot be read: {path} (")
 
     def test_run_rejects_hyperparameter_lists(self, tmp_path, capsys):
         # 0 and -0.0 are equal values, but two cells with their own files
@@ -755,6 +775,15 @@ class TestGrid:
                (out2 / "grid.csv").read_bytes()
 
 
+def _with_config(change):
+    """A result file's text with its config replaced by change(config)."""
+    def corrupt(text):
+        doc = json.loads(text)
+        doc["config"] = change(doc["config"])
+        return json.dumps(doc)
+    return corrupt
+
+
 class TestDatagenAndReport:
     def test_datagen_prints_identity_angles(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -833,8 +862,16 @@ class TestDatagenAndReport:
         (lambda text: text[:len(text) // 2], "JSONDecodeError: "),
         (lambda text: re.sub(r'"acc_matrix": \[\[[^]]*', '"acc_matrix": [[2.0',
                              text),
-         "ShapeError: accuracies must lie in [0, 1]")],
-        ids=["no_fields", "truncated", "accuracy_2"])
+         "ShapeError: accuracies must lie in [0, 1]"),
+        (_with_config(lambda c: {k: v for k, v in c.items()
+                                 if k != "method"}),
+         "FormatError: field 'config' must be an object"),
+        (_with_config(lambda c: {**c, "lam": "x"}),
+         "FormatError: field 'config' must be an object"),
+        (_with_config(lambda c: [c]),
+         "FormatError: field 'config' must be an object")],
+        ids=["no_fields", "truncated", "accuracy_2", "no_method", "lam_x",
+             "config_list"])
     def test_report_names_an_unreadable_result(self, tmp_path, capsys,
                                                corrupt, error):
         out = tmp_path / "results"
@@ -1195,6 +1232,41 @@ class TestBlasThreadTimeout:
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert sum(name.startswith("result_") for name in outputs[0]) == 4
         assert outputs[0] == outputs[1]
+
+
+# -- runtime dependencies -----------------------------------------------------
+
+# Runs the CLI on argv[1:] with the test-only dependencies blocked: an
+# import of either raises ImportError.
+_WITHOUT_TEST_DEPS = """
+import sys
+sys.modules["scipy"] = sys.modules["hypothesis"] = None
+import afec_lab.cli as cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestRuntimeDependencies:
+    def test_run_and_report_need_only_numpy(self, tmp_path):
+        out = tmp_path / "results"
+        doc = minimal_config(out, methods=["ewc", "afec"],
+                             **{"lambda": 1, "lambda_e": 1})
+        path = write_config(tmp_path, doc)
+        written = []
+        for command in ("run", "report"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _WITHOUT_TEST_DEPS, command,
+                 "--config", path], env=fresh_env(), capture_output=True,
+                text=True)
+            assert proc.returncode == 0, proc.stderr
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+            (out / "summary.csv").unlink()  # for report to write again
+        assert sorted(written[0]) == [
+            "avg_accuracy.svg", "matrix_afec_lam1_lame1_seed0.json",
+            "matrix_ewc_lam1_lame1_seed0.json", "new_task_accuracy.svg",
+            "result_afec_lam1_lame1_seed0.json",
+            "result_ewc_lam1_lame1_seed0.json", "summary.csv"]
+        assert written[1] == written[0]
 
 
 # -- pool start methods -------------------------------------------------------

@@ -551,10 +551,9 @@ class TestLockstep:
         assert sizes == [2] * steps + [1] * (len(sizes) - steps)
         assert _outcome_text(sibling) == _own_run(cells[1], tasks)
 
-    def test_root_groups_keep_the_order_of_their_first_roots(self,
-                                                             monkeypatch):
-        # two rows per group of this 418-parameter net: seed 0's third
-        # root waits for seed 1's, as the families come in that order
+    def test_each_seed_is_walked_on_its_own(self, monkeypatch):
+        # two rows per group of this 418-parameter net: seed 1's root
+        # waits for all of seed 0's, though its family comes second
         monkeypatch.setattr(continual, "_LOCKSTEP_BUDGET", 2 * 418)
         cells = [quick_cfg(method, lam=1.0, lam_e=1.0, seed=seed, epochs=1)
                  for method, seed in (("ewc", 0), ("ewc", 1), ("si", 0),
@@ -567,7 +566,7 @@ class TestLockstep:
         monkeypatch.setattr(continual, "_learn_task", learn)
         run_sequence(cells, quick_pair())
         assert calls == [(t, rows) for rows in (
-            [("ewc", 0), ("si", 0)], [("ewc", 1)], [("afec", 0)])
+            [("ewc", 0), ("si", 0)], [("afec", 0)], [("ewc", 1)])
             for t in (0, 1)]
 
     def test_one_expansion_per_starting_network(self, monkeypatch):
@@ -587,9 +586,12 @@ class TestLockstep:
         assert [_outcome_text(r) for r in shared] == [
             _own_run(cell, tasks) for cell in cells]
 
-    def test_finished_subtrees_are_freed(self, monkeypatch):
+    @pytest.mark.parametrize("seeds", [(0, 0, 0), (0, 0, 1)],
+                             ids=["one_seed", "two_seeds"])
+    def test_finished_subtrees_are_freed(self, monkeypatch, seeds):
         # one row per group: when a family starts its first task, the
-        # networks made for the families walked before it are gone
+        # networks made for the families walked before it, of its own seed
+        # or of the seed walked before, are gone
         monkeypatch.setattr(continual, "_LOCKSTEP_BUDGET", 1)
         made = []
 
@@ -601,14 +603,16 @@ class TestLockstep:
         alive = {}
 
         def learn(cfgs, *args, _fn=continual._learn_task):
-            if cfgs[0].method not in alive:
+            if cfgs[0].family not in alive:
                 gc.collect()
-                alive[cfgs[0].method] = sum(ref() is not None for ref in made)
+                alive[cfgs[0].family] = sum(ref() is not None for ref in made)
             return _fn(cfgs, *args)
         monkeypatch.setattr(continual, "_learn_task", learn)
-        run_sequence([quick_cfg(method, lam=1.0, lam_e=1.0, epochs=1)
-                      for method in ("ewc", "afec", "si")], quick_pair())
-        assert alive == {"ewc": 1, "afec": 1, "si": 1}
+        methods = ("ewc", "afec", "si")
+        run_sequence([quick_cfg(method, lam=1.0, lam_e=1.0, epochs=1,
+                                seed=seed)
+                      for method, seed in zip(methods, seeds)], quick_pair())
+        assert alive == {family: 1 for family in zip(seeds, methods)}
 
     def test_beyond_the_budget_the_walk_is_depth_first(self, monkeypatch):
         # P = 68,098 > 2**16, so one row at a time, one family after another
@@ -734,6 +738,15 @@ class TestStatePersistence:
         with pytest.raises(ConfigError):
             run_sequence(quick_cfg("ewc", lam=5.0, seed=1), tasks,
                          resume=(net, state, seed))
+
+    def test_resume_longer_than_the_sequence_rejected(self, tmp_path):
+        tasks = _RESUME_TASKS
+        path = tmp_path / "s.json"
+        run_sequence(quick_cfg("ewc", lam=5.0), tasks, save_state_to=str(path))
+        with pytest.raises(ConfigError, match="trained 3 tasks, more than "
+                                              "the sequence's 2"):
+            run_sequence(quick_cfg("ewc", lam=5.0), tasks[:2],
+                         resume=load_state(str(path)))
 
     @pytest.mark.parametrize("saved,configured,accepted", [
         # Trained with tanh, configured with relu: training would go on
