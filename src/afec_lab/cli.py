@@ -204,28 +204,16 @@ def _run_cell(task_list: list, cells: list[SequenceConfig]) -> list:
     return run_sequence(cells, task_list)
 
 
-# The built tasks of this pool worker, or why they could not be built; set
-# once by _init_worker, read by every unit it runs.
-_worker_setup: list | Exception | None = None
+# The built tasks of this pool worker, set by the first unit it runs.
+_worker_tasks: list | None = None
 
 
-class _BuildFailed(Exception):
-    """A pool worker could not build the tasks; args[0] is the error."""
-
-
-def _init_worker(benchmark: dict) -> None:
-    global _worker_setup
-    _setup_logging()  # a spawned worker does not inherit main's handler
-    try:
-        _worker_setup = build_tasks(benchmark)
-    except Exception as exc:  # an initializer that raised breaks the pool
-        _worker_setup = _BuildFailed(exc)
-
-
-def _run_worker_unit(cells: list[SequenceConfig]) -> list:
-    if isinstance(_worker_setup, _BuildFailed):
-        raise _worker_setup  # _run_cells raises args[0], as if serial
-    outcomes = _run_cell(_worker_setup, cells)
+def _run_worker_unit(benchmark: dict, cells: list[SequenceConfig]) -> list:
+    global _worker_tasks
+    if _worker_tasks is None:
+        _setup_logging()  # a spawned worker does not inherit main's handler
+        _worker_tasks = build_tasks(benchmark)
+    outcomes = _run_cell(_worker_tasks, cells)
     for outcome in outcomes:  # a traceback does not pickle; its text does
         if isinstance(outcome, Exception):
             outcome.traceback_text = "".join(
@@ -249,7 +237,9 @@ def _plan_units(families: list[list], jobs: int) -> list[list]:
 def _run_cells(config: ExperimentConfig, jobs: int):
     """Yield (cell index, outcome) for every cell as its unit of work
     returns. The outcome is the cell's RunResult, or the exception it
-    raised: one failed cell does not stop the others.
+    raised: one failed cell does not stop the others. A unit that raises
+    (a task-build error, say, or a killed pool worker) raises here, so it
+    ends the run, serially or from the pool alike.
 
     A unit is walked by run_sequence, which trains cells of equal
     strengths once, shares the common tasks of a family (see
@@ -258,8 +248,8 @@ def _run_cells(config: ExperimentConfig, jobs: int):
     so a stopped run keeps the finished seeds' files. Otherwise a family is
     the pool's unit of work, and units are sized and split by distinct
     runs, so the cells of one run stay in one unit. Tasks are built once
-    per process: here when serial or when there is one unit, once in each
-    pool worker otherwise."""
+    per process: here when serial or when there is one unit, otherwise in
+    each pool worker with the first unit it runs."""
     cells = config.cells
     # family -> strengths -> the indices of the cells of that run
     families: dict[tuple, dict[tuple, list[int]]] = {}
@@ -277,19 +267,13 @@ def _run_cells(config: ExperimentConfig, jobs: int):
         return
     # Each worker builds the tasks once, so no more workers than units.
     pool = concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(jobs, len(units)), initializer=_init_worker,
-        initargs=(config.benchmark,))
+        max_workers=min(jobs, len(units)))
     try:
-        futures = {pool.submit(_run_worker_unit, [cells[i] for i in unit]):
-                   unit for unit in units}
+        futures = {pool.submit(_run_worker_unit, config.benchmark,
+                               [cells[i] for i in unit]): unit
+                   for unit in units}
         for future in concurrent.futures.as_completed(futures):
-            try:
-                outcomes = future.result()
-            except _BuildFailed as exc:
-                raise exc.args[0] from None
-            except Exception as exc:  # the whole unit failed
-                outcomes = [exc] * len(futures[future])
-            yield from zip(futures[future], outcomes)
+            yield from zip(futures[future], future.result())
     finally:
         # If the caller stops early (a result file could not be written,
         # say), the queued units are dropped instead of run.

@@ -687,11 +687,13 @@ def save_state(path, net: Network, state: RegState, seed: int) -> None:
 def load_state(path):
     """Read a run-state file; returns (net, reg_state, seed). A field that
     is missing or malformed raises a FormatError naming it."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 ({exc})") from exc
     for key in ("version", "net", "reg_state", "rng", "task_count"):
         if not isinstance(doc, dict) or key not in doc:
             raise FormatError(f"{path}: missing field {key!r}")

@@ -31,6 +31,8 @@ class AccMatrix:
 
     def __post_init__(self):
         self.abar = np.asarray(self.abar, dtype=np.float64)
+        if not self.a:
+            raise ShapeError("an accuracy matrix needs at least one task")
         for j, row in enumerate(self.a):
             if len(row) != j + 1:
                 raise ShapeError(f"row {j} must have {j + 1} entries")
@@ -39,6 +41,12 @@ class AccMatrix:
                     raise ShapeError("accuracies must lie in [0, 1]")
         if len(self.abar) != len(self.a):
             raise ShapeError("baseline vector length must equal task count")
+        if self.pre_train is not None:
+            pre = np.asarray(self.pre_train)
+            if not (pre.shape == (self.T,) and pre.dtype.kind == "f"
+                    and np.all(np.isnan(pre) | ((pre >= 0.0) & (pre <= 1.0)))):
+                raise ShapeError(f"pre_train must hold {self.T} accuracies, "
+                                 f"each NaN or in [0, 1]")
 
     @property
     def T(self) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -217,9 +218,13 @@ _IDX_LABELS_MAGIC = 0x00000801
 
 
 def _read_exact(fh, count: int, path: str, offset: int) -> bytes:
-    data = fh.read(count)
+    """`count` bytes from `offset`, checked against the file's size before
+    the read, so a header cannot ask for more memory than the file holds."""
+    held = os.fstat(fh.fileno()).st_size - offset
+    data = fh.read(count) if count <= held else b""
     if len(data) != count:
-        raise FormatError(f"{path}: truncated at offset {offset}")
+        raise FormatError(f"{path}: truncated at offset {offset}: expected "
+                          f"{count} bytes, the file holds {max(held, 0)}")
     return data
 
 
@@ -230,6 +235,9 @@ def load_idx(images_path: str, labels_path: str):
             ">IIII", _read_exact(fh, 16, str(images_path), 0))
         if magic != _IDX_IMAGES_MAGIC:
             raise FormatError(f"{images_path}: bad magic {magic:#010x} at offset 0")
+        if not (rows and cols):
+            raise FormatError(f"{images_path}: image size {rows}x{cols} at "
+                              f"offset 8; rows and cols must be >= 1")
         raw = _read_exact(fh, n * rows * cols, str(images_path), 16)
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
     images = images.astype(np.float64) / 255.0
@@ -289,7 +297,9 @@ def export_csv(task: TaskDataset, path) -> None:
                                (task.inputs_test, task.labels_test)):
             for x, lab in zip(inputs, labels):
                 if task.kind == "regression_angle":
-                    value = task.class_angles[int(lab)]
+                    value = float(task.class_angles[int(lab)])
                 else:
                     value = int(lab)
-                writer.writerow([repr(v) for v in x] + [value])
+                # Python floats, which the csv module writes as their repr
+                # (a numpy 2 scalar's repr is "np.float64(...)")
+                writer.writerow([*x.tolist(), value])

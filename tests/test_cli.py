@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -184,18 +185,24 @@ class TestRunSettings:
                 SequenceConfig(method, 2.0, float(lam_e), seed=seed))
 
     def test_pool_workers_get_the_parsed_config(self, tmp_path, monkeypatch):
-        seen = []
+        seen = []  # the benchmark handed with each unit
         pool_class = concurrent.futures.ProcessPoolExecutor
 
         def recording(*args, **kwargs):
-            seen.append(kwargs["initargs"])
-            return pool_class(*args, **kwargs)
+            pool = pool_class(*args, **kwargs)
+            submit = pool.submit
+
+            def recording_submit(fn, benchmark, cells):
+                seen.append(benchmark)
+                return submit(fn, benchmark, cells)
+            pool.submit = recording_submit
+            return pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             recording)
         doc = minimal_config(tmp_path / "g", seeds=[0, 1])
         assert main(["grid", "--config", write_config(tmp_path, doc),
                      "--jobs", "2"]) == 0
-        assert seen == [(parse_config(doc).benchmark,)]
+        assert seen == [parse_config(doc).benchmark] * 2
 
 
 class TestBuildTasks:
@@ -784,6 +791,13 @@ def _with_config(change):
     return corrupt
 
 
+def _with_fields(**fields):
+    """A result file's text with the given fields replaced."""
+    def corrupt(text):
+        return json.dumps({**json.loads(text), **fields})
+    return corrupt
+
+
 class TestDatagenAndReport:
     def test_datagen_prints_identity_angles(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -869,9 +883,17 @@ class TestDatagenAndReport:
         (_with_config(lambda c: {**c, "lam": "x"}),
          "FormatError: field 'config' must be an object"),
         (_with_config(lambda c: [c]),
-         "FormatError: field 'config' must be an object")],
+         "FormatError: field 'config' must be an object"),
+        (_with_fields(pre_train=[None]),
+         "ShapeError: pre_train must hold 2 accuracies, each NaN or in "
+         "[0, 1]"),
+        (_with_fields(pre_train=[None, "x"]),
+         "ShapeError: pre_train must hold 2 accuracies"),
+        (_with_fields(acc_matrix=[], abar=[], pre_train=[]),
+         "ShapeError: an accuracy matrix needs at least one task")],
         ids=["no_fields", "truncated", "accuracy_2", "no_method", "lam_x",
-             "config_list"])
+             "config_list", "pre_train_short", "pre_train_x",
+             "empty_matrix"])
     def test_report_names_an_unreadable_result(self, tmp_path, capsys,
                                                corrupt, error):
         out = tmp_path / "results"
@@ -1100,6 +1122,29 @@ class TestCellFailures:
         assert "ERROR run failed: IsADirectoryError" in capsys.readouterr().err
         assert not (out / "grid.csv").exists()
 
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the patch reaches pool workers by fork")
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_raising_unit_ends_the_run(self, tmp_path, capsys, monkeypatch,
+                                       jobs):
+        # A unit that raises is not a cell failure: serially or from the
+        # pool, it ends the command with one line and writes no table.
+        def broken(cells, task_list):
+            raise RuntimeError("unit broke")
+        monkeypatch.setattr(cli, "run_sequence", broken)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            functools.partial(
+                                concurrent.futures.ProcessPoolExecutor,
+                                mp_context=multiprocessing.get_context(
+                                    "fork")))
+        out = tmp_path / "g"
+        doc = minimal_config(out, methods=["ewc", "afec"], seeds=[0, 1])
+        assert main(["grid", "--config", write_config(tmp_path, doc),
+                     "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err == "ERROR run failed: RuntimeError: unit broke\n"
+        assert not out.exists()
+
     def test_grid_without_failures_keeps_its_table(self, tmp_path):
         out = tmp_path / "g"
         doc = minimal_config(out, methods=["ewc", "afec"], seeds=[0, 1],
@@ -1169,6 +1214,32 @@ class TestTaskBuildErrors:
         assert "has 2 image(s); split_idx needs at least 3 per class" in \
             proc.stderr
         assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+class TestIdxHeaderErrors:
+    """An IDX header that declares empty images, or more bytes than its
+    file holds, is a config error that names the file, at any --jobs."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("header,problem", [
+        ((0xFFFFFFFF, 0xFFFF, 0xFFFF), "truncated at offset 16: expected "
+         f"{0xFFFFFFFF * 0xFFFF * 0xFFFF} bytes, the file holds 96"),
+        ((24, 0, 0), "image size 0x0 at offset 8; rows and cols must be "
+         ">= 1")], ids=["huge", "empty"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, jobs, header,
+                                     problem):
+        images, labels = write_idx(tmp_path, 6, 4)
+        with open(images, "r+b") as fh:
+            fh.write(struct.pack(">IIII", 0x00000803, *header))
+        doc = minimal_config(tmp_path / "out", methods=["ewc", "afec"],
+                             seeds=[0, 1])
+        doc["benchmark"] = {"kind": "split_idx", "images": images,
+                            "labels": labels, "classes_per_task": 2}
+        assert main(["grid", "--config", write_config(tmp_path, doc),
+                     "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {images}: {problem}\n"
         assert not (tmp_path / "out").exists()
 
 

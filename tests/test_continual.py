@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 import tempfile
 import weakref
 
@@ -488,6 +489,64 @@ class TestFamilyWalk:
             assert result.acc_matrix.a[1:] == full.acc_matrix.a[1:]
             assert (result.per_task_new_accuracy
                     == full.per_task_new_accuracy[1:])
+
+
+def _raising_at(fn, node_test, exc):
+    """`fn`, but raising `exc` when a _Walk method calls it for a node that
+    passes node_test(walk, node)."""
+    def patched(*args, **kwargs):
+        caller = sys._getframe(1).f_locals
+        walk, node = caller.get("self"), caller.get("node")
+        if isinstance(walk, continual._Walk) and node_test(walk, node):
+            raise exc
+        return fn(*args, **kwargs)
+    return patched
+
+
+# Every run shares its family's first task but afec's, which lambda_e
+# splits there; lambda splits ewc and mas on the second task.
+_NODE_CELLS = [quick_cfg(method, lam=lam, lam_e=lam_e, seed=2, epochs=1)
+               for method, lam, lam_e in (
+                   ("ewc", 1.0, 0.0), ("ewc", 10.0, 0.0), ("mas", 1.0, 0.0),
+                   ("mas", 10.0, 0.0), ("afec", 1.0, 1.0),
+                   ("afec", 1.0, 5.0))]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNodeFailures:
+    """An error in one node's part of the walk fails that node's cells
+    alone, with that error; every other cell equals its own run."""
+
+    @pytest.mark.parametrize("name,t,failed", [
+        ("evaluate", 1, [5]),             # afec at lambda_e 5, pre-training
+        ("importance_update", 0, [2, 3]),  # mas's root, at task_start
+        ("_state_digest", 2, [3])])       # mas at lambda 10, finishing
+    def test_one_node_fails_alone(self, monkeypatch, name, t, failed):
+        tasks = quick_pair()
+        own = [_own_run(cell, tasks) for cell in _NODE_CELLS]
+        exc = RuntimeError(f"{name} failed")
+        target = _NODE_CELLS[failed[0]]
+        monkeypatch.setattr(continual, name, _raising_at(
+            getattr(continual, name),
+            lambda walk, node: node.t == t and walk.cfg(node) == target, exc))
+        outcomes = run_sequence(_NODE_CELLS, tasks)
+        assert [i for i, o in enumerate(outcomes) if o is exc] == failed
+        assert [_outcome_text(o) for i, o in enumerate(outcomes)
+                if i not in failed] == [text for i, text in enumerate(own)
+                                        if i not in failed]
+
+    def test_failed_state_save_fails_the_run(self, monkeypatch, tmp_path):
+        # save_state_to takes one config: its run fails after the state of
+        # its first task was saved
+        exc = OSError("no space left")
+        monkeypatch.setattr(continual, "save_state", _raising_at(
+            continual.save_state, lambda walk, node: node.t == 1, exc))
+        path = tmp_path / "state.json"
+        with pytest.raises(OSError) as raised:
+            run_sequence(_NODE_CELLS[0], quick_pair(),
+                         save_state_to=str(path))
+        assert raised.value is exc
+        assert load_state(str(path))[1].task_count == 1
 
 
 def _stack_sizes(monkeypatch) -> list[int]:
@@ -1011,6 +1070,13 @@ class TestStrictLoadState:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=re.escape(field)):
+            load_state(str(path))
+
+    def test_not_utf8_named(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_bytes('{"version": 1, "x": "\xff"}'.encode("latin-1"))
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: not UTF-8 (")):
             load_state(str(path))
 
     def test_unchanged_doc_loads(self, tmp_path, state_doc):

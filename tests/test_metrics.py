@@ -42,6 +42,26 @@ class TestAccMatrixValidation:
         with pytest.raises(ShapeError):
             AccMatrix(a=[[0.5]], abar=np.zeros(2))
 
+    def test_no_task_rejected(self):
+        with pytest.raises(ShapeError, match="at least one task"):
+            AccMatrix(a=[], abar=np.zeros(0))
+
+    @pytest.mark.parametrize("pre", [
+        np.array([np.nan]),                # one entry short
+        np.array([np.nan, 0.5, 0.5]),      # one entry long
+        np.array([np.nan, 1.5]),           # not an accuracy
+        np.array([np.nan, -np.inf]),
+        np.array(["nan", "0.5"]),          # not numbers
+        np.array([None, 0.5], dtype=object)])
+    def test_bad_pre_train_rejected(self, pre):
+        with pytest.raises(ShapeError, match="pre_train must hold 2"):
+            AccMatrix(a=[[0.5], [0.5, 0.5]], abar=np.zeros(2), pre_train=pre)
+
+    @pytest.mark.parametrize("pre", [np.array([np.nan, 0.0]),
+                                     np.array([1.0, np.nan])])
+    def test_pre_train_of_nan_or_accuracies_accepted(self, pre):
+        AccMatrix(a=[[0.5], [0.5, 0.5]], abar=np.zeros(2), pre_train=pre)
+
 
 class TestAcc:
     def test_single_task(self):
@@ -115,7 +135,7 @@ class TestBruteForceEquivalence:
         for _ in range(20):
             m = random_matrix(rng, 5)
             m = AccMatrix(a=[[0.7 * v for v in row] for row in m.a],
-                          abar=m.abar, pre_train=m.pre_train)
+                          abar=m.abar, pre_train=0.7 * m.pre_train)
             c = float(rng.uniform(0, 0.2))
             shifted = AccMatrix(
                 a=[[v + c for v in row] for row in m.a],

@@ -203,6 +203,11 @@ class TestFiniteDiff:
         batch = random_batch(8, net)
         assert finite_diff_check(net, batch, "mse", max_coords=8) < 1e-4
 
+    def test_identity_hidden_layers(self):
+        net = random_net(9, hidden=(6, 5), activation="identity")
+        batch = random_batch(10, net)
+        assert finite_diff_check(net, batch, "mse") < 1e-4
+
     def test_zero_loss_point_absolute_error(self):
         # at the exact minimum both the analytic and the numeric derivative
         # are ~0, so compare them absolutely rather than relatively

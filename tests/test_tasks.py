@@ -1,6 +1,8 @@
 """Task generators, IDX ingestion, and split classification tasks."""
 
+import csv
 import math
+import re
 import struct
 
 import numpy as np
@@ -276,6 +278,44 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match="count"):
             load_idx(img, str(short))
 
+    @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_images_rejected(self, tmp_path, rows, cols):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((2, rows, cols)), [0, 1])
+        with pytest.raises(FormatError, match=re.escape(
+                f"{img}: image size {rows}x{cols} at offset 8")):
+            load_idx(img, lbl)
+
+    @pytest.mark.parametrize("header", [
+        (0xFFFFFFFF, 0xFFFF, 0xFFFF),  # 2^64 bytes: more than an index holds
+        (2, 2, 3)])                    # one image more than the file holds
+    def test_header_beyond_the_image_file(self, tmp_path, header):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 3)), [0])
+        with open(img, "r+b") as fh:
+            fh.write(struct.pack(">IIII", 0x00000803, *header))
+        n, rows, cols = header
+        with pytest.raises(FormatError, match=re.escape(
+                f"{img}: truncated at offset 16: expected {n * rows * cols} "
+                f"bytes, the file holds 6")):
+            load_idx(img, lbl)
+
+    def test_header_beyond_the_label_file(self, tmp_path):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 3)), [0])
+        with open(lbl, "r+b") as fh:
+            fh.write(struct.pack(">II", 0x00000801, 0xFFFFFFFF))
+        with pytest.raises(FormatError, match=re.escape(
+                f"{lbl}: truncated at offset 8: expected {0xFFFFFFFF} bytes, "
+                f"the file holds 1")):
+            load_idx(img, lbl)
+
+    def test_file_shorter_than_its_header(self, tmp_path):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 3)), [0])
+        with open(lbl, "wb") as fh:
+            fh.write(b"\x00\x00")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{lbl}: truncated at offset 0: expected 8 bytes, the file "
+                f"holds 2")):
+            load_idx(img, lbl)
+
 
 class TestSplitTasks:
     def _data(self, n_classes=10, per_class=6, dim=4):
@@ -335,3 +375,23 @@ class TestExportCsv:
         lines = p1.read_text().strip().split("\n")
         assert len(lines) == task.n_train + len(task.inputs_test)
         assert p1.read_text() == p2.read_text()
+
+    @pytest.mark.parametrize("kind", ["angular", "split"])
+    def test_cells_are_the_task_values(self, tmp_path, kind):
+        if kind == "angular":
+            task = gen_angular_task(AngularLayout.identity(4), 10, 6, 0.5,
+                                    seed=0)
+            targets = [task.class_angles[k] for k in task.labels_train]
+            targets += [task.class_angles[k] for k in task.labels_test]
+        else:
+            rng = np.random.default_rng(0)
+            task = split_tasks(rng.integers(0, 256, (12, 6)) / 255.0,
+                               np.repeat(np.arange(2), 6), 2)[0]
+            targets = [*task.labels_train, *task.labels_test]
+        path = tmp_path / "task.csv"
+        export_csv(task, path)
+        with open(path, newline="") as fh:
+            rows = [[float(cell) for cell in row] for row in csv.reader(fh)]
+        inputs = np.concatenate([task.inputs_train, task.inputs_test])
+        assert np.array_equal(np.array(rows)[:, :-1], inputs)
+        assert [row[-1] for row in rows] == targets
