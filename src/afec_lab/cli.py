@@ -178,6 +178,9 @@ def result_to_json(result: RunResult) -> dict:
 
 
 def result_from_json(doc: dict) -> RunResult:
+    if any(isinstance(v, bool) for v in doc["pre_train"]):  # np.array: 1.0
+        raise FormatError("field 'pre_train' must hold null or numbers, "
+                          "not booleans")
     pre = np.array([np.nan if v is None else v for v in doc["pre_train"]])
     matrix = AccMatrix(a=doc["acc_matrix"], abar=np.asarray(doc["abar"]),
                        pre_train=pre)

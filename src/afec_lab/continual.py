@@ -351,16 +351,13 @@ def _shared_settings(cfg: SequenceConfig) -> str:
 @dataclass
 class _Node:
     """The configs (`members`, indices) that share `net` and `state` at the
-    start of task t, with their accuracy rows and pre-training accuracies
-    so far. `terms` is None while the task's shared part is still to run,
-    else the penalty terms of the branch to train. A root's `net` and
-    `state` are None until its group is popped."""
+    start of task t. `terms` is None while the task's shared part is still
+    to run, else the penalty terms of the branch to train. A root's `net`
+    and `state` are None until its group is popped."""
     t: int
     members: list[int]
     net: Network | None
     state: RegState | None
-    rows: list
-    pre_train: np.ndarray
     terms: list | None = None
 
 
@@ -435,8 +432,7 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
                  save_state_to)
     width = max(1, _LOCKSTEP_BUDGET // _param_count(*arch))
     for seed in dict.fromkeys(s for s, _ in families):
-        walk.run([_Node(walk.start_task, members, net, state, [],
-                        np.full(len(tasks), np.nan))
+        walk.run([_Node(walk.start_task, members, net, state)
                   for (s, _), members in families.items() if s == seed], width)
     if single and isinstance(walk.outcomes[0], Exception):
         raise walk.outcomes[0]
@@ -444,12 +440,16 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
 
 
 class _Walk:
-    """The walks of a run_sequence call and each config's outcome so far."""
+    """The walks of a run_sequence call. Per config, it keeps the outcome
+    and the run's bookkeeping so far: its accuracy rows and its
+    pre-training accuracies, each written once per member."""
 
     def __init__(self, configs, tasks, arch, start_task, save_state_to):
         self.configs, self.tasks, self.arch = configs, tasks, arch
         self.start_task, self.save_state_to = start_task, save_state_to
         self.outcomes: list = [None] * len(configs)
+        self.rows: list[list] = [[] for _ in configs]
+        self.pre_train = [np.full(len(tasks), np.nan) for _ in configs]
         self.abar: dict[int, np.ndarray] = {}  # seed -> random-init ACC
 
     def run(self, children: list[_Node], width: int) -> None:
@@ -475,7 +475,8 @@ class _Walk:
     def open(self, group: list[_Node]) -> list[_Node]:
         """The shared part of each node's task: the expansion of each
         distinct network (in lock-step across the group), the pre-training
-        evaluation and task_start. Returns each node's branches."""
+        evaluation and task_start. A node fails with the first of these
+        that raises. Returns each node's branches."""
         t, cfg = group[0].t, self.cfg(group[0])
         task = self.tasks[t]
         if group[0].net is None:  # roots, of one seed and architecture
@@ -490,20 +491,22 @@ class _Walk:
             init=cfg.expansion_init, batch_size=cfg.batch_size,
             loss_kind=_loss_kind(task), seed=cfg.seed, task_index=t)
             if nets else []))
+        # Nodes that share a network share its failed expansion's exception;
+        # raised with the traceback it came with, it gains one frame, not
+        # one per node.
+        tracebacks = {net: getattr(anchor, "__traceback__", None)
+                      for net, anchor in anchors.items()}
         children = []
         for node in group:
             cfg = self.cfg(node)
             anchor = anchors[node.net] if cfg.uses_expansion else None
             try:
                 if t > 0:
-                    node.pre_train = node.pre_train.copy()
-                    node.pre_train[t] = evaluate(node.net, task)
-            except Exception as exc:
-                anchor = exc
-            if isinstance(anchor, Exception):
-                self.fail(node, anchor)
-                continue
-            try:
+                    accuracy = evaluate(node.net, task)
+                    for i in node.members:
+                        self.pre_train[i][t] = accuracy
+                if isinstance(anchor, Exception):
+                    raise anchor.with_traceback(tracebacks[node.net])
                 if cfg.base_method in _IMPORTANCE_METHODS:
                     importance_update(cfg.base_method, node.state,
                                       "task_start", net=node.net)
@@ -515,40 +518,57 @@ class _Walk:
             except Exception as exc:
                 self.fail(node, exc)
                 continue
-            children += [_Node(t, branch, node.net, node.state, node.rows,
-                               node.pre_train, terms)
+            children += [_Node(t, branch, node.net, node.state, terms)
                          for terms, branch in branches.values()]
         return children
 
     def train(self, group: list[_Node]) -> list[_Node]:
-        """Train the group's branches in lock-step, each on a copy of its
-        network and state. Returns each one's node at the next task."""
-        t = group[0].t
+        """Train task t on each of the group's branches, all in lock-step
+        on the minibatches of (seed, t, epoch), which they share: a copy of
+        its network with its penalty terms, and SI/RWalk's per-step
+        importance into a copy of its state. Then evaluate every task so
+        far and anchor the state at the trained network. Returns each
+        branch's node at the next task; the group's nodes are not touched."""
+        t, cfgs = group[0].t, [self.cfg(node) for node in group]
+        task = self.tasks[t]
         states = [node.state.copy() for node in group]
-        outcomes = _learn_task([self.cfg(node) for node in group],
-                               [node.net for node in group], states,
-                               self.tasks, t, [node.terms for node in group])
+        opts = [make_optimizer(cfg.optimizer) for cfg in cfgs]
+        paths = [cfg.base_method if cfg.base_method in ("si", "rwalk")
+                 else None for cfg in cfgs]
+
+        def step(i, net, grad):
+            before = net.get_params() if paths[i] else None
+            opts[i].step(net.params,
+                         penalized_grad(net.params, grad, group[i].terms))
+            if paths[i]:
+                importance_update(paths[i], states[i], "step", grad=grad,
+                                  delta=net.params - before)
+
+        nets = train_lockstep(
+            [node.net for node in group], task, epochs=cfgs[0].epochs,
+            batch_size=cfgs[0].batch_size,
+            key=[_MAIN_SHUFFLE_KEY, cfgs[0].seed, t],
+            loss_kind=_loss_kind(task), step=step)
+        opts.clear()  # each row's optimizer moments go before its Fisher
         children = []
-        for node, state, outcome in zip(group, states, outcomes):
-            if isinstance(outcome, Exception):
-                self.fail(node, outcome)
+        for node, cfg, net, state in zip(group, cfgs, nets, states):
+            if isinstance(net, Exception):  # rows may share it
+                self.fail(node, net)
                 continue
-            net, row = outcome
-            cfg = self.cfg(node)
-            rows = node.rows + [row]
-            if self.save_state_to is not None:
-                try:
+            try:
+                row = _consolidate(cfg, net, state, self.tasks, t)
+                if self.save_state_to is not None:
                     save_state(self.save_state_to, net, state, cfg.seed)
-                except Exception as exc:
-                    self.fail(node, exc)
-                    continue
-            log.info("method=%s seed=%d task=%d new_acc=%.4f "
-                     "running_acc=%.4f%s", cfg.method, cfg.seed, t + 1,
-                     row[-1], float(np.mean(row)),
-                     f" cells={len(node.members)}"
-                     if len(node.members) > 1 else "")
-            children.append(_Node(t + 1, node.members, net, state, rows,
-                                  node.pre_train))
+                log.info("method=%s seed=%d task=%d new_acc=%.4f "
+                         "running_acc=%.4f%s", cfg.method, cfg.seed, t + 1,
+                         row[-1], float(np.mean(row)),
+                         f" cells={len(node.members)}"
+                         if len(node.members) > 1 else "")
+                children.append(_Node(t + 1, node.members, net, state))
+                for i in node.members:
+                    self.rows[i].append(row)
+            except Exception as exc:
+                self.fail(node, exc)
         return children
 
     def finish(self, group: list[_Node]) -> list:
@@ -562,48 +582,11 @@ class _Walk:
                 digest = _state_digest(node.net, node.state)
                 for i in node.members:
                     self.outcomes[i] = _run_result(
-                        self.configs[i], node.rows, self.abar[cfg.seed],
-                        node.pre_train, digest, self.start_task)
+                        self.configs[i], self.rows[i], self.abar[cfg.seed],
+                        self.pre_train[i], digest, self.start_task)
             except Exception as exc:
                 self.fail(node, exc)
         return []
-
-
-def _learn_task(cfgs: list[SequenceConfig], nets: list[Network],
-                states: list[RegState], tasks, t: int,
-                terms: list[list[tuple]]) -> list:
-    """Train task t on each row i: `nets[i]` with the penalty `terms[i]`
-    and SI/RWalk's per-step importance into `states[i]`, all rows in
-    lock-step on the minibatches of (seed, t, epoch), which they share.
-    Then evaluate every task so far and anchor `states[i]` at a copy of
-    the trained network. The rows share a seed and their run settings.
-    Returns, per row, (its trained network, its accuracies) or the
-    exception that failed it; the given networks are not touched."""
-    task, loss_kind = tasks[t], _loss_kind(tasks[t])
-    opts = [make_optimizer(cfg.optimizer) for cfg in cfgs]
-    paths = [cfg.base_method if cfg.base_method in ("si", "rwalk") else None
-             for cfg in cfgs]
-
-    def step(i, net, grad):
-        before = net.get_params() if paths[i] else None
-        opts[i].step(net.params, penalized_grad(net.params, grad, terms[i]))
-        if paths[i]:
-            importance_update(paths[i], states[i], "step", grad=grad,
-                              delta=net.params - before)
-
-    outcomes = train_lockstep(
-        nets, task, epochs=cfgs[0].epochs, batch_size=cfgs[0].batch_size,
-        key=[_MAIN_SHUFFLE_KEY, cfgs[0].seed, t], loss_kind=loss_kind,
-        step=step)
-    opts.clear()  # each row's optimizer moments go before its Fisher
-    for i, net in enumerate(outcomes):
-        if not isinstance(net, Exception):
-            try:
-                outcomes[i] = net, _consolidate(cfgs[i], net, states[i],
-                                                tasks, t)
-            except Exception as exc:
-                outcomes[i] = exc
-    return outcomes
 
 
 def _consolidate(cfg: SequenceConfig, net: Network, state: RegState, tasks,
@@ -631,7 +614,7 @@ def _run_result(cfg: SequenceConfig, rows: list[list[float]], abar, pre_train,
     # skipped leading rows are zero-padded to keep the matrix triangular.
     padded = [[0.0] * (j + 1) for j in range(start_task)] + rows
     matrix = AccMatrix(a=[[float(v) for v in row] for row in padded],
-                       abar=abar.copy(), pre_train=pre_train.copy())
+                       abar=abar, pre_train=pre_train)
     per_task_new = [rows[i][start_task + i] for i in range(len(rows))]
     return RunResult(acc_matrix=matrix, per_task_new_accuracy=per_task_new,
                      config=asdict(cfg), state_digest=digest,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricUnavailableError, ShapeError
+from .nn import _is_finite_number
 
 
 @dataclass
@@ -30,17 +31,20 @@ class AccMatrix:
     pre_train: np.ndarray | None = None
 
     def __post_init__(self):
-        self.abar = np.asarray(self.abar, dtype=np.float64)
         if not self.a:
             raise ShapeError("an accuracy matrix needs at least one task")
         for j, row in enumerate(self.a):
             if len(row) != j + 1:
                 raise ShapeError(f"row {j} must have {j + 1} entries")
             for v in row:
-                if not 0.0 <= v <= 1.0:
+                if not (_is_finite_number(v) and 0.0 <= v <= 1.0):
                     raise ShapeError("accuracies must lie in [0, 1]")
-        if len(self.abar) != len(self.a):
-            raise ShapeError("baseline vector length must equal task count")
+        abar = np.asarray(self.abar)
+        if not (abar.shape == (self.T,) and abar.dtype.kind in "iuf"
+                and np.all((abar >= 0.0) & (abar <= 1.0))):
+            raise ShapeError(f"abar must hold {self.T} accuracies, each in "
+                             f"[0, 1]")
+        self.abar = abar.astype(np.float64)
         if self.pre_train is not None:
             pre = np.asarray(self.pre_train)
             if not (pre.shape == (self.T,) and pre.dtype.kind == "f"

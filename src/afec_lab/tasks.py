@@ -258,6 +258,9 @@ def split_tasks(images: np.ndarray, labels: np.ndarray,
                 classes_per_task: int = 5, seed: int = 0) -> list[TaskDataset]:
     """Partition classes into contiguous seeded groups, one classification
     task per group with labels remapped to [0, classes_per_task)."""
+    if not (type(classes_per_task) is int and classes_per_task >= 1):
+        raise ConfigError(f"classes_per_task: expected an integer >= 1, "
+                          f"got {classes_per_task!r}")
     classes = np.unique(labels)
     if not len(classes):
         raise ConfigError("split_idx: the IDX pair holds no images")

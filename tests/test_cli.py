@@ -665,11 +665,11 @@ class TestGrid:
             units.append((len(cells), {cell.strengths for cell in cells}))
             return _run_cell(task_list, cells)
 
-        def learn(cfgs, *args, _learn_task=continual._learn_task):
-            learned.append([cfg.seed for cfg in cfgs])
-            return _learn_task(cfgs, *args)
+        def train(walk, group, _train=continual._Walk.train):
+            learned.append([walk.cfg(node).seed for node in group])
+            return _train(walk, group)
         monkeypatch.setattr(cli, "_run_cell", counted)
-        monkeypatch.setattr(continual, "_learn_task", learn)
+        monkeypatch.setattr(continual._Walk, "train", train)
         assert main(["grid", "--config", path, "--jobs", "1"]) == 0
         # One walk per seed gets its 12 cells; each family trains two runs
         # of two tasks that share the first, so three tasks. Per seed, the
@@ -705,11 +705,11 @@ class TestGrid:
         path = write_config(tmp_path, doc)
         assert main(["grid", "--config", path, "--jobs", "1"]) == 0
 
-        def learn(cfgs, *args, _learn_task=continual._learn_task):
-            if cfgs[0].seed == 1:
+        def train(walk, group, _train=continual._Walk.train):
+            if walk.cfg(group[0]).seed == 1:
                 raise KeyboardInterrupt
-            return _learn_task(cfgs, *args)
-        monkeypatch.setattr(continual, "_learn_task", learn)
+            return _train(walk, group)
+        monkeypatch.setattr(continual._Walk, "train", train)
         stopped = tmp_path / "stopped"
         with pytest.raises(KeyboardInterrupt):
             main(["grid", "--config", path, "--jobs", "1",
@@ -890,10 +890,18 @@ class TestDatagenAndReport:
         (_with_fields(pre_train=[None, "x"]),
          "ShapeError: pre_train must hold 2 accuracies"),
         (_with_fields(acc_matrix=[], abar=[], pre_train=[]),
-         "ShapeError: an accuracy matrix needs at least one task")],
+         "ShapeError: an accuracy matrix needs at least one task"),
+        (_with_fields(acc_matrix=[[True], [True, False]]),
+         "ShapeError: accuracies must lie in [0, 1]"),
+        (_with_fields(pre_train=[None, True]),
+         "FormatError: field 'pre_train' must hold null or numbers, not "
+         "booleans"),
+        (_with_fields(abar=[7.0, -3.0]),
+         "ShapeError: abar must hold 2 accuracies, each in [0, 1]")],
         ids=["no_fields", "truncated", "accuracy_2", "no_method", "lam_x",
              "config_list", "pre_train_short", "pre_train_x",
-             "empty_matrix"])
+             "empty_matrix", "acc_bool", "pre_train_bool",
+             "abar_out_of_range"])
     def test_report_names_an_unreadable_result(self, tmp_path, capsys,
                                                corrupt, error):
         out = tmp_path / "results"

@@ -22,8 +22,7 @@ from afec_lab.continual import (METHODS, ArchSpec, SequenceConfig, _canonical,
                                 save_state, transfer_probe)
 from afec_lab.errors import ConfigError, FormatError
 from afec_lab.nn import DenseLayer, Network
-from afec_lab.regularizers import (EXPANSION_INITS, RegState,
-                                   importance_update, train_expanded)
+from afec_lab.regularizers import EXPANSION_INITS, train_expanded
 from afec_lab.tasks import (AngularLayout, gen_angular_task,
                             make_angular_sequence, make_conflicting_pair,
                             split_tasks)
@@ -333,28 +332,20 @@ class TestSnapshotsOwnTheirMemory:
             np.testing.assert_array_equal(a, k)
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_learn_task_snapshots(self, method):
-        tasks = _RESUME_TASKS[:2]
-        cfg = quick_cfg(method, lam=1.0, lam_e=1.0, epochs=1)
-        net = Network.create(tasks[0].input_dim, cfg.arch.hidden,
-                             cfg.arch.activation,
-                             continual._collect_heads(tasks), cfg.seed)
-        state = RegState.zeros(net.param_count)
-        for t, task in enumerate(tasks):
-            expanded = None
-            if cfg.uses_expansion:
-                [expanded] = train_expanded(
-                    [net], task, cfg.optimizer, epochs=1, batch_size=8,
-                    loss_kind=continual._loss_kind(task), seed=0,
-                    task_index=t)
-            if cfg.base_method in ("mas", "si", "rwalk"):
-                importance_update(cfg.base_method, state, "task_start",
-                                  net=net)
-            [outcome] = continual._learn_task(
-                [cfg], [net], [state], tasks, t,
-                [continual.penalty_terms(cfg, state, expanded)])
-            net, _ = outcome
-        self._assert_own_memory(net, [state.anchor.mean, state.prev_params])
+    def test_learn_task_snapshots(self, method, monkeypatch):
+        # the trained network and state of a two-task run, as the walk
+        # finishes them
+        finished = []
+
+        def finish(walk, group, _fn=continual._Walk.finish):
+            finished.extend(group)
+            return _fn(walk, group)
+        monkeypatch.setattr(continual._Walk, "finish", finish)
+        run_sequence(quick_cfg(method, lam=1.0, lam_e=1.0, epochs=1),
+                     _RESUME_TASKS[:2])
+        [node] = finished
+        self._assert_own_memory(node.net, [node.state.anchor.mean,
+                                           node.state.prev_params])
 
     @pytest.mark.parametrize("init", EXPANSION_INITS)
     def test_expanded_anchor(self, init):
@@ -444,20 +435,24 @@ class TestFamilyWalk:
     def test_shared_tasks_train_once(self, monkeypatch):
         # afec at lambda_e 1 and 5 splits on the first task, where only
         # lambda_e tells runs apart; lambda splits them on the second
-        rows = {"train_expanded": [], "_learn_task": []}
-        for name in rows:
-            def counted(nets, *args, _name=name,
-                        _fn=getattr(continual, name), **kwargs):
-                rows[_name].append(len(nets))
-                return _fn(nets, *args, **kwargs)
-            monkeypatch.setattr(continual, name, counted)
+        rows = {"train_expanded": [], "train": []}
+
+        def expand(nets, *args, _fn=continual.train_expanded, **kwargs):
+            rows["train_expanded"].append(len(nets))
+            return _fn(nets, *args, **kwargs)
+
+        def train(walk, group, _fn=continual._Walk.train):
+            rows["train"].append(len(group))
+            return _fn(walk, group)
+        monkeypatch.setattr(continual, "train_expanded", expand)
+        monkeypatch.setattr(continual._Walk, "train", train)
         family = [quick_cfg("afec", lam=lam, lam_e=lam_e, epochs=1)
                   for lam in (1.0, 10.0, 100.0) for lam_e in (1.0, 5.0)]
         run_sequence(family, quick_pair())
         # expansions: 1 on task 1, then 1 per lambda_e branch on task 2;
         # main training: 2 branches on task 1, 6 on task 2; each task's
         # rows train in lock-step
-        assert rows == {"train_expanded": [1, 2], "_learn_task": [2, 6]}
+        assert rows == {"train_expanded": [1, 2], "train": [2, 6]}
 
     def test_diverging_branch_fails_only_its_runs(self):
         # SGD at lambda_e 1e9 diverges on the first task, and lambda 1e9
@@ -520,6 +515,8 @@ class TestNodeFailures:
     @pytest.mark.parametrize("name,t,failed", [
         ("evaluate", 1, [5]),             # afec at lambda_e 5, pre-training
         ("importance_update", 0, [2, 3]),  # mas's root, at task_start
+        ("_consolidate", 0, [0, 1]),      # ewc's shared first task
+        ("_consolidate", 1, [1]),         # ewc at lambda 10, second task
         ("_state_digest", 2, [3])])       # mas at lambda 10, finishing
     def test_one_node_fails_alone(self, monkeypatch, name, t, failed):
         tasks = quick_pair()
@@ -534,6 +531,29 @@ class TestNodeFailures:
         assert [_outcome_text(o) for i, o in enumerate(outcomes)
                 if i not in failed] == [text for i, text in enumerate(own)
                                         if i not in failed]
+
+    def test_pre_training_error_comes_before_the_expansion(self,
+                                                           monkeypatch):
+        # on the second task both afec runs' expansions fail, and so does
+        # the pre-training evaluation of afec at lambda_e 5: that run fails
+        # with the evaluation's error, the other with the expansion's
+        tasks = quick_pair()
+        own = [_own_run(cell, tasks) for cell in _NODE_CELLS]
+        expand_exc = RuntimeError("expansion failed")
+        evaluate_exc = RuntimeError("evaluate failed")
+
+        def expand(nets, *args, _fn=continual.train_expanded, **kwargs):
+            anchors = _fn(nets, *args, **kwargs)
+            return anchors if kwargs["task_index"] == 0 else [
+                expand_exc] * len(nets)
+        monkeypatch.setattr(continual, "train_expanded", expand)
+        monkeypatch.setattr(continual, "evaluate", _raising_at(
+            continual.evaluate, lambda walk, node: (
+                node.t == 1 and walk.cfg(node) == _NODE_CELLS[5]),
+            evaluate_exc))
+        outcomes = run_sequence(_NODE_CELLS, tasks)
+        assert outcomes[4] is expand_exc and outcomes[5] is evaluate_exc
+        assert [_outcome_text(o) for o in outcomes[:4]] == own[:4]
 
     def test_failed_state_save_fails_the_run(self, monkeypatch, tmp_path):
         # save_state_to takes one config: its run fails after the state of
@@ -619,10 +639,12 @@ class TestLockstep:
                                       ("afec", 0))]
         calls = []
 
-        def learn(cfgs, *args, _fn=continual._learn_task):
-            calls.append((args[3], [(c.method, c.seed) for c in cfgs]))
-            return _fn(cfgs, *args)
-        monkeypatch.setattr(continual, "_learn_task", learn)
+        def train(walk, group, _fn=continual._Walk.train):
+            calls.append((group[0].t, [(walk.cfg(node).method,
+                                        walk.cfg(node).seed)
+                                       for node in group]))
+            return _fn(walk, group)
+        monkeypatch.setattr(continual._Walk, "train", train)
         run_sequence(cells, quick_pair())
         assert calls == [(t, rows) for rows in (
             [("ewc", 0), ("si", 0)], [("afec", 0)], [("ewc", 1)])
@@ -661,12 +683,13 @@ class TestLockstep:
         monkeypatch.setattr(Network, "create", classmethod(create))
         alive = {}
 
-        def learn(cfgs, *args, _fn=continual._learn_task):
-            if cfgs[0].family not in alive:
+        def train(walk, group, _fn=continual._Walk.train):
+            family = walk.cfg(group[0]).family
+            if family not in alive:
                 gc.collect()
-                alive[cfgs[0].family] = sum(ref() is not None for ref in made)
-            return _fn(cfgs, *args)
-        monkeypatch.setattr(continual, "_learn_task", learn)
+                alive[family] = sum(ref() is not None for ref in made)
+            return _fn(walk, group)
+        monkeypatch.setattr(continual._Walk, "train", train)
         methods = ("ewc", "afec", "si")
         run_sequence([quick_cfg(method, lam=1.0, lam_e=1.0, epochs=1,
                                 seed=seed)
@@ -682,11 +705,12 @@ class TestLockstep:
                   for method in ("si", "afec")]
         calls = []
 
-        def learn(cfgs, nets, states, tasks, t, terms,
-                  _fn=continual._learn_task):
-            calls.append((t, [(cfg.method, cfg.lam) for cfg in cfgs]))
-            return _fn(cfgs, nets, states, tasks, t, terms)
-        monkeypatch.setattr(continual, "_learn_task", learn)
+        def train(walk, group, _fn=continual._Walk.train):
+            calls.append((group[0].t, [(walk.cfg(node).method,
+                                        walk.cfg(node).lam)
+                                       for node in group]))
+            return _fn(walk, group)
+        monkeypatch.setattr(continual._Walk, "train", train)
         tasks = quick_pair()
         run_sequence(cells, tasks)
         walked, calls[:] = calls[:], []

@@ -110,3 +110,23 @@ def test_failed_cells_log_and_write_alike(tmp_path, capsys, monkeypatch):
     assert serial[0] == 1
     assert serial[1].count("Traceback (most recent call last):") == 2
     assert pool == serial
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_shared_expansion_logs_alike(tmp_path, capsys, monkeypatch):
+    # SGD at lr 0.1 makes the first task's expansion fail. Serially the
+    # afec and mas_afec roots share that expansion and its exception; from
+    # the pool each family expands alone. Each cell's traceback must read
+    # the same either way.
+    monkeypatch.setenv("AFEC_LAB_LOG", "debug")
+    serial, pool = run_both(tmp_path, capsys, "grid", {
+        "benchmark": {"kind": "conflicting_pair", "num_classes": 6,
+                      "samples_per_class": 20, "input_dim": 6,
+                      "cluster_spread": 0.5},
+        "methods": ["afec", "mas_afec"], "lambda": [0, 1], "lambda_e": 1,
+        "seeds": [1], "epochs": 1, "batch_size": 16,
+        "optimizer": {"kind": "sgd", "lr": 0.1}, "arch": _SMALL})
+    assert serial[0] == 1
+    assert serial[1].count("Traceback (most recent call last):") == 4
+    assert sum("in train_expanded" in line for line in serial[1]) == 4
+    assert pool == serial

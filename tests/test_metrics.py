@@ -62,6 +62,29 @@ class TestAccMatrixValidation:
     def test_pre_train_of_nan_or_accuracies_accepted(self, pre):
         AccMatrix(a=[[0.5], [0.5, 0.5]], abar=np.zeros(2), pre_train=pre)
 
+    @pytest.mark.parametrize("a", [[[True]], [[0.5], [0.5, False]],
+                                   [[np.nan]], [["0.5"]]])
+    def test_non_accuracies_rejected(self, a):
+        # a bool would pass 0 <= v <= 1, and a string would not compare
+        with pytest.raises(ShapeError, match=r"accuracies must lie in \[0, 1\]"):
+            AccMatrix(a=a, abar=np.zeros(len(a)))
+
+    @pytest.mark.parametrize("abar", [
+        [7.0, -3.0],                       # not accuracies
+        [0.5, np.nan],
+        [True, False],                     # booleans
+        ["0.5", "0.5"],                    # not numbers
+        [None, 0.5],
+        [0.5]])                            # one entry short
+    def test_bad_abar_rejected(self, abar):
+        with pytest.raises(ShapeError, match="abar must hold 2 accuracies"):
+            AccMatrix(a=[[0.5], [0.5, 0.5]], abar=np.asarray(abar))
+
+    def test_abar_of_accuracies_accepted(self):
+        m = AccMatrix(a=[[0.5], [0.5, 0.5]], abar=[0, 1.0])
+        assert m.abar.dtype == np.float64
+        assert m.abar.tolist() == [0.0, 1.0]
+
 
 class TestAcc:
     def test_single_task(self):

@@ -359,6 +359,16 @@ class TestSplitTasks:
         with pytest.raises(ConfigError):
             split_tasks(images, labels, 3, seed=0)
 
+    @pytest.mark.parametrize("classes_per_task", [0, -1, True, 2.0])
+    def test_bad_classes_per_task_rejected(self, classes_per_task):
+        # unchecked, 0 divided by zero, -1 gave no tasks, True gave tasks
+        # of head_dim True and 2.0 a TypeError from range()
+        images, labels = self._data()
+        with pytest.raises(ConfigError, match=re.escape(
+                f"classes_per_task: expected an integer >= 1, got "
+                f"{classes_per_task!r}")):
+            split_tasks(images, labels, classes_per_task, seed=0)
+
     def test_per_task_heads_distinct(self):
         images, labels = self._data()
         tasks = split_tasks(images, labels, 5, seed=0)
