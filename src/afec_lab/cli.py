@@ -192,11 +192,26 @@ def result_from_json(doc: dict) -> RunResult:
         raise FormatError("field 'config' must be an object with a string "
                           "method, finite numbers lam and lam_e, and an "
                           "integer seed >= 0")
-    return RunResult(acc_matrix=matrix,
-                     per_task_new_accuracy=doc["per_task_new_accuracy"],
-                     config=config,
-                     state_digest=doc["state_digest"],
-                     start_task=doc.get("start_task", 0))
+    start_task = doc.get("start_task", 0)
+    if not (_is_count(start_task, 0) and start_task < matrix.T):
+        raise FormatError(f"field 'start_task' must be an integer in "
+                          f"[0, {matrix.T})")
+    # A run resumed at start_task reports the tasks it trained.
+    trained = matrix.T - start_task
+    per_task = doc["per_task_new_accuracy"]
+    if not (isinstance(per_task, list) and len(per_task) == trained
+            and all(_is_finite_number(v) and 0.0 <= v <= 1.0
+                    for v in per_task)):
+        raise FormatError(f"field 'per_task_new_accuracy' must hold "
+                          f"{trained} numbers, each in [0, 1]")
+    digest = doc["state_digest"]
+    if not (isinstance(digest, str) and len(digest) == 64
+            and set(digest) <= set("0123456789abcdef")):
+        raise FormatError("field 'state_digest' must be a 64-character "
+                          "lowercase hex string")
+    return RunResult(acc_matrix=matrix, per_task_new_accuracy=per_task,
+                     config=config, state_digest=digest,
+                     start_task=start_task)
 
 
 # -- cell execution -----------------------------------------------------------

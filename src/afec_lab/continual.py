@@ -8,6 +8,7 @@ probe, the random-init baseline, and run-state persistence.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
@@ -178,49 +179,77 @@ def _canonical(obj) -> str:
 _ENCODE_BLOCK = 4096
 
 
-def _encode_array(arr: np.ndarray) -> list[str]:
-    """The text of `_canonical(arr.tolist())` as a list of pieces; a vector
-    is encoded `_ENCODE_BLOCK` elements at a time."""
+def _encode_array(arr: np.ndarray):
+    """Yield the text of `_canonical(arr.tolist())` in pieces; a vector is
+    encoded `_ENCODE_BLOCK` elements at a time."""
     if arr.ndim != 1 or arr.size <= _ENCODE_BLOCK:
-        return [_canonical(arr.tolist())]
-    pieces = ["["]
+        yield _canonical(arr.tolist())
+        return
+    yield "["
     for start in range(0, arr.size, _ENCODE_BLOCK):
         text = _canonical(arr[start:start + _ENCODE_BLOCK].tolist())
-        pieces.append(("," if start else "") + text[1:-1])
-    pieces.append("]")
-    return pieces
+        yield ("," if start else "") + text[1:-1]
+    yield "]"
 
 
-def _iter_canonical(obj, memo: dict):
-    """Yield the text of `_canonical(obj)` in chunks, where a float64 array
-    stands in for its tolist().
-
-    Each distinct array is encoded once per `memo`. Arrays are matched on
-    their bytes: == would equate -0.0 with 0.0, which repr differently, and
-    never match NaN. The memo is an argument rather than a closure variable
-    so that no reference cycle keeps it alive after the caller is done.
-    """
+def _arrays(obj):
+    """Yield every array of a document, depth first."""
     if isinstance(obj, np.ndarray):
-        if obj.dtype != np.float64:
-            raise TypeError(f"cannot encode a {obj.dtype} array")
-        key = (obj.shape, obj.tobytes())
-        if key not in memo:
-            memo[key] = _encode_array(obj)
-        yield from memo[key]
+        yield obj
+    elif isinstance(obj, (dict, list, tuple)):
+        for item in (obj.values() if isinstance(obj, dict) else obj):
+            yield from _arrays(item)
+
+
+def _iter_canonical(obj):
+    """An iterator over the text of `_canonical(obj)` in chunks, where a
+    float64 array stands in for its tolist().
+
+    An array whose bytes occur more than once in `obj` is encoded once, and
+    its text is kept while the chunks are drawn; any other array's text is
+    streamed and never held whole. Arrays are matched on their bytes,
+    through a sha256 of each array's buffer rather than a copy of it: ==
+    would equate -0.0 with 0.0, which repr differently, and never match NaN.
+    """
+    keys: dict[int, tuple] = {}  # id of each array -> its key
+    seen = collections.Counter()
+    for arr in _arrays(obj):
+        if id(arr) not in keys:
+            if arr.dtype != np.float64:
+                raise TypeError(f"cannot encode a {arr.dtype} array")
+            keys[id(arr)] = (arr.shape, hashlib.sha256(
+                np.ascontiguousarray(arr)).digest())
+        seen[keys[id(arr)]] += 1
+    # the text of each repeated array, once it has been encoded
+    texts = {key: None for key, count in seen.items() if count > 1}
+    return _chunks(obj, keys, texts)
+
+
+def _chunks(obj, keys: dict, texts: dict):
+    """The chunks of `_iter_canonical(obj)`, given its array keys and the
+    texts it keeps."""
+    if isinstance(obj, np.ndarray):
+        key = keys[id(obj)]
+        if key in texts:
+            if texts[key] is None:
+                texts[key] = [*_encode_array(obj)]
+            yield from texts[key]
+        else:
+            yield from _encode_array(obj)
     elif isinstance(obj, dict):
         if not all(isinstance(key, str) for key in obj):
             raise TypeError("only string keys can be encoded")
         yield "{"
         for i, key in enumerate(sorted(obj)):
             yield ("," if i else "") + _canonical(key) + ":"
-            yield from _iter_canonical(obj[key], memo)
+            yield from _chunks(obj[key], keys, texts)
         yield "}"
     elif isinstance(obj, (list, tuple)):
         yield "["
         for i, item in enumerate(obj):
             if i:
                 yield ","
-            yield from _iter_canonical(item, memo)
+            yield from _chunks(item, keys, texts)
         yield "]"
     else:
         yield _canonical(obj)
@@ -292,7 +321,7 @@ def _state_digest(net: Network, state: RegState) -> str:
     regularizer state, streamed through the hash chunk by chunk."""
     digest = hashlib.sha256()
     doc = {"params": net.params, "reg_state": state.to_doc()}
-    for chunk in _iter_canonical(doc, {}):
+    for chunk in _iter_canonical(doc):
         digest.update(chunk.encode())
     return digest.hexdigest()
 
@@ -318,11 +347,14 @@ def penalty_terms(cfg: SequenceConfig, state: RegState,
 
 def penalized_grad(params: np.ndarray, grad: np.ndarray,
                    terms: list[tuple]) -> np.ndarray:
-    """`grad` plus each term's penalty gradient, added in order without
-    modifying `grad`; summing the penalties first would round differently."""
-    total = grad
+    """`grad` plus each term's penalty gradient, added in order into one new
+    vector (or `grad` itself when there is no term); `grad` is not modified.
+    Summing the penalties first would round differently."""
+    if not terms:
+        return grad
+    total = grad.copy()
     for anchor, lam in terms:
-        total = total + quadratic_penalty(params, anchor, lam)[1]
+        quadratic_penalty(params, anchor, lam, add_to=total)
     return total
 
 
@@ -664,7 +696,7 @@ def save_state(path, net: Network, state: RegState, seed: int) -> None:
         "rng": {"scheme": "counter", "seed": seed},
         "task_count": state.task_count,
     }
-    write_atomic(path, itertools.chain(_iter_canonical(doc, {}), ["\n"]))
+    write_atomic(path, itertools.chain(_iter_canonical(doc), ["\n"]))
 
 
 def load_state(path):

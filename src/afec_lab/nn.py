@@ -391,31 +391,55 @@ def finite_diff_check(net: Network, batch: Batch, loss_kind: str,
     return worst
 
 
+# Elements per block of an optimizer step or a penalty gradient: 128 KB of
+# float64 per vector. A step runs all of its operations over one block
+# before the next, so the block's vectors stay in L2 between passes, and
+# its scratch is block-sized rather than a whole vector.
+BLOCK = 2 ** 14
+
+
+def blocks(size: int):
+    """The slices that cut a vector of `size` elements into BLOCKs."""
+    return (slice(start, start + BLOCK) for start in range(0, size, BLOCK))
+
+
+def _check_finite_grad(grad: np.ndarray) -> None:
+    """Raise NumericError if `grad` holds a non-finite value; checked block
+    by block, so no whole-vector mask is made."""
+    for block in blocks(grad.size):
+        if not np.isfinite(grad[block]).all():
+            raise NumericError("non-finite gradient in optimizer step")
+
+
 class SGD:
-    """Plain SGD with optional momentum; `step` updates `params` in place."""
+    """Plain SGD with optional momentum; `step` updates the vector `params`
+    in place, block by block (see BLOCK)."""
 
     def __init__(self, lr: float = 0.01, momentum: float = 0.0):
         self.lr = lr
         self.momentum = momentum
         self._velocity: np.ndarray | None = None
+        self._scratch: np.ndarray | None = None  # one block
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         if params.shape != grad.shape:
             raise ShapeError("params and grad length mismatch")
-        if not np.all(np.isfinite(grad)):
-            raise NumericError("non-finite gradient in optimizer step")
+        _check_finite_grad(grad)
         if self._velocity is None:
             self._velocity = np.zeros_like(params)
-        velocity = self._velocity
-        velocity *= self.momentum
-        velocity += grad
-        params -= self.lr * velocity
+            self._scratch = np.empty(min(params.size, BLOCK))
+        for block in blocks(params.size):
+            velocity, p = self._velocity[block], params[block]
+            velocity *= self.momentum
+            velocity += grad[block]
+            p -= np.multiply(self.lr, velocity, out=self._scratch[:p.size])
         return params
 
 
 class Adam:
     """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
-    `step` updates `params` in place and returns it."""
+    `step` updates the vector `params` in place, block by block (see
+    BLOCK), and returns it."""
 
     def __init__(self, lr: float = 0.001, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -426,33 +450,42 @@ class Adam:
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
         self._t = 0
+        self._scratch: list[np.ndarray] = []  # two blocks
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         if params.shape != grad.shape:
             raise ShapeError("params and grad length mismatch")
-        if not np.all(np.isfinite(grad)):
-            raise NumericError("non-finite gradient in optimizer step")
+        _check_finite_grad(grad)
         if self._m is None:
             self._m = np.zeros_like(params)
             self._v = np.zeros_like(params)
+            self._scratch = [np.empty(min(params.size, BLOCK))
+                             for _ in range(2)]
         self._t += 1
-        # The textbook recurrence, with the moments and then the parameters
-        # updated in place after the checks above, so a failed step writes
-        # nothing; every operation keeps its operands and order.
-        m, v = self._m, self._v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        g2 = (1.0 - self.beta2) * grad
-        g2 *= grad
-        v *= self.beta2
-        v += g2
-        update = m / (1.0 - self.beta1 ** self._t)  # m_hat
-        update *= self.lr
-        denom = np.divide(v, 1.0 - self.beta2 ** self._t, out=g2)  # v_hat
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        update /= denom
-        params -= update
+        c1, c2 = 1.0 - self.beta1, 1.0 - self.beta2
+        bias1, bias2 = 1.0 - self.beta1 ** self._t, 1.0 - self.beta2 ** self._t
+        # The textbook recurrence, written into the moments and then the
+        # parameters after the check above, so a failed step writes
+        # nothing; every operation keeps its operands and order, so blocking
+        # changes no bit.
+        for block in blocks(params.size):
+            m, v, g, p = (self._m[block], self._v[block], grad[block],
+                          params[block])
+            update = self._scratch[0][:p.size]
+            denom = self._scratch[1][:p.size]
+            m *= self.beta1
+            m += np.multiply(c1, g, out=update)
+            g2 = np.multiply(c2, g, out=update)
+            g2 *= g
+            v *= self.beta2
+            v += g2
+            np.divide(m, bias1, out=update)  # m_hat
+            update *= self.lr
+            np.divide(v, bias2, out=denom)  # v_hat
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            p -= update
         return params
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .nn import Batch, Network, make_optimizer
+from .nn import BLOCK, Batch, Network, blocks, make_optimizer
 from .posterior import DiagGaussian, snapshot_anchor
 
 _EXPAND_INIT_KEY = 810001
@@ -84,17 +84,36 @@ def _tolists(doc: dict) -> dict:
             for key, value in doc.items()}
 
 
-def quadratic_penalty(params: np.ndarray, anchor: DiagGaussian, lam: float):
-    """(lam/2) * sum_i w_i (theta_i - anchor_i)^2 and its gradient; anchor
-    precision plays the role of the per-parameter weight."""
+def quadratic_penalty(params: np.ndarray, anchor: DiagGaussian, lam: float,
+                      *, add_to: np.ndarray | None = None):
+    """(lam/2) * sum_i w_i (theta_i - anchor_i)^2 and its gradient
+    lam * (w * (theta - anchor)); anchor precision plays the role of the
+    per-parameter weight.
+
+    With `add_to`, the gradient is added into that vector instead, block by
+    block (see nn.BLOCK) with the same bits as `add_to + gradient`, and
+    (None, add_to) is returned: no value and no whole-vector temporary is
+    computed."""
     if lam < 0:
         raise ConfigError("lambda must be >= 0")
     if params.shape != anchor.mean.shape:
         raise ShapeError("params and anchor length mismatch")
-    diff = params - anchor.mean
-    weighted = anchor.precision * diff
-    value = 0.5 * lam * float(diff @ weighted)
-    return value, lam * weighted
+    if add_to is None:
+        diff = params - anchor.mean
+        weighted = anchor.precision * diff
+        value = 0.5 * lam * float(diff @ weighted)
+        return value, lam * weighted
+    if add_to.shape != params.shape:
+        raise ShapeError("params and add_to length mismatch")
+    scratch = np.empty(min(params.size, BLOCK))
+    for block in blocks(params.size):
+        total = add_to[block]
+        term = np.subtract(params[block], anchor.mean[block],
+                           out=scratch[:total.size])
+        term *= anchor.precision[block]
+        term *= lam
+        total += term
+    return None, add_to
 
 
 def epoch_batches(task, batch_size: int, key):
@@ -137,6 +156,9 @@ def train_lockstep(nets: list[Network], task, *, epochs: int, batch_size: int,
                             step(i, net, grad)
                         except Exception as exc:
                             failed[i] = exc
+                    # so the next batch's gradients are not made while
+                    # these are still held
+                    del grads, grad
                 if failed:  # the others go on in a stack of their own
                     outcomes = [failed.get(i, o) for i, o in
                                 enumerate(outcomes)]

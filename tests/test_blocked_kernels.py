@@ -1,0 +1,170 @@
+"""The block-by-block optimizer steps and penalty gradient: the bits of the
+textbook whole-vector formulas, and no whole-vector temporaries."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from afec_lab.continual import penalized_grad
+from afec_lab.errors import NumericError, ShapeError
+from afec_lab.nn import BLOCK, SGD, Adam
+from afec_lab.posterior import DiagGaussian
+from afec_lab.regularizers import quadratic_penalty
+
+# Sizes around the block size, and one that ends in a partial block.
+SIZES = [5, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+# Signed zeros, subnormals and the edges of the normal range.
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+            2.2250738585072014e-308, 1e-300, -1e150]
+WIDE_P = 269_322  # split_idx_wide's parameter count
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).tobytes()
+
+
+@st.composite
+def vectors(draw, size, count):
+    """`count` vectors of `size` elements: scaled normals with special
+    values placed at drawn positions, block edges among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = [i for b in range(0, size, BLOCK) for i in (b - 1, b) if 0 <= i]
+    out = []
+    for _ in range(count):
+        vec = rng.standard_normal(size) * draw(st.sampled_from(
+            [1.0, 1e-8, 1e3]))
+        spots = draw(st.lists(st.sampled_from(edges) | st.integers(
+            0, size - 1), max_size=8))
+        for spot in spots:
+            vec[spot] = draw(st.sampled_from(SPECIALS))
+        out.append(vec)
+    return out
+
+
+def _textbook_adam(params, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params, m, v
+
+
+def _textbook_sgd(params, grads, lr, momentum):
+    velocity = np.zeros_like(params)
+    for g in grads:
+        velocity = momentum * velocity + g
+        params = params - lr * velocity
+    return params, velocity
+
+
+class TestBitIdentity:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(SIZES).flatmap(
+        lambda size: vectors(size, 4)), st.sampled_from([1e-3, 0.05]))
+    def test_adam(self, vecs, lr):
+        params, grads = vecs[0], vecs[1:]
+        opt = Adam(lr=lr)
+        got = params.copy()
+        for g in grads:
+            assert opt.step(got, g) is got
+        want, m, v = _textbook_adam(params, grads, lr)
+        assert _bits(got) == _bits(want)
+        assert (_bits(opt._m), _bits(opt._v)) == (_bits(m), _bits(v))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(SIZES).flatmap(lambda size: vectors(size, 4)),
+           st.sampled_from([0.0, 0.9]))
+    def test_sgd(self, vecs, momentum):
+        params, grads = vecs[0], vecs[1:]
+        opt = SGD(lr=0.05, momentum=momentum)
+        got = params.copy()
+        for g in grads:
+            assert opt.step(got, g) is got
+        want, velocity = _textbook_sgd(params, grads, 0.05, momentum)
+        assert _bits(got) == _bits(want)
+        assert _bits(opt._velocity) == _bits(velocity)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(SIZES).flatmap(lambda size: vectors(size, 6)),
+           st.lists(st.sampled_from([0.0, 1.0, 37.5, 1e-3]), min_size=1,
+                    max_size=2))
+    def test_penalty(self, vecs, lams):
+        params, grad = vecs[0], vecs[1]
+        terms = [(DiagGaussian(mean, np.abs(prec)), lam) for mean, prec, lam
+                 in zip(vecs[2::2], vecs[3::2], lams)]
+        grad_before = grad.copy()
+        want = grad
+        for anchor, lam in terms:
+            want = want + lam * (anchor.precision * (params - anchor.mean))
+        got = penalized_grad(params, grad, terms)
+        assert _bits(got) == _bits(want)
+        assert _bits(grad) == _bits(grad_before)
+        assert not np.shares_memory(got, grad)
+
+    def test_penalty_adds_into_the_given_vector(self):
+        rng = np.random.default_rng(3)
+        params, mean, prec, total = rng.standard_normal((4, BLOCK + 3))
+        anchor = DiagGaussian(mean, np.abs(prec))
+        want = total + quadratic_penalty(params, anchor, 2.5)[1]
+        value, out = quadratic_penalty(params, anchor, 2.5, add_to=total)
+        assert value is None and out is total
+        assert _bits(total) == _bits(want)
+        with pytest.raises(ShapeError, match="add_to"):
+            quadratic_penalty(params, anchor, 2.5, add_to=total[:-1])
+
+    @pytest.mark.parametrize("make", [lambda: Adam(lr=0.01),
+                                      lambda: SGD(lr=0.1, momentum=0.9)])
+    def test_nan_in_the_last_block_writes_nothing(self, make):
+        size = 3 * BLOCK + 7
+        rng = np.random.default_rng(5)
+        opt = make()
+        params = rng.standard_normal(size)
+        opt.step(params, rng.standard_normal(size))
+        state = {name: _bits(value) if isinstance(value, np.ndarray)
+                 else value for name, value in vars(opt).items()}
+        before = _bits(params)
+        grad = rng.standard_normal(size)
+        grad[-1] = np.nan
+        with pytest.raises(NumericError):
+            opt.step(params, grad)
+        assert _bits(params) == before
+        assert state == {name: _bits(value) if isinstance(value, np.ndarray)
+                         else value for name, value in vars(opt).items()}
+
+
+def _peak_bytes(fn, *args) -> int:
+    """The most memory `fn(*args)` held at once, as tracemalloc (which
+    numpy reports its buffers to) saw it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepMemory:
+    def test_adam_step_allocates_less_than_one_vector(self):
+        rng = np.random.default_rng(0)
+        params, grad = (rng.standard_normal(WIDE_P) for _ in range(2))
+        opt = Adam(lr=1e-3)
+        opt.step(params, grad)  # the first step makes the moments
+        # not even a whole-vector mask of bools
+        assert _peak_bytes(opt.step, params, grad) < params.nbytes // 8
+
+    def test_penalized_grad_allocates_only_its_result(self):
+        rng = np.random.default_rng(1)
+        params, grad, m1, p1, m2, p2 = (rng.standard_normal(WIDE_P)
+                                        for _ in range(6))
+        terms = [(DiagGaussian(m1, np.abs(p1)), 100.0),
+                 (DiagGaussian(m2, np.abs(p2)), 10.0)]
+        peak = _peak_bytes(penalized_grad, params, grad, terms)
+        # the result, and less than two blocks of scratch besides
+        assert params.nbytes <= peak < params.nbytes + 2 * 8 * BLOCK

@@ -251,6 +251,23 @@ class TestResultSerialization:
         back = result_from_json(result_to_json(result))
         assert back.checksum == result.checksum
 
+    def test_roundtrip_of_a_resumed_run(self, tmp_path):
+        # a run resumed at task 1 of 2 reports one new-task accuracy
+        layouts = [AngularLayout.identity(4), AngularLayout.identity(4)]
+        task_list = [gen_angular_task(layout, 20, 6, 0.5, k, name=f"t{k}")
+                     for k, layout in enumerate(layouts)]
+        cfg = SequenceConfig(method="ewc", lam=1.0, epochs=1, seed=0,
+                             arch={"hidden": [8], "activation": "relu"})
+        path = str(tmp_path / "state.json")
+        run_sequence(cfg, task_list[:1], save_state_to=path)
+        result = run_sequence(cfg, task_list,
+                              resume=continual.load_state(path))
+        doc = result_to_json(result)
+        assert (doc["start_task"], len(doc["per_task_new_accuracy"])) == (1, 1)
+        back = result_from_json(json.loads(json.dumps(doc)))
+        assert back.checksum == result.checksum
+        assert back.per_task_new_accuracy == result.per_task_new_accuracy
+
 
 class TestMainExitCodes:
     def test_run_success_and_outputs(self, tmp_path, capsys):
@@ -897,11 +914,40 @@ class TestDatagenAndReport:
          "FormatError: field 'pre_train' must hold null or numbers, not "
          "booleans"),
         (_with_fields(abar=[7.0, -3.0]),
-         "ShapeError: abar must hold 2 accuracies, each in [0, 1]")],
+         "ShapeError: abar must hold 2 accuracies, each in [0, 1]"),
+        (_with_fields(per_task_new_accuracy=["x", 7]),
+         "FormatError: field 'per_task_new_accuracy' must hold 2 numbers, "
+         "each in [0, 1]"),
+        (_with_fields(per_task_new_accuracy=[5.0, -2.0]),
+         "FormatError: field 'per_task_new_accuracy' must hold 2 numbers"),
+        (_with_fields(per_task_new_accuracy=[0.5]),
+         "FormatError: field 'per_task_new_accuracy' must hold 2 numbers"),
+        (_with_fields(per_task_new_accuracy=[True, 0.5]),
+         "FormatError: field 'per_task_new_accuracy' must hold 2 numbers"),
+        (_with_fields(per_task_new_accuracy=0.5),
+         "FormatError: field 'per_task_new_accuracy' must hold 2 numbers"),
+        (_with_fields(state_digest=5),
+         "FormatError: field 'state_digest' must be a 64-character "
+         "lowercase hex string"),
+        (_with_fields(state_digest="A" * 64),
+         "FormatError: field 'state_digest' must be a 64-character"),
+        (_with_fields(state_digest="a" * 63),
+         "FormatError: field 'state_digest' must be a 64-character"),
+        (_with_fields(start_task="x"),
+         "FormatError: field 'start_task' must be an integer in [0, 2)"),
+        (_with_fields(start_task=-4),
+         "FormatError: field 'start_task' must be an integer in [0, 2)"),
+        (_with_fields(start_task=2),
+         "FormatError: field 'start_task' must be an integer in [0, 2)"),
+        (_with_fields(start_task=False),
+         "FormatError: field 'start_task' must be an integer in [0, 2)")],
         ids=["no_fields", "truncated", "accuracy_2", "no_method", "lam_x",
              "config_list", "pre_train_short", "pre_train_x",
              "empty_matrix", "acc_bool", "pre_train_bool",
-             "abar_out_of_range"])
+             "abar_out_of_range", "new_acc_x", "new_acc_out_of_range",
+             "new_acc_short", "new_acc_bool", "new_acc_scalar",
+             "digest_int", "digest_upper", "digest_short", "start_x",
+             "start_negative", "start_past_end", "start_bool"])
     def test_report_names_an_unreadable_result(self, tmp_path, capsys,
                                                corrupt, error):
         out = tmp_path / "results"

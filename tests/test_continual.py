@@ -1,5 +1,6 @@
 """Sequence driver, evaluation, transfer probe, and state persistence."""
 
+import contextlib
 import gc
 import hashlib
 import json
@@ -885,8 +886,22 @@ def _tolists(doc):
     return doc
 
 
-def _encoded(doc, memo=None):
-    return "".join(_iter_canonical(doc, {} if memo is None else memo)).encode()
+def _encoded(doc):
+    return "".join(_iter_canonical(doc)).encode()
+
+
+@contextlib.contextmanager
+def _counted_encodes():
+    """Count the arrays that _iter_canonical encodes."""
+    encoded = []
+    original = continual._encode_array
+
+    def encode(arr):
+        encoded.append(arr)
+        return original(arr)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continual, "_encode_array", encode)
+        yield encoded
 
 
 # Floats around the places where repr changes form or precision.
@@ -930,13 +945,22 @@ class TestCanonicalEncoder:
         assert _encoded(doc) == _canonical(_tolists(doc)).encode()
 
     def test_each_distinct_array_encoded_once(self):
-        zeros = np.zeros(3)
-        memo = {}
+        zeros, ones = np.zeros(3), np.ones(2)
         doc = {"a": zeros, "b": zeros.copy(), "c": [np.zeros(3), -zeros],
-               "d": np.array([np.nan]), "e": np.array([np.nan])}
-        assert _encoded(doc, memo) == _canonical(_tolists(doc)).encode()
+               "d": np.array([np.nan]), "e": np.array([np.nan]),
+               "f": [-zeros, zeros], "g": [ones, ones]}  # one object twice
+        with _counted_encodes() as encoded:
+            assert _encoded(doc) == _canonical(_tolists(doc)).encode()
+        assert len(encoded) == 4  # +0.0 zeros, -0.0 zeros, NaN, ones
         assert b"[-0.0,-0.0,-0.0]" in _encoded(doc)
-        assert len(memo) == 3  # +0.0 zeros, -0.0 zeros, NaN
+
+    def test_only_repeated_arrays_are_kept(self):
+        once, twice = np.arange(3.0), np.ones(2)
+        chunks = _iter_canonical({"a": once, "b": [twice, twice.copy()]})
+        texts = chunks.gi_frame.f_locals["texts"]
+        assert "".join(chunks) == ('{"a":[0.0,1.0,2.0],'
+                                   '"b":[[1.0,1.0],[1.0,1.0]]}')
+        assert [*texts.values()] == [["[1.0,1.0]"]]
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * continual._ENCODE_BLOCK + 5])
     def test_long_vectors_encoded_in_blocks(self, extra):
@@ -944,9 +968,9 @@ class TestCanonicalEncoder:
         vec = np.resize(np.array(_EDGE_FLOATS), size)
         vec[-1] = -0.0
         doc = {"v": vec, "w": [vec.copy(), vec[::-1].copy()]}
-        memo = {}
-        assert _encoded(doc, memo) == _canonical(_tolists(doc)).encode()
-        assert len(memo) == 2
+        with _counted_encodes() as encoded:
+            assert _encoded(doc) == _canonical(_tolists(doc)).encode()
+        assert len(encoded) == 2
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_vectors, min_size=1, max_size=3))
