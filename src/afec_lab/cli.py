@@ -123,11 +123,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     named: dict[str, tuple] = {}  # result file name -> its cell's values
     for cell in cells:
         values = (cell.method, cell.lam, cell.lam_e, cell.seed)
-        name = metrics.cell_name(asdict(cell))
+        name = _result_file(asdict(cell))
         if name in named:
             raise ConfigError(f"methods, lambda, lambda_e and seeds: cells "
                               f"{named[name]!r} and {values!r} share the "
-                              f"result file result_{name}.json")
+                              f"result file {name}")
         named[name] = values
     return ExperimentConfig(benchmark=doc["benchmark"], out_dir=out_dir,
                             cells=cells)
@@ -164,6 +164,10 @@ def build_tasks(bench: dict) -> list:
 
 # -- result serialization -----------------------------------------------------
 
+def _result_file(config: dict) -> str:
+    return f"result_{metrics.cell_name(config)}.json"
+
+
 def result_to_json(result: RunResult) -> dict:
     m = result.acc_matrix
     return {
@@ -178,40 +182,31 @@ def result_to_json(result: RunResult) -> dict:
 
 
 def result_from_json(doc: dict) -> RunResult:
-    if any(isinstance(v, bool) for v in doc["pre_train"]):  # np.array: 1.0
-        raise FormatError("field 'pre_train' must hold null or numbers, "
-                          "not booleans")
-    pre = np.array([np.nan if v is None else v for v in doc["pre_train"]])
-    matrix = AccMatrix(a=doc["acc_matrix"], abar=np.asarray(doc["abar"]),
-                       pre_train=pre)
-    config = doc["config"]
-    if not (isinstance(config, dict) and isinstance(config.get("method"), str)
-            and _is_finite_number(config.get("lam"))
-            and _is_finite_number(config.get("lam_e"))
-            and _is_count(config.get("seed"), 0)):
-        raise FormatError("field 'config' must be an object with a string "
-                          "method, finite numbers lam and lam_e, and an "
-                          "integer seed >= 0")
-    start_task = doc.get("start_task", 0)
+    """The RunResult of a file that is what result_to_json writes for it;
+    else a FormatError names the first field that is not."""
+    pre = [np.nan if v is None else v for v in doc["pre_train"]]
+    matrix = AccMatrix(a=doc["acc_matrix"], abar=doc["abar"], pre_train=pre)
+    try:
+        config = asdict(SequenceConfig(**doc["config"]))
+    except (ConfigError, TypeError) as exc:
+        raise FormatError(f"field 'config' must be an object of run settings "
+                          f"({_error_text(exc)})") from None
+    start_task = doc["start_task"]
     if not (_is_count(start_task, 0) and start_task < matrix.T):
         raise FormatError(f"field 'start_task' must be an integer in "
                           f"[0, {matrix.T})")
-    # A run resumed at start_task reports the tasks it trained.
-    trained = matrix.T - start_task
-    per_task = doc["per_task_new_accuracy"]
-    if not (isinstance(per_task, list) and len(per_task) == trained
-            and all(_is_finite_number(v) and 0.0 <= v <= 1.0
-                    for v in per_task)):
-        raise FormatError(f"field 'per_task_new_accuracy' must hold "
-                          f"{trained} numbers, each in [0, 1]")
     digest = doc["state_digest"]
     if not (isinstance(digest, str) and len(digest) == 64
             and set(digest) <= set("0123456789abcdef")):
         raise FormatError("field 'state_digest' must be a 64-character "
                           "lowercase hex string")
-    return RunResult(acc_matrix=matrix, per_task_new_accuracy=per_task,
-                     config=config, state_digest=digest,
-                     start_task=start_task)
+    result = RunResult(acc_matrix=matrix, config=config, state_digest=digest,
+                       start_task=start_task)
+    written = result_to_json(result)
+    for key in sorted(doc.keys() | written.keys()):
+        if key not in doc or key not in written or doc[key] != written[key]:
+            raise FormatError(f"field {key!r} is not what a run writes")
+    return result
 
 
 # -- cell execution -----------------------------------------------------------
@@ -324,8 +319,8 @@ def _run_and_write(config: ExperimentConfig, jobs: int):
             os.makedirs(config.out_dir, exist_ok=True)
         outcomes[i] = outcome
         if not isinstance(outcome, Exception):
-            name = f"result_{metrics.cell_name(outcome.config)}.json"
-            write_atomic(os.path.join(config.out_dir, name),
+            write_atomic(os.path.join(config.out_dir,
+                                      _result_file(outcome.config)),
                          [json.dumps(result_to_json(outcome), sort_keys=True),
                           "\n"])
     pairs = [(config.cells[i], outcomes[i]) for i in sorted(outcomes)]
@@ -421,9 +416,12 @@ def cmd_report(config: ExperimentConfig) -> int:
             path = os.path.join(config.out_dir, name)
             try:
                 with open(path) as fh:
-                    results.append(result_from_json(json.load(fh)))
+                    result = result_from_json(json.load(fh))
+                if name != (expected := _result_file(result.config)):
+                    raise FormatError(f"its config names the file {expected}")
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path}: {_error_text(exc)}") from None
+            results.append(result)
     if not results:
         raise ConfigError(f"no result_*.json files in {config.out_dir}")
     emit_report(results, config.out_dir)

@@ -147,10 +147,15 @@ class SequenceConfig:
 @dataclass
 class RunResult:
     acc_matrix: AccMatrix
-    per_task_new_accuracy: list[float]
     config: dict
     state_digest: str
-    start_task: int = 0
+    start_task: int  # a resumed run's first task; the rows before it are 0
+
+    @property
+    def per_task_new_accuracy(self) -> list[float]:
+        """The accuracy of each trained task just after training it."""
+        return [self.acc_matrix.a[t][t]
+                for t in range(self.start_task, self.acc_matrix.T)]
 
     @property
     def checksum(self) -> str:
@@ -612,10 +617,12 @@ class _Walk:
                     self.abar[cfg.seed] = random_init_baseline(
                         self.tasks, cfg.arch, [cfg.seed])
                 digest = _state_digest(node.net, node.state)
+                pad = [[0.0] * (j + 1) for j in range(self.start_task)]
                 for i in node.members:
-                    self.outcomes[i] = _run_result(
-                        self.configs[i], self.rows[i], self.abar[cfg.seed],
-                        self.pre_train[i], digest, self.start_task)
+                    matrix = AccMatrix([[*row] for row in pad + self.rows[i]],
+                                       self.abar[cfg.seed], self.pre_train[i])
+                    self.outcomes[i] = RunResult(matrix, asdict(
+                        self.configs[i]), digest, self.start_task)
             except Exception as exc:
                 self.fail(node, exc)
         return []
@@ -638,19 +645,6 @@ def _consolidate(cfg: SequenceConfig, net: Network, state: RegState, tasks,
             fisher_running_average(state.anchor.precision, fisher, t + 1))
     state.task_count = t + 1
     return row
-
-
-def _run_result(cfg: SequenceConfig, rows: list[list[float]], abar, pre_train,
-                digest: str, start_task: int) -> RunResult:
-    # Resumed runs only report rows for the tasks they actually trained;
-    # skipped leading rows are zero-padded to keep the matrix triangular.
-    padded = [[0.0] * (j + 1) for j in range(start_task)] + rows
-    matrix = AccMatrix(a=[[float(v) for v in row] for row in padded],
-                       abar=abar, pre_train=pre_train)
-    per_task_new = [rows[i][start_task + i] for i in range(len(rows))]
-    return RunResult(acc_matrix=matrix, per_task_new_accuracy=per_task_new,
-                     config=asdict(cfg), state_digest=digest,
-                     start_task=start_task)
 
 
 def transfer_probe(net: Network, probe_task, epochs: int, lr: float) -> float:

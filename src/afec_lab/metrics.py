@@ -31,30 +31,36 @@ class AccMatrix:
     pre_train: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.a:
-            raise ShapeError("an accuracy matrix needs at least one task")
+        if not (isinstance(self.a, list) and self.a):
+            raise ShapeError("an accuracy matrix needs at least one task, "
+                             "as a list of rows")
         for j, row in enumerate(self.a):
-            if len(row) != j + 1:
+            if not (isinstance(row, list) and len(row) == j + 1):
                 raise ShapeError(f"row {j} must have {j + 1} entries")
-            for v in row:
-                if not (_is_finite_number(v) and 0.0 <= v <= 1.0):
-                    raise ShapeError("accuracies must lie in [0, 1]")
-        abar = np.asarray(self.abar)
-        if not (abar.shape == (self.T,) and abar.dtype.kind in "iuf"
-                and np.all((abar >= 0.0) & (abar <= 1.0))):
-            raise ShapeError(f"abar must hold {self.T} accuracies, each in "
-                             f"[0, 1]")
-        self.abar = abar.astype(np.float64)
+            if not all(map(_is_accuracy, row)):
+                raise ShapeError("accuracies must lie in [0, 1]")
+        self.abar = _accuracies(self.abar, self.T, "abar")
         if self.pre_train is not None:
-            pre = np.asarray(self.pre_train)
-            if not (pre.shape == (self.T,) and pre.dtype.kind == "f"
-                    and np.all(np.isnan(pre) | ((pre >= 0.0) & (pre <= 1.0)))):
-                raise ShapeError(f"pre_train must hold {self.T} accuracies, "
-                                 f"each NaN or in [0, 1]")
+            self.pre_train = _accuracies(self.pre_train, self.T, "pre_train", True)
 
     @property
     def T(self) -> int:
         return len(self.a)
+
+
+def _is_accuracy(v, nan=False) -> bool:  # booleans are not numbers
+    return (_is_finite_number(v) and 0.0 <= v <= 1.0
+            or nan and isinstance(v, float) and v != v)  # v is NaN
+
+
+def _accuracies(values, T: int, name: str, nan=False) -> np.ndarray:
+    """Checks each entry as given: np.asarray would read a boolean as 1."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    if not (isinstance(values, list) and len(values) == T
+            and all(_is_accuracy(v, nan) for v in values)):
+        raise ShapeError(f"{name} must hold {T} accuracies, each "
+                         f"{'NaN or ' * nan}in [0, 1]")
+    return np.array(values, dtype=np.float64)
 
 
 def acc(m: AccMatrix) -> float:
@@ -175,11 +181,13 @@ def emit_report(results, out_dir) -> list[str]:
               "FWT"] + [f"A_diag_{i + 1}" for i in range(t_max)]
     for r in results:
         m = r.acc_matrix
-        diag = [_fmt(m.a[i][i]) for i in range(m.T)]
+        # a resumed run's rows before start_task are padding, not measured
+        diag = [""] * r.start_task + [_fmt(v) for v in r.per_task_new_accuracy]
         diag += [""] * (t_max - m.T)
         method, lam, lam_e = _setting(r)
         rows.append([method, str(r.config["seed"]), f"{lam:g}", f"{lam_e:g}",
-                     str(m.T), _fmt(acc(m)), _metric_or_blank(bwt, m),
+                     str(m.T), _fmt(acc(m)),
+                     "" if r.start_task else _metric_or_blank(bwt, m),
                      _metric_or_blank(fwt, m)] + diag)
     summary = "\n".join(",".join(row) for row in [header] + rows) + "\n"
     with open(os.path.join(out_dir, "summary.csv"), "w") as fh:

@@ -5,12 +5,14 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import glob
 import io
 import itertools
 import json
 import multiprocessing
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -267,6 +269,10 @@ class TestResultSerialization:
         back = result_from_json(json.loads(json.dumps(doc)))
         assert back.checksum == result.checksum
         assert back.per_task_new_accuracy == result.per_task_new_accuracy
+        # the run measured no diagonal entry of task 1, so it has no BWT
+        metrics.emit_report([back], tmp_path / "report")
+        row = (tmp_path / "report" / "summary.csv").read_text().splitlines()[1]
+        assert row.split(",")[6] == row.split(",")[8] == ""
 
 
 class TestMainExitCodes:
@@ -587,6 +593,88 @@ class TestCliPromises:
                 assert len(written) + failed == len(config.cells)
             finally:
                 os.chdir(cwd)
+
+
+# Values a result file's field or nested entry is replaced by: another JSON
+# type, out of range, of a wrong length, or a boolean for a number.
+_RESULT_VALUES = _ODD_VALUES + [False, 0.5, -0.5, 2, "a" * 64, "a/b", [0.5],
+                                [0.5, 0.5, 0.5]]
+
+
+def _typed(value):
+    """A JSON value in which a boolean no longer equals the number 0 or 1;
+    an int still equals its float."""
+    if isinstance(value, dict):
+        return {k: _typed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return ("bool", value) if isinstance(value, bool) else value
+
+
+def _json_paths(value, path=()):
+    """The path of every key and nested entry of a JSON value."""
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+@pytest.fixture(scope="class")
+def run_dir(tmp_path_factory):
+    """The output directory of a valid two-cell `run`."""
+    out = tmp_path_factory.mktemp("run") / "results"
+    doc = minimal_config(out, methods=["ewc", "afec"], epochs=1,
+                         **{"lambda": 1, "lambda_e": 1})
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", "--config", write_config(out.parent, doc)]) == 0
+    return out
+
+
+class TestResultFilePromises:
+    """A result file with one field or nested entry replaced or deleted is
+    either a config error naming the file, or exactly what `run` writes
+    for its own fields, read back as written: `report` never exits 1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_changed_result_is_named_or_read_back(self, run_dir, data):
+        name = data.draw(st.sampled_from(
+            sorted(p.name for p in run_dir.glob("result_*.json"))))
+        doc = json.loads((run_dir / name).read_text())
+        *parents, key = data.draw(st.sampled_from(list(_json_paths(doc))))
+        value = data.draw(st.sampled_from(_RESULT_VALUES))
+        holder = functools.reduce(lambda v, k: v[k], parents, doc)
+        if value is _DROP:
+            del holder[key]
+        else:
+            holder[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "results")
+            shutil.copytree(run_dir, out)
+            with open(os.path.join(out, name), "w") as fh:
+                json.dump(doc, fh)
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w") as fh:
+                json.dump(minimal_config(out), fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["report", "--config", config])
+            if code == 2:
+                assert err.getvalue().startswith(
+                    f"config error: {os.path.join(out, name)}: ")
+                assert err.getvalue().count("\n") == 1
+                return
+            assert code == 0, err.getvalue()
+            assert _typed(result_to_json(result_from_json(doc))) == _typed(doc)
+            results = []
+            for path in sorted(glob.glob(os.path.join(out, "result_*.json"))):
+                with open(path) as fh:
+                    results.append(result_from_json(json.load(fh)))
+            metrics.emit_report(results, os.path.join(tmp, "again"))
+            with open(os.path.join(out, "summary.csv")) as fh, open(
+                    os.path.join(tmp, "again", "summary.csv")) as again:
+                assert fh.read() == again.read()
 
 
 class TestGrid:
@@ -911,21 +999,21 @@ class TestDatagenAndReport:
         (_with_fields(acc_matrix=[[True], [True, False]]),
          "ShapeError: accuracies must lie in [0, 1]"),
         (_with_fields(pre_train=[None, True]),
-         "FormatError: field 'pre_train' must hold null or numbers, not "
-         "booleans"),
+         "ShapeError: pre_train must hold 2 accuracies, each NaN or in "
+         "[0, 1]"),
         (_with_fields(abar=[7.0, -3.0]),
          "ShapeError: abar must hold 2 accuracies, each in [0, 1]"),
         (_with_fields(per_task_new_accuracy=["x", 7]),
-         "FormatError: field 'per_task_new_accuracy' must hold 2 numbers, "
-         "each in [0, 1]"),
+         "FormatError: field 'per_task_new_accuracy' is not what a run "
+         "writes"),
         (_with_fields(per_task_new_accuracy=[5.0, -2.0]),
-         "FormatError: field 'per_task_new_accuracy' must hold 2 numbers"),
+         "FormatError: field 'per_task_new_accuracy' is not what a run"),
         (_with_fields(per_task_new_accuracy=[0.5]),
-         "FormatError: field 'per_task_new_accuracy' must hold 2 numbers"),
+         "FormatError: field 'per_task_new_accuracy' is not what a run"),
         (_with_fields(per_task_new_accuracy=[True, 0.5]),
-         "FormatError: field 'per_task_new_accuracy' must hold 2 numbers"),
+         "FormatError: field 'per_task_new_accuracy' is not what a run"),
         (_with_fields(per_task_new_accuracy=0.5),
-         "FormatError: field 'per_task_new_accuracy' must hold 2 numbers"),
+         "FormatError: field 'per_task_new_accuracy' is not what a run"),
         (_with_fields(state_digest=5),
          "FormatError: field 'state_digest' must be a 64-character "
          "lowercase hex string"),
@@ -940,14 +1028,43 @@ class TestDatagenAndReport:
         (_with_fields(start_task=2),
          "FormatError: field 'start_task' must be an integer in [0, 2)"),
         (_with_fields(start_task=False),
-         "FormatError: field 'start_task' must be an integer in [0, 2)")],
+         "FormatError: field 'start_task' must be an integer in [0, 2)"),
+        (_with_fields(abar=[0.333, True]),
+         "ShapeError: abar must hold 2 accuracies, each in [0, 1]"),
+        (_with_fields(pre_train=[None, float("nan")]),
+         "FormatError: field 'pre_train' is not what a run writes"),
+        (_with_config(lambda c: {**c, "method": "a/b"}),
+         "FormatError: field 'config' must be an object of run settings "
+         "(ConfigError: unknown method 'a/b')"),
+        (_with_config(lambda c: {**c, "method": "x"}),
+         "FormatError: field 'config' must be an object of run settings "
+         "(ConfigError: unknown method 'x')"),
+        (_with_config(lambda c: {**c, "lam": -5}),
+         "FormatError: field 'config' must be an object of run settings "
+         "(ConfigError: lambda: expected a finite number >= 0, got -5)"),
+        (_with_config(lambda c: {**c, "lam_e": -0.5}),
+         "FormatError: field 'config' must be an object of run settings "
+         "(ConfigError: lambda_e: expected a finite number >= 0"),
+        (_with_config(lambda c: {k: v for k, v in c.items() if k != "lam"}),
+         "FormatError: field 'config' is not what a run writes"),
+        (_with_config(lambda c: {**c, "seed": 1}),
+         "FormatError: its config names the file "
+         "result_finetune_lam0_lame0_seed1.json"),
+        (_with_fields(extra=1),
+         "FormatError: field 'extra' is not what a run writes"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "start_task"}),
+         "KeyError: 'start_task'")],
         ids=["no_fields", "truncated", "accuracy_2", "no_method", "lam_x",
              "config_list", "pre_train_short", "pre_train_x",
              "empty_matrix", "acc_bool", "pre_train_bool",
              "abar_out_of_range", "new_acc_x", "new_acc_out_of_range",
              "new_acc_short", "new_acc_bool", "new_acc_scalar",
              "digest_int", "digest_upper", "digest_short", "start_x",
-             "start_negative", "start_past_end", "start_bool"])
+             "start_negative", "start_past_end", "start_bool", "abar_bool",
+             "pre_train_nan", "method_slash", "method_x", "lam_negative",
+             "lam_e_negative", "no_lam", "another_cells_file", "extra_field",
+             "no_start_task"])
     def test_report_names_an_unreadable_result(self, tmp_path, capsys,
                                                corrupt, error):
         out = tmp_path / "results"

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from afec_lab.continual import RunResult
 from afec_lab.errors import MetricUnavailableError, ShapeError
 from afec_lab.metrics import AccMatrix, acc, bwt, emit_report, fwt
 
@@ -173,11 +174,13 @@ class TestBruteForceEquivalence:
         assert bwt(m) == pytest.approx(0.0)
 
 
-class FakeResult:
+class FakeResult(RunResult):
+    """A RunResult whose config holds only the keys a report reads."""
+
     def __init__(self, method, seed, matrix, lam=1.0, lam_e=0.0):
-        self.acc_matrix = matrix
-        self.config = {"method": method, "lam": lam, "lam_e": lam_e,
-                       "seed": seed}
+        super().__init__(acc_matrix=matrix, config={
+            "method": method, "lam": lam, "lam_e": lam_e, "seed": seed},
+            state_digest="0" * 64, start_task=0)
 
 
 def two_results():
