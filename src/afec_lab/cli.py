@@ -184,8 +184,11 @@ def result_to_json(result: RunResult) -> dict:
 def result_from_json(doc: dict) -> RunResult:
     """The RunResult of a file that is what result_to_json writes for it;
     else a FormatError names the first field that is not."""
-    pre = [np.nan if v is None else v for v in doc["pre_train"]]
-    matrix = AccMatrix(a=doc["acc_matrix"], abar=doc["abar"], pre_train=pre)
+    pre = doc["pre_train"]
+    if not isinstance(pre, list):
+        raise FormatError("field 'pre_train' must be a list")
+    matrix = AccMatrix(a=doc["acc_matrix"], abar=doc["abar"],
+                       pre_train=[np.nan if v is None else v for v in pre])
     try:
         config = asdict(SequenceConfig(**doc["config"]))
     except (ConfigError, TypeError) as exc:
@@ -195,6 +198,12 @@ def result_from_json(doc: dict) -> RunResult:
     if not (_is_count(start_task, 0) and start_task < matrix.T):
         raise FormatError(f"field 'start_task' must be an integer in "
                           f"[0, {matrix.T})")
+    # a run measures each task it trains, but the sequence's first, just
+    # before training it
+    first = max(1, start_task)
+    if [v is None for v in pre] != [t < first for t in range(matrix.T)]:
+        raise FormatError(f"field 'pre_train' must be null for exactly the "
+                          f"tasks before task {first + 1}")
     digest = doc["state_digest"]
     if not (isinstance(digest, str) and len(digest) == 64
             and set(digest) <= set("0123456789abcdef")):
@@ -211,10 +220,11 @@ def result_from_json(doc: dict) -> RunResult:
 
 # -- cell execution -----------------------------------------------------------
 
-def _run_cell(task_list: list, cells: list[SequenceConfig]) -> list:
-    """Train one unit of work, `cells`, in one walk. Returns each cell's
-    RunResult, or the exception that failed its run."""
-    return run_sequence(cells, task_list)
+def _run_cell(task_list: list, cells: list[SequenceConfig], on_outcome=None):
+    """Train one unit of work, `cells`, in one walk. Each cell's RunResult,
+    or the exception that failed its run, goes to on_outcome(index in
+    cells, outcome) once it is final; without on_outcome, it is returned."""
+    return run_sequence(cells, task_list, on_outcome=on_outcome)
 
 
 # The built tasks of this pool worker, set by the first unit it runs.
@@ -247,22 +257,18 @@ def _plan_units(families: list[list], jobs: int) -> list[list]:
     return units
 
 
-def _run_cells(config: ExperimentConfig, jobs: int):
-    """Yield (cell index, outcome) for every cell as its unit of work
-    returns. The outcome is the cell's RunResult, or the exception it
-    raised: one failed cell does not stop the others. A unit that raises
-    (a task-build error, say, or a killed pool worker) raises here, so it
-    ends the run, serially or from the pool alike.
+def _run_cells(config: ExperimentConfig, jobs: int, on_outcome) -> None:
+    """Pass on_outcome(cell index, outcome) each cell's RunResult, or the
+    exception it raised: one failed cell does not stop the others. A unit
+    that raises (a task-build error, say, or a killed pool worker) raises
+    here, so it ends the run, serially or from the pool alike.
 
-    A unit is walked by run_sequence, which trains cells of equal
-    strengths once, shares the common tasks of a family (see
-    SequenceConfig.family) and trains the runs of one seed in lock-step.
-    Serially, or when the plan has one unit, each seed's cells are a unit,
-    so a stopped run keeps the finished seeds' files. Otherwise a family is
-    the pool's unit of work, and units are sized and split by distinct
-    runs, so the cells of one run stay in one unit. Tasks are built once
-    per process: here when serial or when there is one unit, otherwise in
-    each pool worker with the first unit it runs."""
+    A unit is one run_sequence walk. Serially, or when the plan has one
+    unit, all cells are one unit, whose outcomes arrive as the walk makes
+    each final. Otherwise a family is the pool's unit of work, sized and
+    split by distinct runs so the cells of one run stay in one unit, and
+    its outcomes arrive as its unit returns. Tasks are built once per
+    process: here for one unit, else in each worker for its first unit."""
     cells = config.cells
     # family -> strengths -> the indices of the cells of that run
     families: dict[tuple, dict[tuple, list[int]]] = {}
@@ -272,12 +278,7 @@ def _run_cells(config: ExperimentConfig, jobs: int):
     units = [[i for run in unit for i in run] for unit in _plan_units(
         [[*runs.values()] for runs in families.values()], jobs)]
     if jobs <= 1 or len(units) == 1:
-        task_list = build_tasks(config.benchmark)
-        for seed in dict.fromkeys(cell.seed for cell in cells):
-            unit = [i for i, cell in enumerate(cells) if cell.seed == seed]
-            outcomes = _run_cell(task_list, [cells[i] for i in unit])
-            yield from zip(unit, outcomes)
-        return
+        return _run_cell(build_tasks(config.benchmark), cells, on_outcome)
     # Each worker builds the tasks once, so no more workers than units.
     pool = concurrent.futures.ProcessPoolExecutor(
         max_workers=min(jobs, len(units)))
@@ -286,10 +287,11 @@ def _run_cells(config: ExperimentConfig, jobs: int):
                                [cells[i] for i in unit]): unit
                    for unit in units}
         for future in concurrent.futures.as_completed(futures):
-            yield from zip(futures[future], future.result())
+            for i, outcome in zip(futures[future], future.result()):
+                on_outcome(i, outcome)
     finally:
-        # If the caller stops early (a result file could not be written,
-        # say), the queued units are dropped instead of run.
+        # If on_outcome raises (a result file could not be written, say),
+        # the queued units are dropped instead of run.
         pool.shutdown(cancel_futures=True)
 
 
@@ -309,12 +311,13 @@ def _log_failure(message: str, exc: BaseException) -> None:
 
 
 def _run_and_write(config: ExperimentConfig, jobs: int):
-    """Run every cell and write each finished cell's result file as its
-    unit returns. After the last unit, log each failed cell with its name
-    and error, in cell order, and return the (cell, RunResult) and the
-    (cell, exception) pairs in cell order."""
+    """Run every cell and write each finished cell's result file as soon
+    as its outcome arrives (see _run_cells). After the last unit, log each
+    failed cell with its name and error, in cell order, and return the
+    (cell, RunResult) and the (cell, exception) pairs in cell order."""
     outcomes: dict[int, object] = {}  # cell index -> outcome
-    for i, outcome in _run_cells(config, jobs):
+
+    def record(i: int, outcome) -> None:
         if not outcomes:  # so a task-build error makes no dir
             os.makedirs(config.out_dir, exist_ok=True)
         outcomes[i] = outcome
@@ -323,6 +326,7 @@ def _run_and_write(config: ExperimentConfig, jobs: int):
                                       _result_file(outcome.config)),
                          [json.dumps(result_to_json(outcome), sort_keys=True),
                           "\n"])
+    _run_cells(config, jobs, record)
     pairs = [(config.cells[i], outcomes[i]) for i in sorted(outcomes)]
     results = [pair for pair in pairs if not isinstance(pair[1], Exception)]
     failures = [pair for pair in pairs if isinstance(pair[1], Exception)]

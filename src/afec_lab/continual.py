@@ -403,7 +403,8 @@ class _Node:
 # log format.
 @np.errstate(over="ignore", invalid="ignore")
 def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
-                 resume: tuple | None = None, save_state_to=None):
+                 resume: tuple | None = None, save_state_to=None,
+                 on_outcome=None):
     """Continually learn the task sequence with the configured method.
 
     `cfg` is one SequenceConfig, or a list of configs that differ only in
@@ -422,9 +423,9 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
     train_lockstep). K = 1 walks one node at a time.
 
     Each member's result, with its own config, equals that of its own run
-    bit for bit. One config returns its RunResult and raises what its run
-    raised; a list returns, per config, its RunResult or the exception that
-    failed its branch.
+    bit for bit. A config's outcome, its RunResult or the exception that
+    failed its branch, goes to on_outcome(index, outcome) once final; else
+    one config returns or raises it, and a list returns each config's.
 
     `resume` is a (net, state, seed) triple from load_state, for configs of
     one family; training then continues from state.task_count and the
@@ -465,26 +466,28 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
         if state.task_count > len(tasks):
             raise ConfigError(f"resume state has trained {state.task_count} "
                               f"tasks, more than the sequence's {len(tasks)}")
+    outcomes = [None] * len(configs)
     walk = _Walk(configs, tasks, arch, state.task_count if state else 0,
-                 save_state_to)
+                 save_state_to, on_outcome or outcomes.__setitem__)
     width = max(1, _LOCKSTEP_BUDGET // _param_count(*arch))
     for seed in dict.fromkeys(s for s, _ in families):
         walk.run([_Node(walk.start_task, members, net, state)
                   for (s, _), members in families.items() if s == seed], width)
-    if single and isinstance(walk.outcomes[0], Exception):
-        raise walk.outcomes[0]
-    return walk.outcomes[0] if single else walk.outcomes
+    if on_outcome is None:
+        if single and isinstance(outcomes[0], Exception):
+            raise outcomes[0]
+        return outcomes[0] if single else outcomes
 
 
 class _Walk:
-    """The walks of a run_sequence call. Per config, it keeps the outcome
-    and the run's bookkeeping so far: its accuracy rows and its
-    pre-training accuracies, each written once per member."""
+    """The walks of a run_sequence call. It passes each config's outcome
+    to sink(index, outcome) once, when final, and keeps the run's
+    bookkeeping so far: its accuracy rows and pre-training accuracies."""
 
-    def __init__(self, configs, tasks, arch, start_task, save_state_to):
+    def __init__(self, configs, tasks, arch, start_task, save_state_to, sink):
         self.configs, self.tasks, self.arch = configs, tasks, arch
         self.start_task, self.save_state_to = start_task, save_state_to
-        self.outcomes: list = [None] * len(configs)
+        self.sink = sink
         self.rows: list[list] = [[] for _ in configs]
         self.pre_train = [np.full(len(tasks), np.nan) for _ in configs]
         self.abar: dict[int, np.ndarray] = {}  # seed -> random-init ACC
@@ -507,7 +510,7 @@ class _Walk:
 
     def fail(self, node: _Node, exc: Exception) -> None:
         for i in node.members:
-            self.outcomes[i] = exc
+            self.sink(i, exc)
 
     def open(self, group: list[_Node]) -> list[_Node]:
         """The shared part of each node's task: the expansion of each
@@ -609,7 +612,8 @@ class _Walk:
         return children
 
     def finish(self, group: list[_Node]) -> list:
-        """Each member's RunResult, from its node's trained run."""
+        """Each member's RunResult, from its node's trained run, to the
+        sink, outside the try: an error of the sink is not the node's."""
         for node in group:
             cfg = self.cfg(node)
             try:
@@ -617,14 +621,15 @@ class _Walk:
                     self.abar[cfg.seed] = random_init_baseline(
                         self.tasks, cfg.arch, [cfg.seed])
                 digest = _state_digest(node.net, node.state)
-                pad = [[0.0] * (j + 1) for j in range(self.start_task)]
-                for i in node.members:
-                    matrix = AccMatrix([[*row] for row in pad + self.rows[i]],
-                                       self.abar[cfg.seed], self.pre_train[i])
-                    self.outcomes[i] = RunResult(matrix, asdict(
-                        self.configs[i]), digest, self.start_task)
             except Exception as exc:
                 self.fail(node, exc)
+                continue
+            pad = [[0.0] * (j + 1) for j in range(self.start_task)]
+            for i in node.members:
+                matrix = AccMatrix([[*row] for row in pad + self.rows[i]],
+                                   self.abar[cfg.seed], self.pre_train[i])
+                self.sink(i, RunResult(matrix, asdict(self.configs[i]),
+                                       digest, self.start_task))
         return []
 
 

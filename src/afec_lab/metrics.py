@@ -98,11 +98,12 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def _svg_chart(series: dict[str, tuple[np.ndarray, np.ndarray]],
+def _svg_chart(series: dict[str, tuple[int, np.ndarray, np.ndarray]],
                title: str, width: int = 640, height: int = 400) -> str:
-    """Line chart: one polyline per series, translucent mean+-std band."""
+    """Line chart: one polyline per series, translucent mean+-std band.
+    A series is (first, mean, std), plotted from task index `first` on."""
     pad = 50
-    t_max = max(len(mean) for mean, _ in series.values())
+    t_max = max(len(mean) for _, mean, _ in series.values())
     xs = lambda i: pad + (width - 2 * pad) * (i / max(1, t_max - 1))
     ys = lambda v: height - pad - (height - 2 * pad) * v
     parts = [
@@ -124,14 +125,14 @@ def _svg_chart(series: dict[str, tuple[np.ndarray, np.ndarray]],
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="10">{frac:.2f}</text>')
     for idx, name in enumerate(sorted(series)):
-        mean, std = series[name]
+        first, mean, std = series[name]
+        points = range(first, len(mean))
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        upper = [(xs(i), ys(min(1.0, mean[i] + std[i]))) for i in range(len(mean))]
-        lower = [(xs(i), ys(max(0.0, mean[i] - std[i]))) for i in range(len(mean))]
+        upper = [(xs(i), ys(min(1.0, mean[i] + std[i]))) for i in points]
+        lower = [(xs(i), ys(max(0.0, mean[i] - std[i]))) for i in points]
         band = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in upper + lower[::-1])
         parts.append(f'<polygon points="{band}" fill="{color}" opacity="0.15"/>')
-        line = " ".join(f"{_fmt(xs(i))},{_fmt(ys(mean[i]))}"
-                        for i in range(len(mean)))
+        line = " ".join(f"{_fmt(xs(i))},{_fmt(ys(mean[i]))}" for i in points)
         parts.append(f'<polyline points="{line}" fill="none" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{width - pad + 4}" y="{_fmt(ys(mean[-1]))}" '
@@ -210,11 +211,15 @@ def emit_report(results, out_dir) -> list[str]:
     avg_series, new_series = {}, {}
     for label, runs in by_setting.items():
         t_run = max(r.acc_matrix.T for r in runs)
-        mats = [r.acc_matrix for r in runs if r.acc_matrix.T == t_run]
+        runs = [r for r in runs if r.acc_matrix.T == t_run]
+        mats = [r.acc_matrix for r in runs]
+        # a resumed run's rows before its start_task are padding, not
+        # measured, so a series starts where all of its runs measured
+        first = max(r.start_task for r in runs)
         curves = np.stack([_running_mean_accuracy(m) for m in mats])
-        avg_series[label] = (curves.mean(axis=0), curves.std(axis=0))
+        avg_series[label] = (first, curves.mean(axis=0), curves.std(axis=0))
         diags = np.stack([[m.a[i][i] for i in range(t_run)] for m in mats])
-        new_series[label] = (diags.mean(axis=0), diags.std(axis=0))
+        new_series[label] = (first, diags.mean(axis=0), diags.std(axis=0))
     for fname, series, title in (
             ("avg_accuracy.svg", avg_series, "Averaged accuracy vs tasks learned"),
             ("new_task_accuracy.svg", new_series, "New-task accuracy per task")):

@@ -273,6 +273,11 @@ class TestResultSerialization:
         metrics.emit_report([back], tmp_path / "report")
         row = (tmp_path / "report" / "summary.csv").read_text().splitlines()[1]
         assert row.split(",")[6] == row.split(",")[8] == ""
+        # nor a point of task 1 in either chart: each starts at task 2
+        for name in ("avg_accuracy.svg", "new_task_accuracy.svg"):
+            svg = (tmp_path / "report" / name).read_text()
+            line, = re.findall(r'<polyline points="([^"]*)"', svg)
+            assert [pt.split(",")[0] for pt in line.split()] == ["590.0000"]
 
 
 class TestMainExitCodes:
@@ -746,13 +751,13 @@ class TestGrid:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(cli, name, counted)
         # afec at lambda_e > 0 expands, so all six cells are distinct runs;
-        # the three of each seed form one family, and serially each seed is
+        # the three of each seed form one family, and serially the grid is
         # one walk (one _run_cell) over the tasks built once
         doc = self.grid_config(tmp_path / "g")
         doc["methods"] = ["afec"]
         path = write_config(tmp_path, doc)
         assert main(["grid", "--config", path, "--jobs", "1"]) == 0
-        assert calls == {"parse_config": 1, "build_tasks": 1, "_run_cell": 2}
+        assert calls == {"parse_config": 1, "build_tasks": 1, "_run_cell": 1}
 
     def test_equivalent_cells_train_once(self, tmp_path, monkeypatch):
         # Per seed, 12 cells hold 4 runs: finetune and ewc/afec at
@@ -766,9 +771,10 @@ class TestGrid:
         path = write_config(tmp_path, doc)
         units, learned = [], []
 
-        def counted(task_list, cells, _run_cell=cli._run_cell):
+        def counted(task_list, cells, *args, _run_cell=cli._run_cell,
+                    **kwargs):
             units.append((len(cells), {cell.strengths for cell in cells}))
-            return _run_cell(task_list, cells)
+            return _run_cell(task_list, cells, *args, **kwargs)
 
         def train(walk, group, _train=continual._Walk.train):
             learned.append([walk.cfg(node).seed for node in group])
@@ -776,12 +782,12 @@ class TestGrid:
         monkeypatch.setattr(cli, "_run_cell", counted)
         monkeypatch.setattr(continual._Walk, "train", train)
         assert main(["grid", "--config", path, "--jobs", "1"]) == 0
-        # One walk per seed gets its 12 cells; each family trains two runs
-        # of two tasks that share the first, so three tasks. Per seed, the
-        # two families train the first task in lock-step, then their four
-        # branches the second.
+        # One walk gets all 24 cells and walks each seed on its own; each
+        # family trains two runs of two tasks that share the first, so
+        # three tasks. Per seed, the two families train the first task in
+        # lock-step, then their four branches the second.
         ewc, afec = {(0.0, 0.0), (1.0, 0.0)}, {(0.0, 1.0), (1.0, 1.0)}
-        assert units == [(12, ewc | afec), (12, ewc | afec)]
+        assert units == [(24, ewc | afec)]
         assert learned == [[0, 0], [0, 0, 0, 0], [1, 1], [1, 1, 1, 1]]
         assert main(["grid", "--config", path, "--jobs", "2",
                      "--out", str(tmp_path / "pool")]) == 0
@@ -822,6 +828,32 @@ class TestGrid:
         files = {p.name: p.read_bytes() for p in stopped.iterdir()}
         assert len(files) == 8
         assert all(name.endswith("_seed0.json") for name in files)
+        assert files == {name: (tmp_path / "whole" / name).read_bytes()
+                         for name in files}
+
+    def test_stopped_serial_run_keeps_finished_families(self, tmp_path,
+                                                        monkeypatch):
+        # At one row per group the families of a seed are walked one after
+        # another, and each result file is written as its run finishes, so
+        # a run stopped in its third family keeps the first two.
+        monkeypatch.setattr(continual, "_LOCKSTEP_BUDGET", 1)
+        doc = minimal_config(tmp_path / "whole",
+                             methods=["ewc", "afec", "si"],
+                             **{"lambda": 1, "lambda_e": 1})
+        path = write_config(tmp_path, doc)
+        assert main(["run", "--config", path]) == 0
+
+        def train(walk, group, _train=continual._Walk.train):
+            if walk.cfg(group[0]).method == "si":
+                raise KeyboardInterrupt
+            return _train(walk, group)
+        monkeypatch.setattr(continual._Walk, "train", train)
+        stopped = tmp_path / "stopped"
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", path, "--out", str(stopped)])
+        files = {p.name: p.read_bytes() for p in stopped.iterdir()}
+        assert sorted(files) == ["result_afec_lam1_lame1_seed0.json",
+                                 "result_ewc_lam1_lame1_seed0.json"]
         assert files == {name: (tmp_path / "whole" / name).read_bytes()
                          for name in files}
 
@@ -900,6 +932,15 @@ def _with_fields(**fields):
     """A result file's text with the given fields replaced."""
     def corrupt(text):
         return json.dumps({**json.loads(text), **fields})
+    return corrupt
+
+
+def _with_first_pre_train(value):
+    """A result file's text with pre_train[0] replaced."""
+    def corrupt(text):
+        doc = json.loads(text)
+        doc["pre_train"][0] = value
+        return json.dumps(doc)
     return corrupt
 
 
@@ -1054,7 +1095,16 @@ class TestDatagenAndReport:
          "FormatError: field 'extra' is not what a run writes"),
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                   if k != "start_task"}),
-         "KeyError: 'start_task'")],
+         "KeyError: 'start_task'"),
+        *[(_with_fields(pre_train=value),
+           "FormatError: field 'pre_train' must be a list")
+          for value in (5, 0.5, True, None)],
+        *[(_with_first_pre_train(value),
+           "FormatError: field 'pre_train' must be null for exactly the "
+           "tasks before task 2") for value in (0, 0.5)],
+        (_with_fields(pre_train=[None, None]),
+         "FormatError: field 'pre_train' must be null for exactly the "
+         "tasks before task 2")],
         ids=["no_fields", "truncated", "accuracy_2", "no_method", "lam_x",
              "config_list", "pre_train_short", "pre_train_x",
              "empty_matrix", "acc_bool", "pre_train_bool",
@@ -1064,7 +1114,9 @@ class TestDatagenAndReport:
              "start_negative", "start_past_end", "start_bool", "abar_bool",
              "pre_train_nan", "method_slash", "method_x", "lam_negative",
              "lam_e_negative", "no_lam", "another_cells_file", "extra_field",
-             "no_start_task"])
+             "no_start_task", "pre_train_5", "pre_train_half",
+             "pre_train_true", "pre_train_null", "pre_train_0_zero",
+             "pre_train_0_half", "pre_train_1_null"])
     def test_report_names_an_unreadable_result(self, tmp_path, capsys,
                                                corrupt, error):
         out = tmp_path / "results"
@@ -1243,10 +1295,13 @@ class TestCellFailures:
             (out / f"result_finetune_lam0_lame0_seed{seed}.json")
             .read_text())).acc_matrix) for seed in (0, 1)]))
 
-        def failing(task_list, cells, _run_cell=cli._run_cell):
-            return [RuntimeError("injected") if (cell.lam, cell.seed) ==
-                    (0.0, weak) else outcome for cell, outcome in
-                    zip(cells, _run_cell(task_list, cells))]
+        def failing(task_list, cells, on_outcome, *args,
+                    _run_cell=cli._run_cell, **kwargs):
+            def injected(i, outcome):
+                if (cells[i].lam, cells[i].seed) == (0.0, weak):
+                    outcome = RuntimeError("injected")
+                on_outcome(i, outcome)
+            return _run_cell(task_list, cells, injected, *args, **kwargs)
         monkeypatch.setattr(cli, "_run_cell", failing)
         assert main(["grid", "--config", path, "--out",
                      str(tmp_path / "f")]) == 1
@@ -1300,7 +1355,7 @@ class TestCellFailures:
                                        jobs):
         # A unit that raises is not a cell failure: serially or from the
         # pool, it ends the command with one line and writes no table.
-        def broken(cells, task_list):
+        def broken(cells, task_list, *args, **kwargs):
             raise RuntimeError("unit broke")
         monkeypatch.setattr(cli, "run_sequence", broken)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",

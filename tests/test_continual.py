@@ -532,6 +532,14 @@ class TestNodeFailures:
         assert [_outcome_text(o) for i, o in enumerate(outcomes)
                 if i not in failed] == [text for i, text in enumerate(own)
                                         if i not in failed]
+        # the sink gets every config's outcome once, the list form's
+        received = []
+        assert run_sequence(_NODE_CELLS, tasks, on_outcome=lambda *pair:
+                            received.append(pair)) is None
+        assert sorted(i for i, _ in received) == [*range(len(_NODE_CELLS))]
+        assert [i for i, o in received if o is exc] == failed
+        assert {i: _outcome_text(o) for i, o in received} == {
+            i: _outcome_text(o) for i, o in enumerate(outcomes)}
 
     def test_pre_training_error_comes_before_the_expansion(self,
                                                            monkeypatch):
@@ -574,9 +582,9 @@ def _stack_sizes(monkeypatch) -> list[int]:
     """The number of rows of each stacked loss_and_grad call from now on."""
     sizes = []
 
-    def counted(net, *args, _fn=Network.loss_and_grad):
+    def counted(net, *args, _fn=Network.loss_and_grad, **kwargs):
         sizes.append(net.params.shape[0])
-        return _fn(net, *args)
+        return _fn(net, *args, **kwargs)
     monkeypatch.setattr(Network, "loss_and_grad", counted)
     return sizes
 

@@ -258,6 +258,26 @@ class TestEmitReport:
         np.testing.assert_allclose(ys, [350 - 300 * v for v in means],
                                    atol=1e-4)
 
+    def test_series_skip_a_resumed_runs_padding(self, tmp_path):
+        # an afec seed resumed at task 2 measured nothing of task 1, so the
+        # afec series start at task 2; the ewc series start at task 1
+        rng = np.random.default_rng(6)
+        results = [FakeResult("ewc", 0, random_matrix(rng, 3)),
+                   FakeResult("afec", 0, random_matrix(rng, 3)),
+                   FakeResult("afec", 1, random_matrix(rng, 3))]
+        results[2].start_task = 1
+        emit_report(results, tmp_path)
+        svg = "{http://www.w3.org/2000/svg}"
+        for name in ("avg_accuracy.svg", "new_task_accuracy.svg"):
+            root = ET.fromstring((tmp_path / name).read_text())
+            lines = [[pt.split(",")[0] for pt in el.get("points").split()]
+                     for el in root.findall(f".//{svg}polyline")]
+            assert lines == [["320.0000", "590.0000"],  # afec, then ewc
+                             ["50.0000", "320.0000", "590.0000"]]
+            bands = [len(el.get("points").split())
+                     for el in root.findall(f".//{svg}polygon")]
+            assert bands == [4, 6]
+
     def test_grid_runs_keyed_by_setting_and_seed(self, tmp_path):
         # one method over a 2x2 lambda x lambda_e grid and two seeds
         rng = np.random.default_rng(5)
