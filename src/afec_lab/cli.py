@@ -100,9 +100,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - _TOP_FIELDS
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    if doc.get("version") != CONFIG_VERSION:
+    version = doc.get("version")
+    if type(version) is not int or version != CONFIG_VERSION:
         raise ConfigError(f"version: expected {CONFIG_VERSION}, "
-                          f"got {doc.get('version')!r}")
+                          f"got {version!r}")
     _check_benchmark(doc.get("benchmark"))
     for key in ("methods", "seeds"):
         if not isinstance(doc.get(key), list) or not doc[key]:

@@ -410,9 +410,9 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
     `cfg` is one SequenceConfig, or a list of configs that differ only in
     method, lam, lam_e and seed. The configs of one family (equal
     `family`) are walked as a tree of tasks from one root: at each task
-    its members share the pre-training evaluation, the expansion and the
-    importance task_start event, then split by the penalty terms they
-    apply, so members of equal `strengths` train once.
+    its members share the pre-training evaluation and the expansion, then
+    split by the penalty terms they apply, so members of equal `strengths`
+    train once.
 
     Each seed's families are walked on their own, the seeds in the order
     they first appear. A walk is depth first over groups of up to K =
@@ -514,9 +514,9 @@ class _Walk:
 
     def open(self, group: list[_Node]) -> list[_Node]:
         """The shared part of each node's task: the expansion of each
-        distinct network (in lock-step across the group), the pre-training
-        evaluation and task_start. A node fails with the first of these
-        that raises. Returns each node's branches."""
+        distinct network (in lock-step across the group) and the
+        pre-training evaluation. A node fails with the first of these that
+        raises. Returns each node's branches."""
         t, cfg = group[0].t, self.cfg(group[0])
         task = self.tasks[t]
         if group[0].net is None:  # roots, of one seed and architecture
@@ -531,11 +531,6 @@ class _Walk:
             init=cfg.expansion_init, batch_size=cfg.batch_size,
             loss_kind=_loss_kind(task), seed=cfg.seed, task_index=t)
             if nets else []))
-        # Nodes that share a network share its failed expansion's exception;
-        # raised with the traceback it came with, it gains one frame, not
-        # one per node.
-        tracebacks = {net: getattr(anchor, "__traceback__", None)
-                      for net, anchor in anchors.items()}
         children = []
         for node in group:
             cfg = self.cfg(node)
@@ -545,18 +540,18 @@ class _Walk:
                     accuracy = evaluate(node.net, task)
                     for i in node.members:
                         self.pre_train[i][t] = accuracy
-                if isinstance(anchor, Exception):
-                    raise anchor.with_traceback(tracebacks[node.net])
-                if cfg.base_method in _IMPORTANCE_METHODS:
-                    importance_update(cfg.base_method, node.state,
-                                      "task_start", net=node.net)
                 branches: dict[tuple, tuple] = {}
-                for i in node.members:
-                    terms = penalty_terms(self.configs[i], node.state, anchor)
-                    branches.setdefault(tuple(lam for _, lam in terms),
-                                        (terms, []))[1].append(i)
+                if not isinstance(anchor, Exception):
+                    for i in node.members:
+                        terms = penalty_terms(self.configs[i], node.state,
+                                              anchor)
+                        branches.setdefault(tuple(lam for _, lam in terms),
+                                            (terms, []))[1].append(i)
             except Exception as exc:
-                self.fail(node, exc)
+                anchor = exc
+            # outside the try: an error of the sink is not the node's
+            if isinstance(anchor, Exception):
+                self.fail(node, anchor)
                 continue
             children += [_Node(t, branch, node.net, node.state, terms)
                          for terms, branch in branches.values()]
@@ -596,7 +591,8 @@ class _Walk:
                 self.fail(node, net)
                 continue
             try:
-                row = _consolidate(cfg, net, state, self.tasks, t)
+                row = _consolidate(cfg, net, state, self.tasks, t,
+                                   node.net.params)
                 if self.save_state_to is not None:
                     save_state(self.save_state_to, net, state, cfg.seed)
                 log.info("method=%s seed=%d task=%d new_acc=%.4f "
@@ -634,15 +630,16 @@ class _Walk:
 
 
 def _consolidate(cfg: SequenceConfig, net: Network, state: RegState, tasks,
-                 t: int) -> list[float]:
+                 t: int, start: np.ndarray) -> list[float]:
     """Evaluate every task so far, then anchor `state` at a copy of the
-    network trained on task t. Returns the accuracies."""
+    network trained on task t from `start`. Returns the accuracies."""
     task = tasks[t]
     row = [evaluate(net, tasks[k]) for k in range(t + 1)]
     if cfg.base_method in _IMPORTANCE_METHODS:
         importance_update(cfg.base_method, state, "task_end", net=net,
-                          task=task)
-        state.anchor = DiagGaussian(net.get_params(), state.anchor.precision)
+                          task=task, start=start)
+        # the copy that task_end keeps as prev_params
+        state.anchor = DiagGaussian(state.prev_params, state.anchor.precision)
     else:
         fisher = estimate_diag_fisher(net, task, _loss_kind(task))
         state.anchor = DiagGaussian(
@@ -711,7 +708,7 @@ def load_state(path):
     for key in ("version", "net", "reg_state", "rng", "task_count"):
         if not isinstance(doc, dict) or key not in doc:
             raise FormatError(f"{path}: missing field {key!r}")
-    if doc["version"] != STATE_VERSION:
+    if type(doc["version"]) is not int or doc["version"] != STATE_VERSION:
         raise FormatError(f"{path}: unsupported version {doc['version']!r} "
                           f"in field 'version'")
     netdoc, rng = doc["net"], doc["rng"]
@@ -746,12 +743,16 @@ def load_state(path):
                 "reg_state": RegState.zeros(net.param_count).to_doc()}
     parsed = _parse_like(path, "", doc, template)
     net.set_params(parsed["net"]["params"])
+    reg = parsed["reg_state"]
     try:
-        state = RegState.from_json(parsed["reg_state"])
+        state = RegState(anchor=DiagGaussian(**reg.pop("anchor")), **reg)
     except ShapeError as exc:  # a negative precision
         raise FormatError(f"{path}: field 'reg_state.anchor': {exc}") from exc
     if state.task_count != doc["task_count"]:
         raise FormatError(f"{path}: field 'task_count' disagrees with reg_state")
+    if state.path_accum.any():  # the next task's SI/RWalk path starts at 0
+        raise FormatError(f"{path}: field 'reg_state.path_accum' must be 0 "
+                          f"between tasks")
     return net, state, rng["seed"]
 
 
@@ -759,7 +760,8 @@ def _parse_like(path, name: str, value, template):
     """`value` shaped like `template`, its vectors as float64 arrays. Each
     vector must be a list of finite numbers as long as the template's, and
     each other leaf an integer >= 0; the first field that is not raises a
-    FormatError naming it."""
+    FormatError naming it. Entries are checked as given: numpy would read
+    a boolean among numbers as 0.0 or 1.0."""
     if isinstance(template, dict):
         if not isinstance(value, dict):
             raise FormatError(f"{path}: field {name!r} must be an object")
@@ -771,10 +773,8 @@ def _parse_like(path, name: str, value, template):
             parsed[key] = _parse_like(path, field_name, value[key], sub)
         return parsed
     if isinstance(template, np.ndarray):
-        try:
-            vec = np.asarray(value)
-        except ValueError:  # ragged nesting
-            vec = None
+        vec = (np.asarray(value) if isinstance(value, list)
+               and set(map(type, value)) <= {int, float} else None)
         if (vec is None or vec.dtype.kind not in "iuf"
                 or vec.shape != template.shape
                 or not np.all(np.isfinite(vec))):

@@ -437,16 +437,13 @@ class SGD:
 
 
 class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
-    `step` updates the vector `params` in place, block by block (see
-    BLOCK), and returns it."""
+    """Adam with bias correction. `step` updates the vector `params` in
+    place, block by block (see BLOCK), and returns it."""
 
-    def __init__(self, lr: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float = 0.001):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
         self._t = 0

@@ -11,7 +11,7 @@ number of tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,14 +68,6 @@ class RegState:
 
     def to_json(self) -> dict:
         return _tolists(self.to_doc())
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RegState":
-        anchor = obj["anchor"]
-        return cls(anchor=DiagGaussian(anchor["mean"], anchor["precision"]),
-                   task_count=int(obj["task_count"]),
-                   **{f.name: np.asarray(obj[f.name]) for f in fields(cls)
-                      if f.name not in ("anchor", "task_count")})
 
 
 def _tolists(doc: dict) -> dict:
@@ -211,22 +203,20 @@ def train_expanded(nets: list[Network], task, opt_spec: dict, *,
 
 def importance_update(method: str, state: RegState, event: str, *,
                       net: Network | None = None, task=None,
+                      start: np.ndarray | None = None,
                       grad: np.ndarray | None = None,
                       delta: np.ndarray | None = None) -> RegState:
     """Advance the method-specific importance. Mutates and returns `state`.
 
-    event "task_start" (`net`): marks the pre-task parameters.
     event "step" (`grad`, `delta`): one optimizer step, with the unpenalized
     loss gradient and the parameter change it made.
-    event "task_end" (`net`, and for MAS `task`): consolidates the per-task
-    accumulators into the importance.
+    event "task_end" (`net`, for SI/RWalk `start`, the parameters the task
+    started from, and for MAS `task`): consolidates the task's path into
+    the importance and zeroes it; `prev_params` becomes a copy of the
+    trained parameters.
     """
     if method not in ("mas", "si", "rwalk"):
         raise ConfigError(f"unknown importance method {method!r}")
-    if event == "task_start":
-        state.prev_params = net.get_params()
-        state.path_accum = np.zeros_like(state.path_accum)
-        return state
     if event == "step":
         if method in ("si", "rwalk"):
             state.path_accum = state.path_accum - grad * delta
@@ -239,7 +229,7 @@ def importance_update(method: str, state: RegState, event: str, *,
         if method == "mas":
             state.importance = state.importance + _mas_increment(net, task)
         else:
-            task_delta = params - state.prev_params
+            task_delta = params - start
             score = np.maximum(state.path_accum, 0.0) / (task_delta ** 2 + SI_DAMP)
             if method == "si":
                 state.importance = state.importance + score

@@ -95,6 +95,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="spread"):
             parse_config(doc)
 
+    def test_non_object_root_rejected(self):
+        with pytest.raises(ConfigError, match="root must be a JSON object"):
+            parse_config([])
+
     def test_wrong_version_rejected(self, tmp_path):
         doc = minimal_config(tmp_path, version=2)
         with pytest.raises(ConfigError, match="version"):
@@ -491,6 +495,14 @@ class TestConfigErrorsBeforeTraining:
     def test_negative_seed_override(self, tmp_path):
         doc = minimal_config(tmp_path / "out")
         self.assert_rejected(tmp_path, "run", doc, "--seed-override", "-1")
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_other_than_the_integer_1(self, tmp_path, capsys,
+                                              version):
+        doc = minimal_config(tmp_path / "out", version=version)
+        self.assert_rejected(tmp_path, "run", doc)
+        assert capsys.readouterr().err.startswith(
+            f"config error: version: expected 1, got {version!r}")
 
     def test_bool_penalty_strength(self, tmp_path):
         doc = minimal_config(tmp_path / "out", **{"lambda": [1, True]})

@@ -1,6 +1,7 @@
 """Sequence driver, evaluation, transfer probe, and state persistence."""
 
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import json
@@ -168,6 +169,12 @@ class TestRunSequence:
     def test_no_tasks_rejected(self):
         with pytest.raises(ConfigError):
             run_sequence(quick_cfg("finetune", seed=0), [])
+
+    def test_one_head_of_two_dims_rejected(self):
+        t1, t2 = quick_pair()
+        t2 = dataclasses.replace(t2, head=t1.head, head_dim=t1.head_dim + 1)
+        with pytest.raises(ConfigError, match="declared with two dims"):
+            run_sequence(quick_cfg("finetune", seed=0), [t1, t2])
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
@@ -488,12 +495,16 @@ class TestFamilyWalk:
 
 
 def _raising_at(fn, node_test, exc):
-    """`fn`, but raising `exc` when a _Walk method calls it for a node that
-    passes node_test(walk, node)."""
+    """`fn`, but raising `exc` when it is called, directly or through other
+    functions, from a _Walk method at a node that passes
+    node_test(walk, node)."""
     def patched(*args, **kwargs):
-        caller = sys._getframe(1).f_locals
-        walk, node = caller.get("self"), caller.get("node")
-        if isinstance(walk, continual._Walk) and node_test(walk, node):
+        frame = sys._getframe(1)
+        while frame and not isinstance(frame.f_locals.get("self"),
+                                       continual._Walk):
+            frame = frame.f_back
+        node = frame and frame.f_locals.get("node")
+        if node and node_test(frame.f_locals["self"], node):
             raise exc
         return fn(*args, **kwargs)
     return patched
@@ -515,7 +526,7 @@ class TestNodeFailures:
 
     @pytest.mark.parametrize("name,t,failed", [
         ("evaluate", 1, [5]),             # afec at lambda_e 5, pre-training
-        ("importance_update", 0, [2, 3]),  # mas's root, at task_start
+        ("importance_update", 0, [2, 3]),  # mas's root, at task_end
         ("_consolidate", 0, [0, 1]),      # ewc's shared first task
         ("_consolidate", 1, [1]),         # ewc at lambda 10, second task
         ("_state_digest", 2, [3])])       # mas at lambda 10, finishing
@@ -563,6 +574,21 @@ class TestNodeFailures:
         outcomes = run_sequence(_NODE_CELLS, tasks)
         assert outcomes[4] is expand_exc and outcomes[5] is evaluate_exc
         assert [_outcome_text(o) for o in outcomes[:4]] == own[:4]
+
+    def test_failed_expansion_reaches_a_raising_sink_once(self, monkeypatch):
+        # an error of the sink is not the node's: it ends the walk, and the
+        # node's shared failed expansion is not passed on a second time
+        expand_exc = RuntimeError("expansion failed")
+        monkeypatch.setattr(continual, "train_expanded", lambda nets, *args,
+                            **kwargs: [expand_exc] * len(nets))
+        received = []
+
+        def sink(i, outcome):
+            received.append((i, outcome))
+            raise OSError("no space left")
+        with pytest.raises(OSError):
+            run_sequence(_NODE_CELLS[4:], quick_pair(), on_outcome=sink)
+        assert received == [(0, expand_exc)]
 
     def test_failed_state_save_fails_the_run(self, monkeypatch, tmp_path):
         # save_state_to takes one config: its run fails after the state of
@@ -1119,6 +1145,22 @@ class TestStrictLoadState:
         ("net.heads", _set(["net", "heads"], lambda h: [[h[0][0], 0]])),
         ("net.heads", _set(["net", "heads"], lambda h: h + h)),
         ("rng", _set(["rng", "seed"], "0")),
+        # a JSON true among numbers, which numpy would read as 1.0
+        ("net.params", _set(["net", "params"], lambda v: [True] + v[1:])),
+        ("reg_state.importance", _set(["reg_state", "importance"],
+                                      lambda v: v[:-1] + [True])),
+        ("reg_state.anchor.mean", _set(["reg_state", "anchor", "mean"],
+                                       lambda v: [False] + v[1:])),
+        ("version", _set(["version"], True)),
+        ("version", _set(["version"], 1.0)),
+        ("reg_state.anchor", _set(["reg_state", "anchor"], 5)),
+        ("reg_state", _set(["reg_state"], [])),
+        ("reg_state.path_accum", _set(["reg_state", "path_accum"],
+                                      lambda v: [v[:1]] + v[1:])),
+        ("net.params", _drop(["net", "params"])),
+        ("task_count", _set(["task_count"], 1)),
+        ("reg_state.path_accum", _set(["reg_state", "path_accum"],
+                                      lambda v: [0.5] + v[1:])),
     ])
     def test_bad_field_named(self, tmp_path, state_doc, field, mutate):
         doc = json.loads(json.dumps(state_doc))

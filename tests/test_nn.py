@@ -133,6 +133,15 @@ class TestLossAndGrad:
         with pytest.raises(ShapeError):
             net.loss_and_grad(batch, "cross_entropy")
 
+    @pytest.mark.parametrize("loss_kind,targets,error", [
+        ("mse", np.zeros((2, 2)), "regression targets must match"),
+        ("cross_entropy", np.array([0.0, 1.0]), "must be class indices")])
+    def test_malformed_targets_rejected(self, loss_kind, targets, error):
+        net = random_net(0)
+        with pytest.raises(ShapeError, match=error):
+            net.loss_and_grad(Batch(np.zeros((2, 5)), targets, "out"),
+                              loss_kind)
+
     def test_unknown_loss_kind(self):
         net = random_net(0)
         with pytest.raises(ConfigError):
@@ -305,6 +314,19 @@ class TestParamView:
         with pytest.raises(ShapeError):
             Network([l1, l2], {"out": DenseLayer(np.zeros((3, 2)), np.zeros(2))})
 
+    @pytest.mark.parametrize("heads,params,error", [
+        ({"out": DenseLayer(np.zeros((4, 2)), np.zeros(2))}, None,
+         "does not match body output dim"),
+        ({"out": DenseLayer(np.zeros((3, 2)), np.zeros(2))}, np.zeros(16),
+         "of length 17"),
+        ({"out": DenseLayer(np.zeros((3, 2)), np.zeros(2))},
+         np.zeros(17, dtype=np.float32), "expected float64")])
+    def test_inconsistent_layers_or_params_rejected(self, heads, params,
+                                                    error):
+        body = [DenseLayer(np.zeros((2, 3)), np.zeros(3), "relu")]
+        with pytest.raises(ShapeError, match=error):
+            Network(body, heads, params)
+
 
 class TestPerSampleGradMoment:
     @pytest.mark.parametrize("power", [1, 2])
@@ -392,6 +414,11 @@ class TestOptimizers:
     def test_non_finite_grad_rejected(self, opt):
         with pytest.raises(NumericError):
             opt.step(np.zeros(2), np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("opt", [SGD(lr=0.1), Adam(lr=0.01)])
+    def test_shape_mismatch_rejected(self, opt):
+        with pytest.raises(ShapeError, match="length mismatch"):
+            opt.step(np.zeros(2), np.zeros(3))
 
     def test_adam_bit_identical_to_textbook_recurrence(self):
         rng = np.random.default_rng(11)

@@ -138,6 +138,10 @@ class TestFisherRunningAverage:
         with pytest.raises(ConfigError):
             fisher_running_average(np.zeros(2), np.zeros(2), 0)
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="equal length"):
+            fisher_running_average(np.zeros(2), np.zeros(3), 1)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_fold_equals_batch_mean(self, seed):
         rng = np.random.default_rng(seed)

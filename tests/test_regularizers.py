@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afec_lab.continual import SequenceConfig, penalized_grad, penalty_terms
+from afec_lab.continual import (SequenceConfig, load_state, penalized_grad,
+                                penalty_terms, save_state)
 from afec_lab.errors import ConfigError, ShapeError
 from afec_lab.nn import Batch, DenseLayer, Network, SGD
 from afec_lab.posterior import DiagGaussian, gaussian_weighted_product
@@ -113,13 +114,18 @@ class TestRegState:
                 vector[0] = 1.0
         np.testing.assert_array_equal(vectors[0], np.zeros(3))
 
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, tmp_path):
+        # through the state file, whose reader is the only one
+        net = Network([], {"out": DenseLayer(np.array([[1.0], [2.0], [3.0]]),
+                                             np.array([0.5]), "identity")})
         state = RegState.zeros(4)
         state.importance = np.array([0.0, 1.0, 2.0, 3.0])
         state.anchor = DiagGaussian(np.array([1.5, -2.0, 0.25, -0.0]),
                                     np.array([0.0, 3.0, 0.5, 7.0]))
         state.task_count = 3
-        back = RegState.from_json(json.loads(json.dumps(state.to_json())))
+        path = str(tmp_path / "state.json")
+        save_state(path, net, state, seed=0)
+        _, back, _ = load_state(path)
         np.testing.assert_array_equal(back.importance, state.importance)
         np.testing.assert_array_equal(back.anchor.mean, state.anchor.mean)
         np.testing.assert_array_equal(back.anchor.precision,
@@ -384,12 +390,12 @@ class TestImportanceUpdate:
 
     def test_zero_gradients_leave_importance_unchanged(self):
         task, net, state = self._state_and_net()
-        importance_update("si", state, "task_start", net=net)
         for _ in range(5):
             importance_update("si", state, "step",
                               grad=np.zeros(net.param_count),
                               delta=np.zeros(net.param_count))
-        importance_update("si", state, "task_end", net=net, task=task)
+        importance_update("si", state, "task_end", net=net, task=task,
+                          start=net.get_params())
         np.testing.assert_array_equal(state.importance,
                                       np.zeros(net.param_count))
 
@@ -402,8 +408,8 @@ class TestImportanceUpdate:
         params = np.zeros(net.param_count)
         net.set_params(params)
         state = RegState.zeros(net.param_count)
-        importance_update("mas", state, "task_start", net=net)
-        importance_update("mas", state, "task_end", net=net, task=task)
+        importance_update("mas", state, "task_end", net=net, task=task,
+                          start=net.get_params())
         np.testing.assert_array_equal(state.importance,
                                       np.zeros(net.param_count))
 
@@ -424,25 +430,27 @@ class TestImportanceUpdate:
 
     def test_si_consolidation_hand_oracle(self):
         state = RegState.zeros(2)
-        state.prev_params = np.array([0.0, 0.0])
         state.path_accum = np.array([3.0, -1.0])
         fake_net = Network([], {"out": DenseLayer(np.array([[1.0]]),
                                                   np.array([0.5]), "identity")})
-        importance_update("si", state, "task_end", net=fake_net, task=None)
+        importance_update("si", state, "task_end", net=fake_net, task=None,
+                          start=np.array([0.0, 0.0]))
         params = fake_net.get_params()
         expect0 = 3.0 / ((params[0] - 0.0) ** 2 + 0.1)
         np.testing.assert_allclose(state.importance, [expect0, 0.0])
+        np.testing.assert_array_equal(state.prev_params, params)
+        np.testing.assert_array_equal(state.path_accum, [0.0, 0.0])
 
     def test_rwalk_combines_fisher_ema_and_scores(self):
         state = RegState.zeros(2)
         net = Network([], {"out": DenseLayer(np.array([[0.0]]), np.zeros(1),
                                              "identity")})
-        importance_update("rwalk", state, "task_start", net=net)
         grad = np.array([2.0, 0.0])
         importance_update("rwalk", state, "step", grad=grad,
                           delta=np.array([-0.2, 0.0]))
         assert state.fisher_ema[0] == pytest.approx(0.1 * 4.0)
-        importance_update("rwalk", state, "task_end", net=net, task=None)
+        importance_update("rwalk", state, "task_end", net=net, task=None,
+                          start=net.get_params())
         assert state.importance[0] > 0
 
     @pytest.mark.parametrize("method", ["mas", "si", "rwalk"])
@@ -450,18 +458,21 @@ class TestImportanceUpdate:
         task, net, state = self._state_and_net(1)
         rng = np.random.default_rng(9)
         for round_ in range(3):
-            importance_update(method, state, "task_start", net=net)
+            start = net.get_params()
             for _ in range(4):
                 importance_update(
                     method, state, "step",
                     grad=rng.normal(size=net.param_count),
                     delta=rng.normal(size=net.param_count) * 0.01)
-            importance_update(method, state, "task_end", net=net, task=task)
+            importance_update(method, state, "task_end", net=net, task=task,
+                              start=start)
             assert np.all(state.importance >= 0)
 
     def test_unknown_method_and_event_rejected(self):
         state = RegState.zeros(2)
         with pytest.raises(ConfigError):
-            importance_update("ewc", state, "task_start")
+            importance_update("ewc", state, "step")
         with pytest.raises(ConfigError):
             importance_update("si", state, "checkpoint")
+        with pytest.raises(ConfigError):  # marked by task_end's start=
+            importance_update("si", state, "task_start")

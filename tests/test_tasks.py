@@ -260,6 +260,14 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match="magic"):
             load_idx(img, lbl)
 
+    def test_bad_label_magic(self, tmp_path):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])
+        with open(lbl, "r+b") as fh:
+            fh.write(struct.pack(">I", 0x00000803))
+        with pytest.raises(FormatError, match=re.escape(
+                f"{lbl}: bad magic 0x00000803 at offset 0")):
+            load_idx(img, lbl)
+
     def test_truncated_image_file(self, tmp_path):
         raw = np.zeros((2, 3, 3), dtype=np.uint8)
         img, lbl = write_idx_pair(tmp_path, raw, [0, 1])
