@@ -219,6 +219,18 @@ def result_from_json(doc: dict) -> RunResult:
     return result
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Raise ConfigError unless the first of out_dir and its parents that
+    exists is a directory, so that results can be written once cells have
+    trained. Creates nothing."""
+    path = out_dir
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise ConfigError(f"out_dir: cannot make {out_dir!r} a directory: "
+                          f"{path!r} is not one")
+
+
 # -- cell execution -----------------------------------------------------------
 
 def _run_cell(task_list: list, cells: list[SequenceConfig], on_outcome=None):
@@ -316,6 +328,7 @@ def _run_and_write(config: ExperimentConfig, jobs: int):
     as its outcome arrives (see _run_cells). After the last unit, log each
     failed cell with its name and error, in cell order, and return the
     (cell, RunResult) and the (cell, exception) pairs in cell order."""
+    _check_out_dir(config.out_dir)
     outcomes: dict[int, object] = {}  # cell index -> outcome
 
     def record(i: int, outcome) -> None:
@@ -400,6 +413,7 @@ def cmd_grid(config: ExperimentConfig, jobs: int) -> int:
 
 
 def cmd_datagen(config: ExperimentConfig) -> int:
+    _check_out_dir(config.out_dir)
     task_list = build_tasks(config.benchmark)
     os.makedirs(config.out_dir, exist_ok=True)
     for task in task_list:

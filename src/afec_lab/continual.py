@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
 from .metrics import AccMatrix
-from .nn import (ACTIVATIONS, Batch, Network, SGD, _is_finite_number,
+from .nn import (ACTIVATIONS, Network, SGD, _is_finite_number,
                  make_optimizer)
 from .posterior import DiagGaussian, estimate_diag_fisher, fisher_running_average
 from .regularizers import (EXPANSION_INITS, RegState, epoch_batches,
@@ -297,7 +297,7 @@ def evaluate(net: Network, task) -> float:
     Classification scores argmax matches; angular regression maps the output
     2-vector to its angle and scores nearest-class-angle matches.
     """
-    batch = Batch(task.inputs_test, task.targets_test, task.head)
+    batch = task.batch("test")
     out = net.forward(batch)
     if task.kind == "classification":
         return float(np.mean(np.argmax(out, axis=1) == task.labels_test))

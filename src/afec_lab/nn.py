@@ -72,8 +72,9 @@ class Batch:
     @classmethod
     def of_checked(cls, inputs: np.ndarray, targets: np.ndarray,
                    head: str) -> "Batch":
-        """A batch of arrays that batch_arrays has returned, or of non-empty
-        index slices of them, without checking them again."""
+        """A batch of float64 arrays that batch_arrays has checked, or of
+        non-empty index slices of them, without checking them again:
+        TaskDataset.batch draws its batches so."""
         batch = object.__new__(cls)
         batch.inputs, batch.targets, batch.head = inputs, targets, head
         return batch
@@ -83,12 +84,13 @@ class Batch:
         return self.inputs.shape[0]
 
 
-def batch_arrays(inputs, targets, least: int = 1):
-    """The inputs as a float64 [n, d_in] matrix with n >= `least`, and n
+def batch_arrays(inputs, targets, least: int = 1, dtype=np.float64):
+    """The inputs as a `dtype` [n, d_in] matrix with n >= `least`, and n
     targets: float64 if they are floats, int64 class ids otherwise. These
-    are a Batch's checks; TaskDataset runs them once on its training split
-    (`least` 0), so minibatches sliced from it need no check of their own."""
-    inputs = np.asarray(inputs, dtype=np.float64)
+    are a Batch's checks; TaskDataset runs them once on each split (uint8
+    pixels keep their dtype), so the batches it draws need no check of
+    their own."""
+    inputs = np.asarray(inputs, dtype=dtype)
     if inputs.ndim != 2 or inputs.shape[0] < least:
         raise ShapeError("batch inputs must be a non-empty [n, d_in] matrix")
     if np.asarray(targets).dtype.kind == "f":

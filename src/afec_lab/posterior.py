@@ -72,7 +72,7 @@ def estimate_diag_fisher(net: Network, data, loss_kind: str) -> np.ndarray:
     per-sample NLL gradient."""
     if len(data.inputs_train) == 0:
         raise ShapeError("cannot estimate Fisher on an empty dataset")
-    batch = Batch(data.inputs_train, data.targets_train, data.head)
+    batch = data.batch("train")
     return net.per_sample_grad_moment(
         batch, lambda out: _nll_delta(out, batch, loss_kind), power=2)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .nn import BLOCK, Batch, Network, blocks, make_optimizer
+from .nn import BLOCK, Network, blocks, make_optimizer
 from .posterior import DiagGaussian, snapshot_anchor
 
 _EXPAND_INIT_KEY = 810001
@@ -109,13 +109,10 @@ def quadratic_penalty(params: np.ndarray, anchor: DiagGaussian, lam: float,
 
 
 def epoch_batches(task, batch_size: int, key):
-    """Seeded shuffle of the training split, yielded in minibatches. The
-    task checked its training arrays when it was built."""
+    """Seeded shuffle of the training split, yielded in minibatches."""
     order = np.random.default_rng(key).permutation(task.n_train)
     for start in range(0, len(order), batch_size):
-        idx = order[start:start + batch_size]
-        yield Batch.of_checked(task.inputs_train[idx], task.targets_train[idx],
-                               task.head)
+        yield task.batch("train", order[start:start + batch_size])
 
 
 def train_lockstep(nets: list[Network], task, *, epochs: int, batch_size: int,
@@ -244,5 +241,5 @@ def importance_update(method: str, state: RegState, event: str, *,
 
 def _mas_increment(net: Network, task) -> np.ndarray:
     """Mean absolute per-sample gradient of the squared output norm."""
-    batch = Batch(task.inputs_train, task.targets_train, task.head)
+    batch = task.batch("train")
     return net.per_sample_grad_moment(batch, lambda out: 2.0 * out, power=1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
-from .nn import batch_arrays
+from .nn import Batch, batch_arrays
 
 ANGLE_HEAD = "angle"
 
@@ -71,7 +71,8 @@ class TaskDataset:
     For regression tasks the targets are unit 2-vectors (cos, sin) of the
     class angle; `labels_*` keep the underlying class ids for accuracy
     scoring. `head` names the output layer the task trains and evaluates
-    through; angular tasks all share one head.
+    through; angular tasks all share one head. uint8 inputs (IDX pixels)
+    are stored as such, one byte per pixel; `batch` widens what it draws.
     """
 
     name: str
@@ -103,9 +104,25 @@ class TaskDataset:
             if self.labels_train is None:
                 self.labels_train = self.targets_train
                 self.labels_test = self.targets_test
-        # Checked once here rather than in every minibatch of it.
-        self.inputs_train, self.targets_train = batch_arrays(
+        # Checked once here rather than in every batch drawn from them.
+        self.inputs_train, self.targets_train = _checked_split(
             self.inputs_train, self.targets_train, least=0)
+        self.inputs_test, self.targets_test = _checked_split(
+            self.inputs_test, self.targets_test, least=1)
+        if self.inputs_test.shape[1] != self.input_dim:
+            raise ShapeError(f"test inputs have {self.inputs_test.shape[1]} "
+                             f"columns, train inputs {self.input_dim}")
+
+    def batch(self, split: str, rows=None) -> Batch:
+        """The samples of `split` ("train" or "test"), or its `rows`, as a
+        float64 Batch: uint8 inputs divided by 255.0, float ones as stored."""
+        inputs = getattr(self, "inputs_" + split)
+        targets = getattr(self, "targets_" + split)
+        if rows is not None:
+            inputs, targets = inputs[rows], targets[rows]
+        if inputs.dtype == np.uint8:
+            inputs = inputs.astype(np.float64) / 255.0
+        return Batch.of_checked(inputs, targets, self.head)
 
     @property
     def input_dim(self) -> int:
@@ -114,6 +131,13 @@ class TaskDataset:
     @property
     def n_train(self) -> int:
         return self.inputs_train.shape[0]
+
+
+def _checked_split(inputs, targets, least: int):
+    """batch_arrays' checks of one split; uint8 inputs stay uint8."""
+    inputs = np.asarray(inputs)
+    return batch_arrays(inputs, targets, least,
+                        np.uint8 if inputs.dtype == np.uint8 else np.float64)
 
 
 def class_centers(num_classes: int, input_dim: int) -> np.ndarray:
@@ -229,7 +253,8 @@ def _read_exact(fh, count: int, path: str, offset: int) -> bytes:
 
 
 def load_idx(images_path: str, labels_path: str):
-    """Read an IDX image/label pair; pixels scaled to [0, 1]."""
+    """Read an IDX image/label pair: the images as the file's uint8 pixels,
+    one [rows*cols] row per image, and the labels as int64."""
     with open(images_path, "rb") as fh:
         magic, n, rows, cols = struct.unpack(
             ">IIII", _read_exact(fh, 16, str(images_path), 0))
@@ -240,7 +265,6 @@ def load_idx(images_path: str, labels_path: str):
                               f"offset 8; rows and cols must be >= 1")
         raw = _read_exact(fh, n * rows * cols, str(images_path), 16)
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
-    images = images.astype(np.float64) / 255.0
     with open(labels_path, "rb") as fh:
         magic, n_labels = struct.unpack(
             ">II", _read_exact(fh, 8, str(labels_path), 0))
@@ -296,9 +320,9 @@ def export_csv(task: TaskDataset, path) -> None:
     """One row per sample: features..., label-or-angle; train rows first."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        for inputs, labels in ((task.inputs_train, task.labels_train),
-                               (task.inputs_test, task.labels_test)):
-            for x, lab in zip(inputs, labels):
+        for split, labels in (("train", task.labels_train),
+                              ("test", task.labels_test)):
+            for x, lab in zip(task.batch(split).inputs, labels):
                 if task.kind == "regression_angle":
                     value = float(task.class_angles[int(lab)])
                 else:

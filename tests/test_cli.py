@@ -356,12 +356,19 @@ class TestMainExitCodes:
         assert (out / name).read_bytes() == (clean / name).read_bytes()
         assert not list(out.glob("*.tmp"))
 
+    @staticmethod
+    def blocked_config(tmp_path):
+        """A config whose one result file's path is a directory, so its run
+        fails after training, with exit 1."""
+        doc = minimal_config(tmp_path / "out")
+        cell = parse_config(doc).cells[0]
+        result = cli._result_file(dataclasses.asdict(cell))
+        (tmp_path / "out" / result).mkdir(parents=True)
+        return write_config(tmp_path, doc)
+
     def test_repeated_failures_log_once_each(self, tmp_path, capsys):
-        # out_dir is a file, so each run fails after training with exit 1
-        # and logs through the package handler, which main() replaces.
-        blocker = tmp_path / "blocker"
-        blocker.write_text("")
-        path = write_config(tmp_path, minimal_config(blocker))
+        # Each run logs through the package handler, which main() replaces.
+        path = self.blocked_config(tmp_path)
         for _ in range(2):
             assert main(["run", "--config", path]) == 1
             assert capsys.readouterr().err.count("ERROR run failed") == 1
@@ -370,12 +377,10 @@ class TestMainExitCodes:
     def test_traceback_only_at_debug(self, tmp_path, capsys, monkeypatch,
                                      level, shown):
         monkeypatch.setenv("AFEC_LAB_LOG", level)
-        blocker = tmp_path / "blocker"
-        blocker.write_text("")
-        path = write_config(tmp_path, minimal_config(blocker))
+        path = self.blocked_config(tmp_path)
         assert main(["run", "--config", path]) == 1
         err = capsys.readouterr().err
-        assert "ERROR run failed: FileExistsError" in err
+        assert "ERROR run failed: IsADirectoryError" in err
         assert ("Traceback (most recent call last)" in err) == shown
 
     def test_seed_override(self, tmp_path):
@@ -527,6 +532,26 @@ class TestConfigErrorsBeforeTraining:
         assert capsys.readouterr().err == (
             f"config error: out_dir: expected a non-empty string, "
             f"got {shown!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", ["run", "grid", "datagen"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_dir_that_is_or_lies_under_a_file(self, tmp_path, capsys,
+                                                  under, command, jobs):
+        # found only when the first result was written, after every cell
+        # had trained: FileExistsError or NotADirectoryError, exit 1
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = str(blocker / "sub" if under else blocker)
+        doc = minimal_config(tmp_path / "out", methods=["ewc", "afec"],
+                             **{"lambda": 1, "lambda_e": 1})
+        self.assert_rejected(tmp_path, command, doc, "--out", out,
+                             "--jobs", jobs)
+        assert capsys.readouterr().err == (
+            f"config error: out_dir: cannot make {out!r} a directory: "
+            f"{str(blocker)!r} is not one\n")
+        assert blocker.read_text() == "kept\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

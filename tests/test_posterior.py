@@ -22,12 +22,15 @@ def linear_model(w: float) -> Network:
 
 
 class FakeData:
-    """Minimal stand-in carrying just the fields Fisher estimation reads."""
+    """Minimal stand-in carrying just what Fisher estimation reads."""
 
     def __init__(self, x, y, head="out"):
         self.inputs_train = np.asarray(x, dtype=np.float64)
         self.targets_train = np.asarray(y)
         self.head = head
+
+    def batch(self, split):
+        return Batch(self.inputs_train, self.targets_train, self.head)
 
 
 class TestDiagGaussian:

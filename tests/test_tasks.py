@@ -7,6 +7,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from afec_lab.errors import ConfigError, FormatError, ShapeError
 from afec_lab.tasks import (ANGLE_HEAD, AngularLayout, TaskDataset,
@@ -215,6 +218,70 @@ class TestTaskDatasetValidation:
                         targets_test=np.array([0, 1]),
                         kind="ranking", head_dim=2, seed=0, head="h")
 
+    @pytest.mark.parametrize("inputs_test,targets_test,message", [
+        (np.zeros((2, 5)), np.eye(2), "test inputs have 5 columns, train "
+                                      "inputs 3"),
+        (np.zeros((2, 3)), np.eye(3, 2), "disagree on sample count"),
+        (np.zeros((0, 3)), np.zeros((0, 2)), "non-empty")],
+        ids=["wider", "extra_target", "empty"])
+    def test_test_split_checked_at_build(self, inputs_test, targets_test,
+                                         message):
+        # else only evaluate would find these, after the task has trained
+        with pytest.raises(ShapeError, match=message):
+            TaskDataset(name="x", inputs_train=np.zeros((2, 3)),
+                        inputs_test=inputs_test, targets_train=np.eye(2),
+                        targets_test=targets_test, kind="regression_angle",
+                        head_dim=2, seed=0, head="angle",
+                        class_angles=np.zeros(2))
+
+
+def uint8_task(train, test):
+    return TaskDataset(name="x", inputs_train=train, inputs_test=test,
+                       targets_train=np.zeros(len(train), dtype=np.int64),
+                       targets_test=np.zeros(len(test), dtype=np.int64),
+                       kind="classification", head_dim=1, seed=0, head="h")
+
+
+class TestTaskBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), m=st.integers(1, 6),
+           d=st.integers(1, 5), split=st.sampled_from(["train", "test"]))
+    def test_uint8_rows_widen_as_the_whole_split_would(self, data, n, m, d,
+                                                       split):
+        train = data.draw(hnp.arrays(np.uint8, (n, d)))
+        test = data.draw(hnp.arrays(np.uint8, (m, d)))
+        stored = train if split == "train" else test
+        rows = data.draw(st.none() | st.lists(
+            st.integers(0, len(stored) - 1), min_size=1, max_size=8))
+        task = uint8_task(train, test)
+        assert task.inputs_train.dtype == task.inputs_test.dtype == np.uint8
+        batch = task.batch(split, rows)
+        want = stored.astype(np.float64) / 255.0
+        want = want if rows is None else want[rows]
+        assert batch.inputs.dtype == np.float64
+        np.testing.assert_array_equal(batch.inputs.view(np.uint64),
+                                      want.view(np.uint64))
+        np.testing.assert_array_equal(
+            batch.targets, getattr(task, "targets_" + split)[
+                slice(None) if rows is None else rows])
+        assert batch.head == "h"
+
+    def test_pixel_bytes_span_the_unit_interval(self):
+        task = uint8_task(np.array([[0, 255]], dtype=np.uint8),
+                          np.array([[255, 0]], dtype=np.uint8))
+        assert task.batch("train").inputs.tolist() == [[0.0, 1.0]]
+        assert task.batch("test").inputs.tolist() == [[1.0, 0.0]]
+
+    @pytest.mark.parametrize("rows", [None, [3, 0, 3], np.arange(5)])
+    def test_float_rows_are_the_stored_bits(self, rows):
+        task = gen_angular_task(AngularLayout.identity(4), 10, 6, 0.5, seed=0)
+        for split in ("train", "test"):
+            stored = getattr(task, "inputs_" + split)
+            want = stored if rows is None else stored[rows]
+            np.testing.assert_array_equal(
+                task.batch(split, rows).inputs.view(np.uint64),
+                want.view(np.uint64))
+
 
 def write_idx_pair(tmp_path, images, labels):
     """Write a matching IDX image/label file pair and return the paths."""
@@ -240,16 +307,27 @@ class TestLoadIdx:
         img, lbl = write_idx_pair(tmp_path, raw, labels)
         images, got_labels = load_idx(img, lbl)
         assert images.shape == (4, 6)
-        np.testing.assert_allclose(images,
-                                   raw.reshape(4, 6).astype(np.float64) / 255.0)
+        assert images.dtype == np.uint8
+        np.testing.assert_array_equal(images, raw.reshape(4, 6))
         np.testing.assert_array_equal(got_labels, labels)
 
     def test_pixels_scaled_to_unit_interval(self, tmp_path):
+        # the file's bytes, scaled by the batches a task draws of them
         raw = np.array([[[0, 255]]], dtype=np.uint8)
         img, lbl = write_idx_pair(tmp_path, raw, [0])
         images, _ = load_idx(img, lbl)
-        assert images.min() == 0.0
-        assert images.max() == 1.0
+        assert images.dtype == np.uint8
+        assert images.tolist() == [[0, 255]]
+        assert uint8_task(images, images).batch("train").inputs.tolist() == \
+            [[0.0, 1.0]]
+
+    def test_split_tasks_keep_one_byte_per_pixel(self, tmp_path):
+        raw = np.random.default_rng(1).integers(0, 256, (12, 3, 2))
+        img, lbl = write_idx_pair(tmp_path, raw, np.repeat([0, 1], 6))
+        [task] = split_tasks(*load_idx(img, lbl), classes_per_task=2)
+        assert task.inputs_train.dtype == task.inputs_test.dtype == np.uint8
+        assert task.inputs_train.nbytes == task.n_train * 3 * 2
+        assert task.input_dim == 6
 
     def test_bad_image_magic(self, tmp_path):
         raw = np.zeros((1, 2, 2), dtype=np.uint8)
@@ -394,7 +472,7 @@ class TestExportCsv:
         assert len(lines) == task.n_train + len(task.inputs_test)
         assert p1.read_text() == p2.read_text()
 
-    @pytest.mark.parametrize("kind", ["angular", "split"])
+    @pytest.mark.parametrize("kind", ["angular", "split", "split_bytes"])
     def test_cells_are_the_task_values(self, tmp_path, kind):
         if kind == "angular":
             task = gen_angular_task(AngularLayout.identity(4), 10, 6, 0.5,
@@ -402,14 +480,17 @@ class TestExportCsv:
             targets = [task.class_angles[k] for k in task.labels_train]
             targets += [task.class_angles[k] for k in task.labels_test]
         else:
-            rng = np.random.default_rng(0)
-            task = split_tasks(rng.integers(0, 256, (12, 6)) / 255.0,
-                               np.repeat(np.arange(2), 6), 2)[0]
+            pixels = np.random.default_rng(0).integers(0, 256, (12, 6))
+            pixels = (pixels.astype(np.uint8) if kind == "split_bytes"
+                      else pixels / 255.0)
+            task = split_tasks(pixels, np.repeat(np.arange(2), 6), 2)[0]
             targets = [*task.labels_train, *task.labels_test]
         path = tmp_path / "task.csv"
         export_csv(task, path)
         with open(path, newline="") as fh:
             rows = [[float(cell) for cell in row] for row in csv.reader(fh)]
         inputs = np.concatenate([task.inputs_train, task.inputs_test])
+        if inputs.dtype == np.uint8:  # the pixels a batch would hold
+            inputs = inputs.astype(np.float64) / 255.0
         assert np.array_equal(np.array(rows)[:, :-1], inputs)
         assert [row[-1] for row in rows] == targets
