@@ -220,15 +220,25 @@ def result_from_json(doc: dict) -> RunResult:
 
 
 def _check_out_dir(out_dir: str) -> None:
-    """Raise ConfigError unless the first of out_dir and its parents that
-    exists is a directory, so that results can be written once cells have
-    trained. Creates nothing."""
+    """Raise ConfigError unless os.makedirs can make out_dir a directory, so
+    that results can be written once cells have trained. Creates nothing.
+
+    The file system resolves out_dir up to its first missing component,
+    which must follow a directory. Every later component would be made a
+    new, empty directory, so a '..' among them is resolved lexically, and
+    the path it leads to is judged again."""
     path = out_dir
-    while path and not os.path.lexists(path):
-        path = os.path.dirname(path)
-    if path and not os.path.isdir(path):
-        raise ConfigError(f"out_dir: cannot make {out_dir!r} a directory: "
-                          f"{path!r} is not one")
+    while True:
+        base = path
+        while base and not os.path.lexists(base):
+            base = os.path.dirname(base)
+        if base and not os.path.isdir(base):
+            raise ConfigError(f"out_dir: cannot make {out_dir!r} a "
+                              f"directory: {base!r} is not one")
+        fresh = path[len(base):].lstrip(os.sep)
+        if os.pardir not in fresh.split(os.sep):
+            return
+        path = os.path.join(base, os.path.normpath(fresh))
 
 
 # -- cell execution -----------------------------------------------------------
@@ -338,8 +348,8 @@ def _run_and_write(config: ExperimentConfig, jobs: int):
         if not isinstance(outcome, Exception):
             write_atomic(os.path.join(config.out_dir,
                                       _result_file(outcome.config)),
-                         [json.dumps(result_to_json(outcome), sort_keys=True),
-                          "\n"])
+                         json.dumps(result_to_json(outcome), sort_keys=True)
+                         + "\n")
     _run_cells(config, jobs, record)
     pairs = [(config.cells[i], outcomes[i]) for i in sorted(outcomes)]
     results = [pair for pair in pairs if not isinstance(pair[1], Exception)]

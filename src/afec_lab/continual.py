@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import collections
 import hashlib
-import itertools
 import json
 import logging
 import os
@@ -176,7 +175,7 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# Elements per text block of an encoded vector. Blocks bound the encoder's
+# Elements per text block of an encoded vector. Blocks bound the digest's
 # transient memory: a 270k-parameter vector encoded whole needs its tolist(),
 # its text and the text's bytes at once (about 20 MB), at the end of every
 # run, and that transient would set the peak RSS and move it by up to 10 MB
@@ -184,92 +183,25 @@ def _canonical(obj) -> str:
 _ENCODE_BLOCK = 4096
 
 
-def _encode_array(arr: np.ndarray):
-    """Yield the text of `_canonical(arr.tolist())` in pieces; a vector is
-    encoded `_ENCODE_BLOCK` elements at a time."""
-    if arr.ndim != 1 or arr.size <= _ENCODE_BLOCK:
-        yield _canonical(arr.tolist())
-        return
+def _encode_array(vec: np.ndarray):
+    """Yield the text of `_canonical(vec.tolist())` for a 1-D vector in
+    pieces, `_ENCODE_BLOCK` elements at a time."""
     yield "["
-    for start in range(0, arr.size, _ENCODE_BLOCK):
-        text = _canonical(arr[start:start + _ENCODE_BLOCK].tolist())
+    for start in range(0, vec.size, _ENCODE_BLOCK):
+        text = _canonical(vec[start:start + _ENCODE_BLOCK].tolist())
         yield ("," if start else "") + text[1:-1]
     yield "]"
 
 
-def _arrays(obj):
-    """Yield every array of a document, depth first."""
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, (dict, list, tuple)):
-        for item in (obj.values() if isinstance(obj, dict) else obj):
-            yield from _arrays(item)
-
-
-def _iter_canonical(obj):
-    """An iterator over the text of `_canonical(obj)` in chunks, where a
-    float64 array stands in for its tolist().
-
-    An array whose bytes occur more than once in `obj` is encoded once, and
-    its text is kept while the chunks are drawn; any other array's text is
-    streamed and never held whole. Arrays are matched on their bytes,
-    through a sha256 of each array's buffer rather than a copy of it: ==
-    would equate -0.0 with 0.0, which repr differently, and never match NaN.
-    """
-    keys: dict[int, tuple] = {}  # id of each array -> its key
-    seen = collections.Counter()
-    for arr in _arrays(obj):
-        if id(arr) not in keys:
-            if arr.dtype != np.float64:
-                raise TypeError(f"cannot encode a {arr.dtype} array")
-            keys[id(arr)] = (arr.shape, hashlib.sha256(
-                np.ascontiguousarray(arr)).digest())
-        seen[keys[id(arr)]] += 1
-    # the text of each repeated array, once it has been encoded
-    texts = {key: None for key, count in seen.items() if count > 1}
-    return _chunks(obj, keys, texts)
-
-
-def _chunks(obj, keys: dict, texts: dict):
-    """The chunks of `_iter_canonical(obj)`, given its array keys and the
-    texts it keeps."""
-    if isinstance(obj, np.ndarray):
-        key = keys[id(obj)]
-        if key in texts:
-            if texts[key] is None:
-                texts[key] = [*_encode_array(obj)]
-            yield from texts[key]
-        else:
-            yield from _encode_array(obj)
-    elif isinstance(obj, dict):
-        if not all(isinstance(key, str) for key in obj):
-            raise TypeError("only string keys can be encoded")
-        yield "{"
-        for i, key in enumerate(sorted(obj)):
-            yield ("," if i else "") + _canonical(key) + ":"
-            yield from _chunks(obj[key], keys, texts)
-        yield "}"
-    elif isinstance(obj, (list, tuple)):
-        yield "["
-        for i, item in enumerate(obj):
-            if i:
-                yield ","
-            yield from _chunks(item, keys, texts)
-        yield "]"
-    else:
-        yield _canonical(obj)
-
-
-def write_atomic(path, chunks) -> None:
-    """Write the text chunks to `path` through a temporary file in the same
+def write_atomic(path, text: str) -> None:
+    """Write `text` to `path` through a temporary file in the same
     directory, so `path` holds either its old content or all of the new.
     The pid keeps live writers apart; a dead writer's leftover is replaced."""
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "w")
     try:
         with fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -323,11 +255,31 @@ def random_init_baseline(tasks, arch: ArchSpec, seeds) -> np.ndarray:
 
 def _state_digest(net: Network, state: RegState) -> str:
     """sha256 of the canonical JSON of the parameters and the whole
-    regularizer state, streamed through the hash chunk by chunk."""
-    digest = hashlib.sha256()
-    doc = {"params": net.params, "reg_state": state.to_doc()}
-    for chunk in _iter_canonical(doc):
-        digest.update(chunk.encode())
+    regularizer state, `_canonical` of their tolist()s.
+
+    json lays the document out with a "" in each vector's place, and each
+    vector's text is streamed into the hash block by block. A vector whose
+    bytes occur again is encoded once and its text kept. Vectors are
+    matched on a sha256 of their buffers: == would equate -0.0 with 0.0,
+    which repr differently, and never match NaN.
+    """
+    vectors = []
+    skeleton = json.dumps({"params": net.params, "reg_state": state.to_doc()},
+                          sort_keys=True, separators=(",", ":"),
+                          default=lambda vec: vectors.append(vec) or "")
+    pieces = skeleton.split('""')
+    assert len(pieces) == len(vectors) + 1  # the document holds no string
+    keys = [(vec.shape, hashlib.sha256(np.ascontiguousarray(vec)).digest())
+            for vec in vectors]
+    texts = {key: None for key, count in collections.Counter(keys).items()
+             if count > 1}  # the text of each repeated vector, once encoded
+    digest = hashlib.sha256(pieces[0].encode())
+    for vec, key, piece in zip(vectors, keys, pieces[1:]):
+        if key in texts and texts[key] is None:
+            texts[key] = [*_encode_array(vec)]
+        for chunk in texts[key] if key in texts else _encode_array(vec):
+            digest.update(chunk.encode())
+        digest.update(piece.encode())
     return digest.hexdigest()
 
 
@@ -463,9 +415,11 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
             raise ConfigError("resume state was written with a different seed")
         if net.arch() != arch:
             raise ConfigError("resume state does not match the configured arch")
-        if state.task_count > len(tasks):
-            raise ConfigError(f"resume state has trained {state.task_count} "
-                              f"tasks, more than the sequence's {len(tasks)}")
+        if state.task_count >= len(tasks):  # none is left to train
+            raise ConfigError(
+                f"resume state has trained {state.task_count} tasks, "
+                f"{'all of' if state.task_count == len(tasks) else 'more than'}"
+                f" the sequence's {len(tasks)}")
     outcomes = [None] * len(configs)
     walk = _Walk(configs, tasks, arch, state.task_count if state else 0,
                  save_state_to, on_outcome or outcomes.__setitem__)
@@ -687,12 +641,12 @@ def save_state(path, net: Network, state: RegState, seed: int) -> None:
         "version": STATE_VERSION,
         "net": {"input_dim": input_dim, "hidden": hidden,
                 "activation": activation, "heads": [*map(list, heads.items())],
-                "params": net.get_params()},
-        "reg_state": state.to_doc(),
+                "params": net.params.tolist()},
+        "reg_state": state.to_json(),
         "rng": {"scheme": "counter", "seed": seed},
         "task_count": state.task_count,
     }
-    write_atomic(path, itertools.chain(_iter_canonical(doc), ["\n"]))
+    write_atomic(path, _canonical(doc) + "\n")
 
 
 def load_state(path):

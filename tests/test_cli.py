@@ -554,6 +554,49 @@ class TestConfigErrorsBeforeTraining:
         assert blocker.read_text() == "kept\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "grid", "datagen"])
+    def test_out_dir_that_climbs_back_to_a_file(self, tmp_path, capsys,
+                                                monkeypatch, command):
+        # os.makedirs would make `missing`, then fail on `file`, after
+        # every cell had trained
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("kept\n")
+        doc = minimal_config(tmp_path / "out", methods=["ewc", "afec"],
+                             **{"lambda": 1, "lambda_e": 1})
+        for out in ("missing/../file", "missing/sub/../../file/sub"):
+            self.assert_rejected(tmp_path, command, doc, "--out", out)
+            assert capsys.readouterr().err == (
+                f"config error: out_dir: cannot make {out!r} a directory: "
+                f"'file' is not one\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
+                                                               "file"]
+
+    def test_out_dir_through_a_symlink_to_a_directory(self, tmp_path):
+        # link/.. is real/, not tmp_path/, where `out` is a file
+        (tmp_path / "real" / "sub").mkdir(parents=True)
+        (tmp_path / "link").symlink_to(tmp_path / "real" / "sub")
+        (tmp_path / "out").write_text("kept\n")
+        doc = minimal_config(tmp_path / "link" / ".." / "out")
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+        assert len(list((tmp_path / "real" / "out").glob("result_*"))) == 1
+        assert (tmp_path / "out").read_text() == "kept\n"
+
+    def test_failed_replace_keeps_previous_result(self, tmp_path,
+                                                  monkeypatch):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, minimal_config(out))
+        assert main(["run", "--config", path]) == 0
+        [result] = out.glob("result_*.json")
+        before = result.read_bytes()
+        path = write_config(tmp_path, minimal_config(out, epochs=3))
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+        monkeypatch.setattr(os, "replace", fail)
+        assert main(["run", "--config", path]) == 1
+        assert result.read_bytes() == before
+        assert not list(out.glob("*.tmp"))
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("key,values,first,second", [
         ("lambda", [1, 1.0000000001], ("ewc", 1.0, 0.0, 0),

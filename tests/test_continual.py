@@ -4,11 +4,13 @@ import contextlib
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import os
 import re
 import sys
 import tempfile
+import types
 import weakref
 
 import numpy as np
@@ -19,12 +21,13 @@ from hypothesis import strategies as st
 from afec_lab import continual
 from afec_lab.cli import result_to_json
 from afec_lab.continual import (METHODS, ArchSpec, SequenceConfig, _canonical,
-                                _iter_canonical, _state_digest, evaluate,
+                                _state_digest, evaluate,
                                 load_state, random_init_baseline, run_sequence,
                                 save_state, transfer_probe)
 from afec_lab.errors import ConfigError, FormatError
 from afec_lab.nn import DenseLayer, Network
-from afec_lab.regularizers import EXPANSION_INITS, train_expanded
+from afec_lab.posterior import DiagGaussian
+from afec_lab.regularizers import EXPANSION_INITS, RegState, train_expanded
 from afec_lab.tasks import (AngularLayout, gen_angular_task,
                             make_angular_sequence, make_conflicting_pair,
                             split_tasks)
@@ -866,6 +869,16 @@ class TestStatePersistence:
             run_sequence(quick_cfg("ewc", lam=5.0), tasks[:2],
                          resume=load_state(str(path)))
 
+    def test_resume_of_a_finished_sequence_rejected(self, tmp_path):
+        # it used to return a result of padding rows with start_task == T
+        path = tmp_path / "s.json"
+        run_sequence(quick_cfg("ewc", lam=5.0), _RESUME_TASKS,
+                     save_state_to=str(path))
+        with pytest.raises(ConfigError, match="trained 3 tasks, all of the "
+                                              "sequence's 3"):
+            run_sequence(quick_cfg("ewc", lam=5.0), _RESUME_TASKS,
+                         resume=load_state(str(path)))
+
     @pytest.mark.parametrize("saved,configured,accepted", [
         # Trained with tanh, configured with relu: training would go on
         # with tanh while the result recorded relu.
@@ -910,29 +923,36 @@ class TestStatePersistence:
         assert len(set(sizes)) == 1
 
 
-def _tolists(doc):
-    if isinstance(doc, np.ndarray):
-        return doc.tolist()
-    if isinstance(doc, dict):
-        return {key: _tolists(value) for key, value in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_tolists(item) for item in doc]
-    return doc
+def _digest_case(params, *vectors):
+    """A network stand-in holding `params`, and a RegState whose seven
+    vectors are `vectors` cycled, in to_doc's order: anchor mean and
+    precision, importance, path_accum, prev_params, fisher_ema and
+    score_accum. The vectors need not be valid state."""
+    net = types.SimpleNamespace(params=params, get_params=params.copy)
+    state = RegState.zeros(1)
+    state.anchor = DiagGaussian(np.zeros(1), np.zeros(1))
+    owners = [state.anchor, state.anchor, *[state] * 5]
+    names = ["mean", "precision", "importance", "path_accum", "prev_params",
+             "fisher_ema", "score_accum"]
+    for owner, name, vec in zip(owners, names,
+                                itertools.cycle(vectors or [params])):
+        setattr(owner, name, vec)
+    return net, state
 
 
-def _encoded(doc):
-    return "".join(_iter_canonical(doc)).encode()
+def _assert_digest_matches(net, state):
+    assert _state_digest(net, state) == _old_state_digest(net, state)
 
 
 @contextlib.contextmanager
 def _counted_encodes():
-    """Count the arrays that _iter_canonical encodes."""
+    """Count the vectors that _state_digest encodes."""
     encoded = []
     original = continual._encode_array
 
-    def encode(arr):
-        encoded.append(arr)
-        return original(arr)
+    def encode(vec):
+        encoded.append(vec)
+        return original(vec)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continual, "_encode_array", encode)
         yield encoded
@@ -951,74 +971,63 @@ _vectors = st.lists(st.sampled_from(_EDGE_FLOATS)
                     max_size=6).map(lambda xs: np.array(xs, dtype=np.float64))
 
 
-def _docs(pool):
-    # Leaves come from a small pool of arrays, so docs repeat arrays.
-    leaves = (st.sampled_from(pool) | st.floats() | st.integers()
-              | st.text(max_size=4) | st.booleans() | st.none())
-    return st.recursive(
-        leaves,
-        lambda inner: (st.lists(inner, max_size=4)
-                       | st.dictionaries(st.text(max_size=4), inner,
-                                         max_size=4)),
-        max_leaves=12)
+class TestDigestEncoder:
+    """_state_digest against the one-string definition, _old_state_digest."""
 
-
-class TestCanonicalEncoder:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_matches_canonical_of_lists(self, data):
+    def test_matches_one_string_definition(self, data):
         base = np.append(data.draw(_vectors), 0.0)
         # twins that differ only in the sign of their zeros
         twins = [base, np.where(base == 0.0, -base, base)]
         pool = data.draw(st.lists(_vectors, max_size=2)) + twins
-        doc = {"doc": data.draw(_docs(pool)), "twins": twins}
-        assert _encoded(doc) == _canonical(_tolists(doc)).encode()
+        vectors = data.draw(st.lists(st.sampled_from(pool), min_size=8,
+                                     max_size=8))
+        _assert_digest_matches(*_digest_case(*vectors))
 
     def test_edge_floats(self):
-        doc = {"b": np.array(_EDGE_FLOATS), "a": [np.array(_EDGE_FLOATS)]}
-        assert _encoded(doc) == _canonical(_tolists(doc)).encode()
+        edge = np.array(_EDGE_FLOATS)
+        _assert_digest_matches(*_digest_case(edge, edge[::-1].copy()))
 
-    def test_each_distinct_array_encoded_once(self):
-        zeros, ones = np.zeros(3), np.ones(2)
-        doc = {"a": zeros, "b": zeros.copy(), "c": [np.zeros(3), -zeros],
-               "d": np.array([np.nan]), "e": np.array([np.nan]),
-               "f": [-zeros, zeros], "g": [ones, ones]}  # one object twice
+    def test_each_distinct_vector_encoded_once(self):
+        zeros, ones, nan = np.zeros(3), np.ones(2), np.array([np.nan])
+        net, state = _digest_case(zeros, zeros.copy(), -zeros, nan,
+                                  np.array([np.nan]), -zeros, ones, ones)
         with _counted_encodes() as encoded:
-            assert _encoded(doc) == _canonical(_tolists(doc)).encode()
+            _assert_digest_matches(net, state)
         assert len(encoded) == 4  # +0.0 zeros, -0.0 zeros, NaN, ones
-        assert b"[-0.0,-0.0,-0.0]" in _encoded(doc)
 
-    def test_only_repeated_arrays_are_kept(self):
+    def test_only_repeated_vectors_are_kept(self):
         once, twice = np.arange(3.0), np.ones(2)
-        chunks = _iter_canonical({"a": once, "b": [twice, twice.copy()]})
-        texts = chunks.gi_frame.f_locals["texts"]
-        assert "".join(chunks) == ('{"a":[0.0,1.0,2.0],'
-                                   '"b":[[1.0,1.0],[1.0,1.0]]}')
-        assert [*texts.values()] == [["[1.0,1.0]"]]
+        kept = {}
+
+        def profile(frame, event, arg):
+            if (event == "return"
+                    and frame.f_code is _state_digest.__code__):
+                kept.update(frame.f_locals["texts"])
+        sys.setprofile(profile)
+        try:
+            _state_digest(*_digest_case(once, twice, twice.copy()))
+        finally:
+            sys.setprofile(None)
+        assert [*kept.values()] == [["[", "1.0,1.0", "]"]]
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * continual._ENCODE_BLOCK + 5])
     def test_long_vectors_encoded_in_blocks(self, extra):
         size = continual._ENCODE_BLOCK + extra
         vec = np.resize(np.array(_EDGE_FLOATS), size)
         vec[-1] = -0.0
-        doc = {"v": vec, "w": [vec.copy(), vec[::-1].copy()]}
+        net, state = _digest_case(vec, vec.copy(), vec[::-1].copy())
         with _counted_encodes() as encoded:
-            assert _encoded(doc) == _canonical(_tolists(doc)).encode()
+            _assert_digest_matches(net, state)
         assert len(encoded) == 2
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(_vectors, min_size=1, max_size=3))
-    def test_block_boundaries(self, vecs):
-        doc = {"vecs": vecs}
+    @given(st.lists(_vectors, min_size=1, max_size=8))
+    def test_block_boundaries(self, vectors):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(continual, "_ENCODE_BLOCK", 2)
-            assert _encoded(doc) == _canonical(_tolists(doc)).encode()
-
-    def test_other_dtypes_and_keys_rejected(self):
-        with pytest.raises(TypeError):
-            _encoded({"a": np.zeros(2, dtype=np.float32)})
-        with pytest.raises(TypeError):
-            _encoded({1: 0.0})
+            _assert_digest_matches(*_digest_case(*vectors))
 
 
 def _old_state_digest(net, state):
@@ -1076,8 +1085,24 @@ class TestAtomicStateWrite:
         before = path.read_bytes()
         net, state, seed = load_state(str(path))
         state.task_count += 1
-        state.score_accum = object()  # encoded after the other vectors
+        state.score_accum = object()  # json cannot encode it
         with pytest.raises(TypeError):
+            save_state(str(path), net, state, seed)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.json"
+        run_sequence(quick_cfg("ewc", lam=2.0, seed=0), quick_pair(),
+                     save_state_to=str(path))
+        before = path.read_bytes()
+        net, state, seed = load_state(str(path))
+        net.params[0] += 1.0
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
             save_state(str(path), net, state, seed)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
