@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import io
 import itertools
 import json
 import logging
@@ -24,9 +25,9 @@ import numpy as np
 
 from . import metrics, tasks
 from .continual import (RunResult, SequenceConfig, _is_count, _json_floats,
-                        run_sequence, write_atomic)
+                        run_sequence)
 from .errors import ConfigError, FormatError
-from .metrics import AccMatrix, emit_report
+from .metrics import AccMatrix, emit_report, write_atomic
 from .nn import _is_finite_number
 
 log = logging.getLogger("afec_lab")
@@ -178,7 +179,6 @@ def result_to_json(result: RunResult) -> dict:
         "pre_train": _json_floats(m.pre_train),
         "per_task_new_accuracy": result.per_task_new_accuracy,
         "state_digest": result.state_digest,
-        "start_task": result.start_task,
     }
 
 
@@ -195,23 +195,15 @@ def result_from_json(doc: dict) -> RunResult:
     except (ConfigError, TypeError) as exc:
         raise FormatError(f"field 'config' must be an object of run settings "
                           f"({_error_text(exc)})") from None
-    start_task = doc["start_task"]
-    if not (_is_count(start_task, 0) and start_task < matrix.T):
-        raise FormatError(f"field 'start_task' must be an integer in "
-                          f"[0, {matrix.T})")
-    # a run measures each task it trains, but the sequence's first, just
-    # before training it
-    first = max(1, start_task)
-    if [v is None for v in pre] != [t < first for t in range(matrix.T)]:
-        raise FormatError(f"field 'pre_train' must be null for exactly the "
-                          f"tasks before task {first + 1}")
+    # a run measures each task but the first just before training it
+    if [v is None for v in pre] != [t == 0 for t in range(matrix.T)]:
+        raise FormatError("field 'pre_train' must be null exactly at task 1")
     digest = doc["state_digest"]
     if not (isinstance(digest, str) and len(digest) == 64
             and set(digest) <= set("0123456789abcdef")):
         raise FormatError("field 'state_digest' must be a 64-character "
                           "lowercase hex string")
-    result = RunResult(acc_matrix=matrix, config=config, state_digest=digest,
-                       start_task=start_task)
+    result = RunResult(acc_matrix=matrix, config=config, state_digest=digest)
     written = result_to_json(result)
     for key in sorted(doc.keys() | written.keys()):
         if key not in doc or key not in written or doc[key] != written[key]:
@@ -412,9 +404,9 @@ def cmd_grid(config: ExperimentConfig, jobs: int) -> int:
     for cell, exc in failures:
         rows.append([*_setting(cell), "", "", "", str(cell.seed),
                      _error_text(exc)])
-    with open(os.path.join(config.out_dir, "grid.csv"), "w",
-              newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    write_atomic(os.path.join(config.out_dir, "grid.csv"), text.getvalue())
     if best is not None:
         (_, (method, lam, lam_e), mean) = best
         print(f"best: method={method} lambda={lam} lambda_e={lam_e} "

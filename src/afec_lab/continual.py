@@ -12,13 +12,12 @@ import collections
 import hashlib
 import json
 import logging
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
-from .metrics import AccMatrix
+from .metrics import AccMatrix, _is_accuracy, write_atomic
 from .nn import (ACTIVATIONS, Network, SGD, _is_finite_number,
                  make_optimizer)
 from .posterior import DiagGaussian, estimate_diag_fisher, fisher_running_average
@@ -35,7 +34,7 @@ _MAIN_SHUFFLE_KEY = 910001
 _PROBE_HEAD_KEY = 910002
 _PROBE_SHUFFLE_KEY = 910003
 
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 # Base methods anchored by an importance instead of the Fisher.
 _IMPORTANCE_METHODS = ("mas", "si", "rwalk")
@@ -148,13 +147,11 @@ class RunResult:
     acc_matrix: AccMatrix
     config: dict
     state_digest: str
-    start_task: int  # a resumed run's first task; the rows before it are 0
 
     @property
     def per_task_new_accuracy(self) -> list[float]:
-        """The accuracy of each trained task just after training it."""
-        return [self.acc_matrix.a[t][t]
-                for t in range(self.start_task, self.acc_matrix.T)]
+        """The accuracy of each task just after training it."""
+        return [row[t] for t, row in enumerate(self.acc_matrix.a)]
 
     @property
     def checksum(self) -> str:
@@ -191,21 +188,6 @@ def _encode_array(vec: np.ndarray):
         text = _canonical(vec[start:start + _ENCODE_BLOCK].tolist())
         yield ("," if start else "") + text[1:-1]
     yield "]"
-
-
-def write_atomic(path, text: str) -> None:
-    """Write `text` to `path` through a temporary file in the same
-    directory, so `path` holds either its old content or all of the new.
-    The pid keeps live writers apart; a dead writer's leftover is replaced."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "w")
-    try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _loss_kind(task) -> str:
@@ -379,11 +361,11 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
     failed its branch, goes to on_outcome(index, outcome) once final; else
     one config returns or raises it, and a list returns each config's.
 
-    `resume` is a (net, state, seed) triple from load_state, for configs of
-    one family; training then continues from state.task_count and the
-    result only contains rows for the newly trained tasks. All randomness
-    is keyed by (seed, task, epoch), so a resumed run reproduces the
-    uninterrupted one exactly.
+    `resume` is what load_state returns, for configs of one family;
+    training then continues from state.task_count, and each result holds
+    the saved accuracy rows and pre-training accuracies too. All
+    randomness is keyed by (seed, task, epoch), so a resumed run's result
+    equals the uninterrupted run's.
     """
     single = isinstance(cfg, SequenceConfig)
     configs = [cfg] if single else list(cfg)
@@ -409,8 +391,9 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
             first.arch.activation if first.arch.hidden else "identity",
             _collect_heads(tasks))
     net = state = None
+    rows, pre_train = [], []  # of the tasks trained before this call
     if resume is not None:
-        net, state, seed = resume
+        net, state, (seed, rows, pre_train) = resume
         if seed != first.seed:
             raise ConfigError("resume state was written with a different seed")
         if net.arch() != arch:
@@ -421,11 +404,11 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
                 f"{'all of' if state.task_count == len(tasks) else 'more than'}"
                 f" the sequence's {len(tasks)}")
     outcomes = [None] * len(configs)
-    walk = _Walk(configs, tasks, arch, state.task_count if state else 0,
-                 save_state_to, on_outcome or outcomes.__setitem__)
+    walk = _Walk(configs, tasks, arch, rows, pre_train, save_state_to,
+                 on_outcome or outcomes.__setitem__)
     width = max(1, _LOCKSTEP_BUDGET // _param_count(*arch))
     for seed in dict.fromkeys(s for s, _ in families):
-        walk.run([_Node(walk.start_task, members, net, state)
+        walk.run([_Node(len(rows), members, net, state)
                   for (s, _), members in families.items() if s == seed], width)
     if on_outcome is None:
         if single and isinstance(outcomes[0], Exception):
@@ -436,14 +419,17 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
 class _Walk:
     """The walks of a run_sequence call. It passes each config's outcome
     to sink(index, outcome) once, when final, and keeps the run's
-    bookkeeping so far: its accuracy rows and pre-training accuracies."""
+    bookkeeping so far: its accuracy rows and pre-training accuracies,
+    which start at those of the tasks trained before (`rows`,
+    `pre_train`)."""
 
-    def __init__(self, configs, tasks, arch, start_task, save_state_to, sink):
+    def __init__(self, configs, tasks, arch, rows, pre_train, save_state_to,
+                 sink):
         self.configs, self.tasks, self.arch = configs, tasks, arch
-        self.start_task, self.save_state_to = start_task, save_state_to
-        self.sink = sink
-        self.rows: list[list] = [[] for _ in configs]
-        self.pre_train = [np.full(len(tasks), np.nan) for _ in configs]
+        self.save_state_to, self.sink = save_state_to, sink
+        self.rows: list[list] = [[*rows] for _ in configs]
+        self.pre_train = [np.append(pre_train, [np.nan] * (
+            len(tasks) - len(pre_train))) for _ in configs]
         self.abar: dict[int, np.ndarray] = {}  # seed -> random-init ACC
 
     def run(self, children: list[_Node], width: int) -> None:
@@ -547,16 +533,17 @@ class _Walk:
             try:
                 row = _consolidate(cfg, net, state, self.tasks, t,
                                    node.net.params)
-                if self.save_state_to is not None:
-                    save_state(self.save_state_to, net, state, cfg.seed)
+                for i in node.members:
+                    self.rows[i].append(row)
+                if self.save_state_to is not None:  # of the one config
+                    save_state(self.save_state_to, net, state, (
+                        cfg.seed, self.rows[0], self.pre_train[0][:t + 1]))
                 log.info("method=%s seed=%d task=%d new_acc=%.4f "
                          "running_acc=%.4f%s", cfg.method, cfg.seed, t + 1,
                          row[-1], float(np.mean(row)),
                          f" cells={len(node.members)}"
                          if len(node.members) > 1 else "")
                 children.append(_Node(t + 1, node.members, net, state))
-                for i in node.members:
-                    self.rows[i].append(row)
             except Exception as exc:
                 self.fail(node, exc)
         return children
@@ -574,12 +561,11 @@ class _Walk:
             except Exception as exc:
                 self.fail(node, exc)
                 continue
-            pad = [[0.0] * (j + 1) for j in range(self.start_task)]
             for i in node.members:
-                matrix = AccMatrix([[*row] for row in pad + self.rows[i]],
+                matrix = AccMatrix([[*row] for row in self.rows[i]],
                                    self.abar[cfg.seed], self.pre_train[i])
                 self.sink(i, RunResult(matrix, asdict(self.configs[i]),
-                                       digest, self.start_task))
+                                       digest))
         return []
 
 
@@ -634,8 +620,12 @@ def _probe_network(body, probe_task) -> Network:
 
 # -- run-state persistence ----------------------------------------------------
 
-def save_state(path, net: Network, state: RegState, seed: int) -> None:
-    """Write the full run state as one canonical JSON document."""
+def save_state(path, net: Network, state: RegState, run: tuple) -> None:
+    """Write the full run state as one canonical JSON document. `run` is
+    (seed, rows, pre_train), as load_state returns it: the accuracy rows
+    and the pre-training accuracies (NaN for the first) of the tasks
+    trained so far."""
+    seed, rows, pre_train = run
     input_dim, hidden, activation, heads = net.arch()
     doc = {
         "version": STATE_VERSION,
@@ -644,14 +634,17 @@ def save_state(path, net: Network, state: RegState, seed: int) -> None:
                 "params": net.params.tolist()},
         "reg_state": state.to_json(),
         "rng": {"scheme": "counter", "seed": seed},
-        "task_count": state.task_count,
+        "acc_matrix": rows,
+        "pre_train": _json_floats(pre_train),
     }
     write_atomic(path, _canonical(doc) + "\n")
 
 
 def load_state(path):
-    """Read a run-state file; returns (net, reg_state, seed). A field that
-    is missing or malformed raises a FormatError naming it."""
+    """Read a run-state file; returns (net, reg_state, (seed, rows,
+    pre_train)), with one accuracy row and one pre-training accuracy (NaN
+    for the first) per trained task. A field that is missing or malformed
+    raises a FormatError naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -659,12 +652,13 @@ def load_state(path):
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 ({exc})") from exc
-    for key in ("version", "net", "reg_state", "rng", "task_count"):
-        if not isinstance(doc, dict) or key not in doc:
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != STATE_VERSION:
+        raise FormatError(f"{path}: unsupported version {version!r} in "
+                          f"field 'version'")
+    for key in ("net", "reg_state", "rng", "acc_matrix", "pre_train"):
+        if key not in doc:
             raise FormatError(f"{path}: missing field {key!r}")
-    if type(doc["version"]) is not int or doc["version"] != STATE_VERSION:
-        raise FormatError(f"{path}: unsupported version {doc['version']!r} "
-                          f"in field 'version'")
     netdoc, rng = doc["net"], doc["rng"]
     for key in ("input_dim", "hidden", "activation", "heads", "params"):
         if not isinstance(netdoc, dict) or key not in netdoc:
@@ -688,9 +682,6 @@ def load_state(path):
             and type(rng.get("seed")) is int):
         raise FormatError(f"{path}: field 'rng' must hold scheme 'counter' "
                           f"and an integer seed")
-    if type(doc["task_count"]) is not int or doc["task_count"] < 0:
-        raise FormatError(f"{path}: field 'task_count' must be an "
-                          f"integer >= 0")
     net = Network.create(netdoc["input_dim"], netdoc["hidden"],
                          netdoc["activation"], dict(heads), seed=rng["seed"])
     template = {"net": {"params": net.get_params()},
@@ -702,12 +693,25 @@ def load_state(path):
         state = RegState(anchor=DiagGaussian(**reg.pop("anchor")), **reg)
     except ShapeError as exc:  # a negative precision
         raise FormatError(f"{path}: field 'reg_state.anchor': {exc}") from exc
-    if state.task_count != doc["task_count"]:
-        raise FormatError(f"{path}: field 'task_count' disagrees with reg_state")
     if state.path_accum.any():  # the next task's SI/RWalk path starts at 0
         raise FormatError(f"{path}: field 'reg_state.path_accum' must be 0 "
                           f"between tasks")
-    return net, state, rng["seed"]
+    t, rows, pre = state.task_count, doc["acc_matrix"], doc["pre_train"]
+    if not (isinstance(rows, list) and len(rows) == t
+            and all(isinstance(row, list) and len(row) == j + 1
+                    and all(map(_is_accuracy, row))
+                    for j, row in enumerate(rows))):
+        raise FormatError(f"{path}: field 'acc_matrix' must hold one row per "
+                          f"trained task ({t}), row j of j + 1 accuracies "
+                          f"in [0, 1]")
+    if not (isinstance(pre, list) and len(pre) == t
+            and all(v is None if j == 0 else _is_accuracy(v)
+                    for j, v in enumerate(pre))):
+        raise FormatError(f"{path}: field 'pre_train' must hold one entry "
+                          f"per trained task ({t}): null, then accuracies "
+                          f"in [0, 1]")
+    # numpy reads the null as NaN
+    return net, state, (rng["seed"], rows, np.array(pre, dtype=np.float64))
 
 
 def _parse_like(path, name: str, value, template):

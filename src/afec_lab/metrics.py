@@ -90,6 +90,21 @@ def fwt(m: AccMatrix) -> float:
 
 # -- report emission ----------------------------------------------------------
 
+def write_atomic(path, text: str) -> None:
+    """Write `text` to `path` through a temporary file in the same
+    directory, so `path` holds either its old content or all of the new.
+    The pid keeps live writers apart; a dead writer's leftover is replaced."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b", "#17becf", "#7f7f7f", "#bcbd22")
 
@@ -98,12 +113,12 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def _svg_chart(series: dict[str, tuple[int, np.ndarray, np.ndarray]],
+def _svg_chart(series: dict[str, tuple[np.ndarray, np.ndarray]],
                title: str, width: int = 640, height: int = 400) -> str:
-    """Line chart: one polyline per series, translucent mean+-std band.
-    A series is (first, mean, std), plotted from task index `first` on."""
+    """Line chart: one polyline per (mean, std) series, translucent
+    mean+-std band."""
     pad = 50
-    t_max = max(len(mean) for _, mean, _ in series.values())
+    t_max = max(len(mean) for mean, _ in series.values())
     xs = lambda i: pad + (width - 2 * pad) * (i / max(1, t_max - 1))
     ys = lambda v: height - pad - (height - 2 * pad) * v
     parts = [
@@ -125,8 +140,8 @@ def _svg_chart(series: dict[str, tuple[int, np.ndarray, np.ndarray]],
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="10">{frac:.2f}</text>')
     for idx, name in enumerate(sorted(series)):
-        first, mean, std = series[name]
-        points = range(first, len(mean))
+        mean, std = series[name]
+        points = range(len(mean))
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
         upper = [(xs(i), ys(min(1.0, mean[i] + std[i]))) for i in points]
         lower = [(xs(i), ys(max(0.0, mean[i] - std[i]))) for i in points]
@@ -175,33 +190,22 @@ def emit_report(results, out_dir) -> list[str]:
     if not results:
         raise ShapeError("emit_report needs at least one result")
     results = sorted(results, key=lambda r: (*_setting(r), r.config["seed"]))
-    written = []
     rows = []
     t_max = max(r.acc_matrix.T for r in results)
     header = ["method", "seed", "lambda", "lambda_e", "T", "ACC", "BWT",
               "FWT"] + [f"A_diag_{i + 1}" for i in range(t_max)]
     for r in results:
-        m = r.acc_matrix
-        # a resumed run's rows before start_task are padding, not measured
-        diag = [""] * r.start_task + [_fmt(v) for v in r.per_task_new_accuracy]
-        diag += [""] * (t_max - m.T)
-        method, lam, lam_e = _setting(r)
+        m, (method, lam, lam_e) = r.acc_matrix, _setting(r)
         rows.append([method, str(r.config["seed"]), f"{lam:g}", f"{lam_e:g}",
-                     str(m.T), _fmt(acc(m)),
-                     "" if r.start_task else _metric_or_blank(bwt, m),
-                     _metric_or_blank(fwt, m)] + diag)
-    summary = "\n".join(",".join(row) for row in [header] + rows) + "\n"
-    with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-        fh.write(summary)
-    written.append("summary.csv")
-
+                     str(m.T), _fmt(acc(m)), _metric_or_blank(bwt, m),
+                     _metric_or_blank(fwt, m),
+                     *map(_fmt, r.per_task_new_accuracy)]
+                    + [""] * (t_max - m.T))
+    files = {"summary.csv": "\n".join(map(",".join, [header] + rows)) + "\n"}
     for r in results:
-        name = f"matrix_{cell_name(r.config)}.json"
         doc = {"A": r.acc_matrix.a, "Abar": r.acc_matrix.abar.tolist()}
-        with open(os.path.join(out_dir, name), "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-        written.append(name)
+        files[f"matrix_{cell_name(r.config)}.json"] = json.dumps(
+            doc, sort_keys=True) + "\n"
 
     by_setting: dict[str, list] = {}
     for r in results:
@@ -211,20 +215,15 @@ def emit_report(results, out_dir) -> list[str]:
     avg_series, new_series = {}, {}
     for label, runs in by_setting.items():
         t_run = max(r.acc_matrix.T for r in runs)
-        runs = [r for r in runs if r.acc_matrix.T == t_run]
-        mats = [r.acc_matrix for r in runs]
-        # a resumed run's rows before its start_task are padding, not
-        # measured, so a series starts where all of its runs measured
-        first = max(r.start_task for r in runs)
+        mats = [r.acc_matrix for r in runs if r.acc_matrix.T == t_run]
         curves = np.stack([_running_mean_accuracy(m) for m in mats])
-        avg_series[label] = (first, curves.mean(axis=0), curves.std(axis=0))
+        avg_series[label] = (curves.mean(axis=0), curves.std(axis=0))
         diags = np.stack([[m.a[i][i] for i in range(t_run)] for m in mats])
-        new_series[label] = (first, diags.mean(axis=0), diags.std(axis=0))
+        new_series[label] = (diags.mean(axis=0), diags.std(axis=0))
     for fname, series, title in (
             ("avg_accuracy.svg", avg_series, "Averaged accuracy vs tasks learned"),
             ("new_task_accuracy.svg", new_series, "New-task accuracy per task")):
-        with open(os.path.join(out_dir, fname), "w") as fh:
-            fh.write(_svg_chart(series, title))
-            fh.write("\n")
-        written.append(fname)
-    return written
+        files[fname] = _svg_chart(series, title) + "\n"
+    for name, text in files.items():
+        write_atomic(os.path.join(out_dir, name), text)
+    return [*files]

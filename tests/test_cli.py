@@ -258,7 +258,7 @@ class TestResultSerialization:
         assert back.checksum == result.checksum
 
     def test_roundtrip_of_a_resumed_run(self, tmp_path):
-        # a run resumed at task 1 of 2 reports one new-task accuracy
+        # a run resumed at task 1 of 2 reads back as the whole run
         layouts = [AngularLayout.identity(4), AngularLayout.identity(4)]
         task_list = [gen_angular_task(layout, 20, 6, 0.5, k, name=f"t{k}")
                      for k, layout in enumerate(layouts)]
@@ -269,19 +269,10 @@ class TestResultSerialization:
         result = run_sequence(cfg, task_list,
                               resume=continual.load_state(path))
         doc = result_to_json(result)
-        assert (doc["start_task"], len(doc["per_task_new_accuracy"])) == (1, 1)
+        assert len(doc["per_task_new_accuracy"]) == 2
         back = result_from_json(json.loads(json.dumps(doc)))
         assert back.checksum == result.checksum
         assert back.per_task_new_accuracy == result.per_task_new_accuracy
-        # the run measured no diagonal entry of task 1, so it has no BWT
-        metrics.emit_report([back], tmp_path / "report")
-        row = (tmp_path / "report" / "summary.csv").read_text().splitlines()[1]
-        assert row.split(",")[6] == row.split(",")[8] == ""
-        # nor a point of task 1 in either chart: each starts at task 2
-        for name in ("avg_accuracy.svg", "new_task_accuracy.svg"):
-            svg = (tmp_path / "report" / name).read_text()
-            line, = re.findall(r'<polyline points="([^"]*)"', svg)
-            assert [pt.split(",")[0] for pt in line.split()] == ["590.0000"]
 
 
 class TestMainExitCodes:
@@ -1142,14 +1133,6 @@ class TestDatagenAndReport:
          "FormatError: field 'state_digest' must be a 64-character"),
         (_with_fields(state_digest="a" * 63),
          "FormatError: field 'state_digest' must be a 64-character"),
-        (_with_fields(start_task="x"),
-         "FormatError: field 'start_task' must be an integer in [0, 2)"),
-        (_with_fields(start_task=-4),
-         "FormatError: field 'start_task' must be an integer in [0, 2)"),
-        (_with_fields(start_task=2),
-         "FormatError: field 'start_task' must be an integer in [0, 2)"),
-        (_with_fields(start_task=False),
-         "FormatError: field 'start_task' must be an integer in [0, 2)"),
         (_with_fields(abar=[0.333, True]),
          "ShapeError: abar must hold 2 accuracies, each in [0, 1]"),
         (_with_fields(pre_train=[None, float("nan")]),
@@ -1173,28 +1156,23 @@ class TestDatagenAndReport:
          "result_finetune_lam0_lame0_seed1.json"),
         (_with_fields(extra=1),
          "FormatError: field 'extra' is not what a run writes"),
-        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
-                                  if k != "start_task"}),
-         "KeyError: 'start_task'"),
         *[(_with_fields(pre_train=value),
            "FormatError: field 'pre_train' must be a list")
           for value in (5, 0.5, True, None)],
         *[(_with_first_pre_train(value),
-           "FormatError: field 'pre_train' must be null for exactly the "
-           "tasks before task 2") for value in (0, 0.5)],
+           "FormatError: field 'pre_train' must be null exactly at task 1")
+          for value in (0, 0.5)],
         (_with_fields(pre_train=[None, None]),
-         "FormatError: field 'pre_train' must be null for exactly the "
-         "tasks before task 2")],
+         "FormatError: field 'pre_train' must be null exactly at task 1")],
         ids=["no_fields", "truncated", "accuracy_2", "no_method", "lam_x",
              "config_list", "pre_train_short", "pre_train_x",
              "empty_matrix", "acc_bool", "pre_train_bool",
              "abar_out_of_range", "new_acc_x", "new_acc_out_of_range",
              "new_acc_short", "new_acc_bool", "new_acc_scalar",
-             "digest_int", "digest_upper", "digest_short", "start_x",
-             "start_negative", "start_past_end", "start_bool", "abar_bool",
+             "digest_int", "digest_upper", "digest_short", "abar_bool",
              "pre_train_nan", "method_slash", "method_x", "lam_negative",
              "lam_e_negative", "no_lam", "another_cells_file", "extra_field",
-             "no_start_task", "pre_train_5", "pre_train_half",
+             "pre_train_5", "pre_train_half",
              "pre_train_true", "pre_train_null", "pre_train_0_zero",
              "pre_train_0_half", "pre_train_1_null"])
     def test_report_names_an_unreadable_result(self, tmp_path, capsys,

@@ -1,6 +1,7 @@
 """Transfer metrics and report emission."""
 
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -180,7 +181,7 @@ class FakeResult(RunResult):
     def __init__(self, method, seed, matrix, lam=1.0, lam_e=0.0):
         super().__init__(acc_matrix=matrix, config={
             "method": method, "lam": lam, "lam_e": lam_e, "seed": seed},
-            state_digest="0" * 64, start_task=0)
+            state_digest="0" * 64)
 
 
 def two_results():
@@ -222,6 +223,20 @@ class TestEmitReport:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
+    def test_failed_replace_keeps_previous_report(self, tmp_path,
+                                                  monkeypatch):
+        emit_report(two_results(), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+        monkeypatch.setattr(os, "replace", fail)
+        rng = np.random.default_rng(7)
+        with pytest.raises(OSError, match="replace failed"):
+            emit_report([FakeResult("ewc", 0, random_matrix(rng, 3))],
+                        tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_empty_results_rejected(self, tmp_path):
         with pytest.raises(ShapeError):
             emit_report([], tmp_path)
@@ -257,26 +272,6 @@ class TestEmitReport:
         means = [np.mean([m.a[i][i] for m in afec]) for i in range(2)]
         np.testing.assert_allclose(ys, [350 - 300 * v for v in means],
                                    atol=1e-4)
-
-    def test_series_skip_a_resumed_runs_padding(self, tmp_path):
-        # an afec seed resumed at task 2 measured nothing of task 1, so the
-        # afec series start at task 2; the ewc series start at task 1
-        rng = np.random.default_rng(6)
-        results = [FakeResult("ewc", 0, random_matrix(rng, 3)),
-                   FakeResult("afec", 0, random_matrix(rng, 3)),
-                   FakeResult("afec", 1, random_matrix(rng, 3))]
-        results[2].start_task = 1
-        emit_report(results, tmp_path)
-        svg = "{http://www.w3.org/2000/svg}"
-        for name in ("avg_accuracy.svg", "new_task_accuracy.svg"):
-            root = ET.fromstring((tmp_path / name).read_text())
-            lines = [[pt.split(",")[0] for pt in el.get("points").split()]
-                     for el in root.findall(f".//{svg}polyline")]
-            assert lines == [["320.0000", "590.0000"],  # afec, then ewc
-                             ["50.0000", "320.0000", "590.0000"]]
-            bands = [len(el.get("points").split())
-                     for el in root.findall(f".//{svg}polygon")]
-            assert bands == [4, 6]
 
     def test_grid_runs_keyed_by_setting_and_seed(self, tmp_path):
         # one method over a 2x2 lambda x lambda_e grid and two seeds

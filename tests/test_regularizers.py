@@ -124,7 +124,8 @@ class TestRegState:
                                     np.array([0.0, 3.0, 0.5, 7.0]))
         state.task_count = 3
         path = str(tmp_path / "state.json")
-        save_state(path, net, state, seed=0)
+        save_state(path, net, state,
+                   (0, [[1.0] * (j + 1) for j in range(3)], [np.nan, 1.0, 1.0]))
         _, back, _ = load_state(path)
         np.testing.assert_array_equal(back.importance, state.importance)
         np.testing.assert_array_equal(back.anchor.mean, state.anchor.mean)
