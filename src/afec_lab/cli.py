@@ -362,10 +362,12 @@ def cmd_run(config: ExperimentConfig, jobs: int) -> int:
         raise ConfigError("lambda / lambda_e: run takes single values; "
                           "use the grid subcommand for lists")
     results, failures = _run_and_write(config, jobs)
-    if failures:
-        return 1
-    emit_report([result for _, result in results], config.out_dir)
-    return 0
+    if results:
+        emit_report([result for _, result in results], config.out_dir)
+        if failures:
+            log.warning("report covers %d of %d cells", len(results),
+                        len(results) + len(failures))
+    return 1 if failures else 0
 
 
 def _setting(cell: SequenceConfig) -> tuple[str, str, str]:

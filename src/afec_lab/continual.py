@@ -286,15 +286,12 @@ def penalty_terms(cfg: SequenceConfig, state: RegState,
 
 def penalized_grad(params: np.ndarray, grad: np.ndarray,
                    terms: list[tuple]) -> np.ndarray:
-    """`grad` plus each term's penalty gradient, added in order into one new
-    vector (or `grad` itself when there is no term); `grad` is not modified.
-    Summing the penalties first would round differently."""
-    if not terms:
-        return grad
-    total = grad.copy()
+    """Add each term's penalty gradient into `grad`, in order, and return
+    it: `grad` is overwritten. Summing the penalties first would round
+    differently."""
     for anchor, lam in terms:
-        quadratic_penalty(params, anchor, lam, add_to=total)
-    return total
+        quadratic_penalty(params, anchor, lam, add_to=grad)
+    return grad
 
 
 # A lock-step group's [S, P] buffer holds at most this many parameters, or
@@ -513,8 +510,11 @@ class _Walk:
 
         def step(i, net, grad):
             before = net.get_params() if paths[i] else None
-            opts[i].step(net.params,
-                         penalized_grad(net.params, grad, group[i].terms))
+            # penalized in place, but into a copy where the path update
+            # below needs the unpenalized gradient
+            opts[i].step(net.params, penalized_grad(
+                net.params, grad.copy() if paths[i] and group[i].terms
+                else grad, group[i].terms))
             if paths[i]:
                 importance_update(paths[i], states[i], "step", grad=grad,
                                   delta=net.params - before)
@@ -571,19 +571,20 @@ class _Walk:
 
 def _consolidate(cfg: SequenceConfig, net: Network, state: RegState, tasks,
                  t: int, start: np.ndarray) -> list[float]:
-    """Evaluate every task so far, then anchor `state` at a copy of the
-    network trained on task t from `start`. Returns the accuracies."""
+    """Evaluate every task so far, then anchor `state` at the parameters
+    of the network trained on task t from `start`, which train_lockstep
+    left read-only. Returns the accuracies."""
     task = tasks[t]
     row = [evaluate(net, tasks[k]) for k in range(t + 1)]
     if cfg.base_method in _IMPORTANCE_METHODS:
         importance_update(cfg.base_method, state, "task_end", net=net,
                           task=task, start=start)
-        # the copy that task_end keeps as prev_params
+        # the parameters that task_end keeps as prev_params
         state.anchor = DiagGaussian(state.prev_params, state.anchor.precision)
     else:
         fisher = estimate_diag_fisher(net, task, _loss_kind(task))
         state.anchor = DiagGaussian(
-            net.get_params(),
+            net.params,
             fisher_running_average(state.anchor.precision, fisher, t + 1))
     state.task_count = t + 1
     return row

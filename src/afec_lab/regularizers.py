@@ -123,8 +123,9 @@ def train_lockstep(nets: list[Network], task, *, epochs: int, batch_size: int,
     training, with the network that now holds its parameters and its own
     gradient row. A network whose forward pass or step raises stops there,
     as it would alone; the others go on. Returns, per network, the trained
-    network (a view of a stacked buffer; the given networks are not
-    touched) or the exception that stopped it."""
+    network or the exception that stopped it. A trained network is a
+    read-only view of a stacked buffer, so it can serve as an anchor that
+    never moves; the given networks are not touched."""
     outcomes: list = [None] * len(nets)
     live = [*range(len(nets))]
     stacked, rows = Network.stack(nets)
@@ -157,6 +158,7 @@ def train_lockstep(nets: list[Network], task, *, epochs: int, batch_size: int,
                     if live:
                         stacked, rows = Network.stack(rows)
     for i, net in zip(live, rows):
+        net.params.flags.writeable = False
         outcomes[i] = net
     return outcomes
 
@@ -209,8 +211,8 @@ def importance_update(method: str, state: RegState, event: str, *,
     loss gradient and the parameter change it made.
     event "task_end" (`net`, for SI/RWalk `start`, the parameters the task
     started from, and for MAS `task`): consolidates the task's path into
-    the importance and zeroes it; `prev_params` becomes a copy of the
-    trained parameters.
+    the importance and zeroes it; `prev_params` becomes `net.params`, the
+    trained parameters, which must be read-only (see train_lockstep).
     """
     if method not in ("mas", "si", "rwalk"):
         raise ConfigError(f"unknown importance method {method!r}")
@@ -222,7 +224,7 @@ def importance_update(method: str, state: RegState, event: str, *,
                                 + (1.0 - RWALK_EMA_DECAY) * grad ** 2)
         return state
     if event == "task_end":
-        params = net.get_params()
+        params = net.params
         if method == "mas":
             state.importance = state.importance + _mas_increment(net, task)
         else:

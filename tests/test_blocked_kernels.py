@@ -1,5 +1,6 @@
 """The block-by-block optimizer steps and penalty gradient: the bits of the
-textbook whole-vector formulas, and no whole-vector temporaries."""
+textbook whole-vector formulas, and no whole-vector temporaries, in a step
+or in a task's training."""
 
 import tracemalloc
 
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afec_lab.continual import penalized_grad
+from afec_lab import continual
+from afec_lab.continual import SequenceConfig, penalized_grad, run_sequence
 from afec_lab.errors import NumericError, ShapeError
 from afec_lab.nn import BLOCK, SGD, Adam
 from afec_lab.posterior import DiagGaussian
 from afec_lab.regularizers import quadratic_penalty
+from afec_lab.tasks import make_angular_sequence
 
 # Sizes around the block size, and one that ends in a partial block.
 SIZES = [5, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
@@ -99,14 +102,12 @@ class TestBitIdentity:
         params, grad = vecs[0], vecs[1]
         terms = [(DiagGaussian(mean, np.abs(prec)), lam) for mean, prec, lam
                  in zip(vecs[2::2], vecs[3::2], lams)]
-        grad_before = grad.copy()
-        want = grad
+        want = grad.copy()
         for anchor, lam in terms:
             want = want + lam * (anchor.precision * (params - anchor.mean))
         got = penalized_grad(params, grad, terms)
+        assert got is grad
         assert _bits(got) == _bits(want)
-        assert _bits(grad) == _bits(grad_before)
-        assert not np.shares_memory(got, grad)
 
     def test_penalty_adds_into_the_given_vector(self):
         rng = np.random.default_rng(3)
@@ -159,12 +160,42 @@ class TestStepMemory:
         # not even a whole-vector mask of bools
         assert _peak_bytes(opt.step, params, grad) < params.nbytes // 8
 
-    def test_penalized_grad_allocates_only_its_result(self):
+    def test_penalized_grad_allocates_only_scratch(self):
         rng = np.random.default_rng(1)
         params, grad, m1, p1, m2, p2 = (rng.standard_normal(WIDE_P)
                                         for _ in range(6))
         terms = [(DiagGaussian(m1, np.abs(p1)), 100.0),
                  (DiagGaussian(m2, np.abs(p2)), 10.0)]
         peak = _peak_bytes(penalized_grad, params, grad, terms)
-        # the result, and less than two blocks of scratch besides
-        assert params.nbytes <= peak < params.nbytes + 2 * 8 * BLOCK
+        # the sum goes into `grad`: less than two blocks of scratch
+        assert peak < 2 * 8 * BLOCK
+
+    def test_afec_task_copies_no_parameter_vector(self, monkeypatch):
+        # P >= 2^16, so the walk trains one row at a time; at task 2 it
+        # has the old and the expanded anchor as penalty terms.
+        tasks = make_angular_sequence(2, 4, 0, samples_per_class=10,
+                                      input_dim=256)
+        seen = []
+
+        def train(walk, group, _fn=continual._Walk.train):
+            if group[0].t == 0:
+                return _fn(walk, group)
+            tracemalloc.start()
+            try:
+                return _fn(walk, group)
+            finally:
+                seen.append((group, tracemalloc.get_traced_memory()[1]))
+                tracemalloc.stop()
+        monkeypatch.setattr(continual._Walk, "train", train)
+        run_sequence(SequenceConfig(method="afec", lam=1.0, lam_e=1.0,
+                                    epochs=1, batch_size=8,
+                                    arch={"hidden": [256],
+                                          "activation": "relu"}), tasks)
+        [([node], peak)] = seen
+        assert node.net.param_count >= 2 ** 16 and len(node.terms) == 2
+        vector = 8 * node.net.param_count
+        # the trained row, Adam's two moments and the gradient row, and
+        # the optimizer's and the penalty's blocks of scratch; a copy of
+        # the penalized gradient or of the trained parameters is a fifth
+        # vector
+        assert peak < 4 * vector + 4 * 8 * BLOCK

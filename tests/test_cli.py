@@ -1366,17 +1366,31 @@ class TestCellFailures:
         assert capsys.readouterr().out.startswith(
             "best: method=finetune lambda=1 ")
 
-    def test_run_keeps_finished_results(self, tmp_path, capsys):
-        out = tmp_path / "r"
-        doc = minimal_config(out, methods=["finetune", "ewc"],
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("methods", [["finetune", "ewc"], ["ewc"]])
+    def test_run_reports_finished_cells(self, tmp_path, capsys, jobs,
+                                        methods):
+        # finetune ignores lambda, so only ewc diverges
+        out, whole = tmp_path / "r", tmp_path / "whole"
+        doc = minimal_config(out, methods=methods,
                              optimizer={"kind": "sgd", "lr": 0.01},
                              **{"lambda": 1e9})
-        assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+        assert main(["run", "--config", write_config(tmp_path, doc),
+                     "--jobs", jobs]) == 1
         err = capsys.readouterr().err
         assert f"ERROR cell {self.FAILED} failed" in err
-        # finetune ignores lambda; no summary is written for a partial run
-        assert [p.name for p in out.iterdir()] == [
-            "result_finetune_lam1e+09_lame0_seed0.json"]
+        finished = methods[:-1]
+        if finished:
+            assert "WARNING report covers 1 of 2 cells" in err
+        else:
+            assert "report covers" not in err
+        # the files of a run of the finished cells alone; none without one
+        whole.mkdir()
+        if finished:
+            doc.update(methods=finished, out_dir=str(whole))
+            assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+        assert ({p.name: p.read_bytes() for p in out.iterdir()}
+                == {p.name: p.read_bytes() for p in whole.iterdir()})
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_grid_of_failed_cells_keeps_its_table(self, tmp_path, capsys,

@@ -330,9 +330,11 @@ class TestTransferProbe:
 
 
 class TestSnapshotsOwnTheirMemory:
-    """The optimizers step `net.params` in place, so every value that must
-    not move with it (the anchors and SI/RWalk's previous parameters) has
-    to be a copy. An alias would silently change every later penalty."""
+    """The optimizers step `net.params` in place. The expanded anchor is
+    taken from a network that trains on, so it must be a copy. A trained
+    network's anchors (the mean, and SI/RWalk's previous parameters) are
+    its own parameters, which train_lockstep leaves read-only: a write
+    raises instead of silently moving every later penalty."""
 
     def _assert_own_memory(self, net, arrays):
         for a in arrays:
@@ -355,8 +357,17 @@ class TestSnapshotsOwnTheirMemory:
         run_sequence(quick_cfg(method, lam=1.0, lam_e=1.0, epochs=1),
                      _RESUME_TASKS[:2])
         [node] = finished
-        self._assert_own_memory(node.net, [node.state.anchor.mean,
-                                           node.state.prev_params])
+        anchors = [node.state.anchor.mean]
+        if quick_cfg(method).base_method == "ewc":  # no importance path
+            assert not node.state.prev_params.any()
+        else:
+            anchors.append(node.state.prev_params)
+        assert all(np.shares_memory(a, node.net.params) for a in anchors)
+        kept = [a.copy() for a in anchors]
+        with pytest.raises(ValueError, match="read-only"):
+            node.net.params += 1.0
+        for a, k in zip(anchors, kept):
+            assert a.tobytes() == k.tobytes()
 
     @pytest.mark.parametrize("init", EXPANSION_INITS)
     def test_expanded_anchor(self, init):
