@@ -20,7 +20,7 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "tanh":
         return np.tanh(z)
     if name == "identity":
@@ -28,13 +28,15 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown activation {name!r}")
 
 
-def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _activate_grad(name: str, a: np.ndarray):
+    """The derivative from the output `a` alone: relu's a = max(z, 0) is
+    > 0 exactly where z is, also at -0.0 and subnormals."""
     if name == "relu":
-        return z > 0.0  # multiplying by a bool mask multiplies by 1.0 or 0.0
+        return a > 0.0  # multiplying by a bool mask multiplies by 1.0 or 0.0
     if name == "tanh":
         return 1.0 - a * a
     if name == "identity":
-        return np.ones_like(z)
+        return 1.0
     raise ConfigError(f"unknown activation {name!r}")
 
 
@@ -235,6 +237,7 @@ class Network:
     # -- forward / backward -------------------------------------------------
 
     def _forward_cached(self, inputs: np.ndarray, head: str):
+        """(outputs, activations entering each layer) for `_backward`."""
         if head not in self.heads:
             raise ConfigError(f"unknown head {head!r}")
         if inputs.shape[1] != (self.body[0].in_dim if self.body
@@ -243,19 +246,17 @@ class Network:
         # Stacked, every product is [n, d] or [S, n, d] @ [S, d, h]: one
         # gemm per row, as an unstacked network of that row would make.
         acts = [inputs]  # activations entering each layer, head last
-        zs = []  # body pre-activations
         x = inputs
         for i, layer in enumerate(self.body):
             z = x @ layer.w
             z += layer.b[..., None, :]
             x = _activate(layer.activation, z)
             _check_finite(x, f"body layer {i}")
-            zs.append(z)
             acts.append(x)
         out = x @ self.heads[head].w
         out += self.heads[head].b[..., None, :]
         _check_finite(out, f"head {head!r}")
-        return out, (acts, zs)
+        return out, acts
 
     def forward(self, batch: Batch) -> np.ndarray:
         out, _ = self._forward_cached(batch.inputs, batch.head)
@@ -293,36 +294,39 @@ class Network:
             return _per_row(loss), delta / n
         raise ConfigError(f"unknown loss kind {loss_kind!r}")
 
-    def _backward(self, head: str, cache, delta: np.ndarray,
+    def _backward(self, head: str, acts: list, delta: np.ndarray,
                   pw=None) -> np.ndarray:
         """Backprop an output-space gradient into a flat parameter gradient.
 
-        `cache` comes from `_forward_cached`. An elementwise `pw` is applied
-        to each layer's inputs and output-space gradients before the sum
-        over samples (see per_sample_grad_moment).
+        `acts` from `_forward_cached` is consumed, popped as the pass
+        descends. An elementwise ufunc `pw` is applied to each layer's
+        inputs and output-space gradients before the sum over samples (see
+        per_sample_grad_moment), in place except on the batch inputs
+        `acts[0]` and on `delta`: neither is ever written.
         """
-        acts, zs = cache
         chain = self._chains[head]
         grad = np.zeros(self.params.shape)
         d = delta
         for i in range(len(chain) - 1, -1, -1):
             layer, ws, bs = chain[i]
-            if i < len(self.body):
-                d = d * _activate_grad(layer.activation, zs[i], acts[i + 1])
-            x, g = (acts[i], d) if pw is None else (pw(acts[i]), pw(d))
+            x, g = acts.pop(), d
+            if i > 0:  # x is layer i - 1's output; read it before pw writes
+                d = g @ np.swapaxes(layer.w, -1, -2)
+                d *= _activate_grad(chain[i - 1][0].activation, x)
+            if pw is not None:
+                x = pw(x, out=x) if i > 0 else pw(x)
+                g = pw(g) if g is delta else pw(g, out=g)
             np.matmul(np.swapaxes(x, -1, -2), g,
                       out=grad[..., ws].reshape(layer.w.shape))
             np.add.reduce(g, axis=-2, out=grad[..., bs])
-            if i > 0:
-                d = d @ np.swapaxes(layer.w, -1, -2)
         return grad
 
     def loss_and_grad(self, batch: Batch, loss_kind: str):
         """Exact reverse-mode gradient of the batch loss; grad is flat. A
         stacked network returns each row's loss and an [S, P] gradient."""
-        out, cache = self._forward_cached(batch.inputs, batch.head)
+        out, acts = self._forward_cached(batch.inputs, batch.head)
         loss, delta = self._loss_delta(out, batch, loss_kind)
-        return loss, self._backward(batch.head, cache, delta)
+        return loss, self._backward(batch.head, acts, delta)
 
     def loss_only(self, batch: Batch, loss_kind: str) -> float:
         out, _ = self._forward_cached(batch.inputs, batch.head)
@@ -335,17 +339,18 @@ class Network:
 
         `delta_of(outputs)` is the per-sample output-space gradient
         [n, d_out] (no batch averaging) at the outputs of this one forward
-        pass. For a dense layer the per-sample weight gradient is the outer
-        product of its input activation and delta, so elementwise powers
-        factorize and the whole moment reduces to one matrix product per
-        layer. Used for diagonal Fisher estimates (power=2) and gradient-
-        magnitude importances (power=1).
+        pass; that array is not written. For a dense layer the per-sample
+        weight gradient is the outer product of its input activation and
+        delta, so elementwise powers factorize and the whole moment reduces
+        to one matrix product per layer. Used for diagonal Fisher estimates
+        (power=2) and gradient-magnitude importances (power=1).
         """
         if power not in (1, 2):
             raise ConfigError("power must be 1 or 2")
-        out, cache = self._forward_cached(batch.inputs, batch.head)
+        out, acts = self._forward_cached(batch.inputs, batch.head)
         pw = np.square if power == 2 else np.abs
-        moment = self._backward(batch.head, cache, delta_of(out), pw) / batch.n
+        moment = self._backward(batch.head, acts, delta_of(out), pw)
+        moment /= batch.n
         if not np.isfinite(moment).all():
             raise NumericError("non-finite per-sample gradient moment")
         return moment

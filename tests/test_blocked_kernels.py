@@ -1,6 +1,6 @@
 """The block-by-block optimizer steps and penalty gradient: the bits of the
 textbook whole-vector formulas, and no whole-vector temporaries, in a step
-or in a task's training."""
+or in a task's training; and the backward pass's bound on its temporaries."""
 
 import tracemalloc
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from afec_lab import continual
 from afec_lab.continual import SequenceConfig, penalized_grad, run_sequence
 from afec_lab.errors import NumericError, ShapeError
-from afec_lab.nn import BLOCK, SGD, Adam
+from afec_lab.nn import BLOCK, SGD, Adam, Batch, Network
 from afec_lab.posterior import DiagGaussian
 from afec_lab.regularizers import quadratic_penalty
 from afec_lab.tasks import make_angular_sequence
@@ -199,3 +199,34 @@ class TestStepMemory:
         # the penalized gradient or of the trained parameters is a fifth
         # vector
         assert peak < 4 * vector + 4 * 8 * BLOCK
+
+
+class TestBackwardMemory:
+    """The backward pass holds no pre-activations and runs the per-sample
+    pass in place. With a pre-activation cache and out-of-place powers,
+    the per-sample pass held 8.4 [n, 64] arrays above its result and the
+    stacked pass 7.6 [S, n, 64] arrays above its gradient."""
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_per_sample_pass_holds_four_activations(self, power):
+        net = Network.create(16, [64, 64], "relu", {"out": 2}, seed=0)
+        rng = np.random.default_rng(0)
+        batch = Batch(rng.standard_normal((800, 16)),
+                      rng.standard_normal((800, 2)), "out")
+        net.per_sample_grad_moment(batch, lambda out: 2.0 * out, power)
+        peak = _peak_bytes(net.per_sample_grad_moment, batch,
+                           lambda out: 2.0 * out, power)
+        # the result and four [n, 64] arrays
+        assert peak <= 8 * net.param_count + 4 * 8 * batch.n * 64
+
+    def test_stacked_loss_and_grad_holds_four_activations(self):
+        stacked, _ = Network.stack([
+            Network.create(16, [64, 64], "relu", {"out": 2}, seed=s)
+            for s in range(5)])
+        rng = np.random.default_rng(1)
+        batch = Batch(rng.standard_normal((64, 16)),
+                      rng.standard_normal((64, 2)), "out")
+        stacked.loss_and_grad(batch, "mse")
+        peak = _peak_bytes(stacked.loss_and_grad, batch, "mse")
+        # the [S, P] gradient and four [S, n, 64] arrays
+        assert peak <= stacked.params.nbytes + 4 * 8 * 5 * batch.n * 64

@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afec_lab.errors import ConfigError, NumericError, ShapeError
-from afec_lab.nn import (Adam, Batch, DenseLayer, Network, SGD,
-                         finite_diff_check, make_optimizer)
+from afec_lab.nn import (ACTIVATIONS, Adam, Batch, DenseLayer, Network, SGD,
+                         _activate, _activate_grad, finite_diff_check,
+                         make_optimizer)
+from afec_lab.posterior import estimate_diag_fisher
+from afec_lab.regularizers import _mas_increment
+from afec_lab.tasks import TaskDataset, make_angular_sequence
 
 
 def random_net(seed, input_dim=5, hidden=(8, 6), heads=None, activation="tanh"):
@@ -363,6 +367,134 @@ class TestPerSampleGradMoment:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(NumericError, match="per-sample gradient"):
             net.per_sample_grad_moment(batch, lambda out: delta, power=power)
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).tobytes()
+
+
+def _classification_task():
+    rng = np.random.default_rng(7)
+    return TaskDataset(name="c", inputs_train=rng.standard_normal((12, 5)),
+                       inputs_test=rng.standard_normal((4, 5)),
+                       targets_train=rng.integers(0, 3, 12),
+                       targets_test=rng.integers(0, 3, 4),
+                       kind="classification", head_dim=3, seed=0, head="c")
+
+
+class TestNoWritesIntoCallerArrays:
+    """The backward pass writes in place into what it owns, and never into
+    the batch inputs or the output gradient it is given. A float64 task's
+    train batch is the task's own input matrix, so a write there would
+    change every later result."""
+
+    # The NLL delta of a classification task is one network's, so the
+    # stacked net runs the regression task only.
+    @pytest.mark.parametrize("net_kind,task_kind", [
+        *((kind, task) for kind in (*ACTIVATIONS, "linear")
+          for task in ("regression", "classification")),
+        ("stacked", "regression")])
+    def test_inputs_and_delta_unchanged(self, net_kind, task_kind):
+        if task_kind == "regression":
+            task, loss_kind = make_angular_sequence(
+                1, 4, samples_per_class=3, input_dim=5)[0], "angular_mse"
+        else:
+            task, loss_kind = _classification_task(), "cross_entropy"
+        arch = {task.head: task.head_dim}
+        if net_kind == "stacked":
+            net, _ = Network.stack([Network.create(5, [8, 6], "relu", arch, s)
+                                    for s in range(3)])
+        else:
+            net = Network.create(5, [] if net_kind == "linear" else [8, 6],
+                                 "relu" if net_kind == "linear" else net_kind,
+                                 arch, 1)
+        batch = task.batch("train")
+        assert batch.inputs is task.inputs_train
+        delta = np.random.default_rng(2).standard_normal(
+            net.forward(batch).shape)
+        kept_inputs, kept_delta = _bits(task.inputs_train), _bits(delta)
+        net.loss_and_grad(batch, loss_kind)
+        for power in (1, 2):
+            net.per_sample_grad_moment(batch, lambda out: delta, power)
+        estimate_diag_fisher(net, task, loss_kind)
+        _mas_increment(net, task)
+        assert _bits(batch.inputs) == kept_inputs
+        assert _bits(task.inputs_train) == kept_inputs
+        assert _bits(delta) == kept_delta
+
+
+def _reference_grad(net, batch, delta_of, pw=None):
+    """The gradient of a ReLU net by a backward pass that keeps the
+    pre-activations z and masks on z > 0."""
+    x = batch.inputs
+    xs, zs = [x], []
+    for layer in net.body:
+        z = x @ layer.w
+        z += layer.b
+        x = np.maximum(z, 0.0)
+        zs.append(z)
+        xs.append(x)
+    head = net.heads[batch.head]
+    out = x @ head.w
+    out += head.b
+    layers = [*net.body, head]
+    d = delta_of(out)
+    parts = []
+    for i in range(len(layers) - 1, -1, -1):
+        if i < len(net.body):
+            d = d * (zs[i] > 0.0)
+        x, g = (xs[i], d) if pw is None else (pw(xs[i]), pw(d))
+        parts[:0] = [(x.T @ g).ravel(), np.add.reduce(g, axis=0)]
+        if i > 0:
+            d = d @ layers[i].w.T
+    return np.concatenate(parts)
+
+
+class TestReluMaskEdges:
+    # First-layer weights: times the inputs 1, -1, 2, 0.5 and 0, they give
+    # pre-activations at 0.0, at subnormals of either sign and at large
+    # values.
+    EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1e100, -1e100, 1.5, -1.5]
+
+    @staticmethod
+    def _net_and_batch():
+        rng = np.random.default_rng(11)
+        body = [DenseLayer(np.array([TestReluMaskEdges.EDGES]), np.zeros(8),
+                           "relu"),
+                DenseLayer(rng.standard_normal((8, 4)), np.zeros(4), "relu")]
+        net = Network(body, {"out": DenseLayer(
+            rng.standard_normal((4, 2)), rng.standard_normal(2))})
+        x = np.array([[1.0], [-1.0], [2.0], [0.5], [0.0]])
+        return net, Batch(x, rng.standard_normal((5, 2)), "out")
+
+    def test_edges_reached(self):
+        net, batch = self._net_and_batch()
+        z = batch.inputs @ net.body[0].w
+        for value in (0.0, 5e-324, -5e-324, 1e100, -1e100):
+            assert (z == value).any()
+
+    def test_loss_and_grad_matches_mask_on_pre_activations(self):
+        net, batch = self._net_and_batch()
+        _, grad = net.loss_and_grad(batch, "mse")
+        want = _reference_grad(
+            net, batch, lambda out: net._loss_delta(out, batch, "mse")[1])
+        assert _bits(grad) == _bits(want)
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_per_sample_moment_matches_mask_on_pre_activations(self, power):
+        net, batch = self._net_and_batch()
+        delta = np.random.default_rng(3).standard_normal((batch.n, 2))
+        got = net.per_sample_grad_moment(batch, lambda out: delta, power)
+        pw = np.square if power == 2 else np.abs
+        want = _reference_grad(net, batch, lambda out: delta, pw) / batch.n
+        assert _bits(got) == _bits(want)
+
+    def test_mask_from_output_at_every_edge(self):
+        # a gemm sum plus a bias is never -0.0, so a forward pass cannot
+        # reach that edge; the mask is checked on it directly
+        z = np.array([*self.EDGES, np.inf, -np.inf, np.nan])
+        a = _activate("relu", z.copy())
+        np.testing.assert_array_equal(_activate_grad("relu", a), z > 0.0)
 
 
 class TestOptimizers:
