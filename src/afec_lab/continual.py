@@ -12,7 +12,7 @@ import collections
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -35,9 +35,6 @@ _PROBE_HEAD_KEY = 910002
 _PROBE_SHUFFLE_KEY = 910003
 
 STATE_VERSION = 2
-
-# Base methods anchored by an importance instead of the Fisher.
-_IMPORTANCE_METHODS = ("mas", "si", "rwalk")
 
 
 def _is_count(value, least: int = 1) -> bool:
@@ -318,14 +315,17 @@ def _shared_settings(cfg: SequenceConfig) -> str:
 
 @dataclass
 class _Node:
-    """The configs (`members`, indices) that share `net` and `state` at the
-    start of task t. `terms` is None while the task's shared part is still
-    to run, else the penalty terms of the branch to train. A root's `net`
-    and `state` are None until its group is popped."""
+    """The configs (`members`, indices) that share one run at the start of
+    task t: its `net`, `state`, accuracy `rows` so far and pre-training
+    accuracies (NaN first; to task t once opened). `terms` is None while
+    the task's shared part is still to run, else the branch's penalty
+    terms. A fresh root's `net` and `state` are None until it is opened."""
     t: int
     members: list[int]
     net: Network | None
     state: RegState | None
+    rows: list[list[float]]
+    pre_train: np.ndarray | list
     terms: list | None = None
 
 
@@ -358,11 +358,11 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
     failed its branch, goes to on_outcome(index, outcome) once final; else
     one config returns or raises it, and a list returns each config's.
 
-    `resume` is what load_state returns, for configs of one family;
-    training then continues from state.task_count, and each result holds
-    the saved accuracy rows and pre-training accuracies too. All
-    randomness is keyed by (seed, task, epoch), so a resumed run's result
-    equals the uninterrupted run's.
+    `resume` is what load_state returns, for configs of one family, and is
+    not written into: it becomes the root node, which starts at
+    state.task_count with the saved accuracy rows and pre-training
+    accuracies. All randomness is keyed by (seed, task, epoch), so a
+    resumed run's result equals the uninterrupted run's.
     """
     single = isinstance(cfg, SequenceConfig)
     configs = [cfg] if single else list(cfg)
@@ -401,11 +401,11 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
                 f"{'all of' if state.task_count == len(tasks) else 'more than'}"
                 f" the sequence's {len(tasks)}")
     outcomes = [None] * len(configs)
-    walk = _Walk(configs, tasks, arch, rows, pre_train, save_state_to,
+    walk = _Walk(configs, tasks, arch, save_state_to,
                  on_outcome or outcomes.__setitem__)
     width = max(1, _LOCKSTEP_BUDGET // _param_count(*arch))
     for seed in dict.fromkeys(s for s, _ in families):
-        walk.run([_Node(len(rows), members, net, state)
+        walk.run([_Node(len(rows), members, net, state, rows, pre_train)
                   for (s, _), members in families.items() if s == seed], width)
     if on_outcome is None:
         if single and isinstance(outcomes[0], Exception):
@@ -415,18 +415,12 @@ def run_sequence(cfg: SequenceConfig | list[SequenceConfig], tasks, *,
 
 class _Walk:
     """The walks of a run_sequence call. It passes each config's outcome
-    to sink(index, outcome) once, when final, and keeps the run's
-    bookkeeping so far: its accuracy rows and pre-training accuracies,
-    which start at those of the tasks trained before (`rows`,
-    `pre_train`)."""
+    to sink(index, outcome) once, when final; each node carries its own
+    run's bookkeeping."""
 
-    def __init__(self, configs, tasks, arch, rows, pre_train, save_state_to,
-                 sink):
+    def __init__(self, configs, tasks, arch, save_state_to, sink):
         self.configs, self.tasks, self.arch = configs, tasks, arch
         self.save_state_to, self.sink = save_state_to, sink
-        self.rows: list[list] = [[*rows] for _ in configs]
-        self.pre_train = [np.append(pre_train, [np.nan] * (
-            len(tasks) - len(pre_train))) for _ in configs]
         self.abar: dict[int, np.ndarray] = {}  # seed -> random-init ACC
 
     def run(self, children: list[_Node], width: int) -> None:
@@ -452,8 +446,8 @@ class _Walk:
     def open(self, group: list[_Node]) -> list[_Node]:
         """The shared part of each node's task: the expansion of each
         distinct network (in lock-step across the group) and the
-        pre-training evaluation. A node fails with the first of these that
-        raises. Returns each node's branches."""
+        pre-training evaluation, onto the node's `pre_train`. A node fails
+        with the first of these that raises. Returns each node's branches."""
         t, cfg = group[0].t, self.cfg(group[0])
         task = self.tasks[t]
         if group[0].net is None:  # roots, of one seed and architecture
@@ -473,10 +467,8 @@ class _Walk:
             cfg = self.cfg(node)
             anchor = anchors[node.net] if cfg.uses_expansion else None
             try:
-                if t > 0:
-                    accuracy = evaluate(node.net, task)
-                    for i in node.members:
-                        self.pre_train[i][t] = accuracy
+                node.pre_train = np.append(node.pre_train, evaluate(
+                    node.net, task) if t > 0 else np.nan)
                 branches: dict[tuple, tuple] = {}
                 if not isinstance(anchor, Exception):
                     for i in node.members:
@@ -490,7 +482,7 @@ class _Walk:
             if isinstance(anchor, Exception):
                 self.fail(node, anchor)
                 continue
-            children += [_Node(t, branch, node.net, node.state, terms)
+            children += [replace(node, members=branch, terms=terms)
                          for terms, branch in branches.values()]
         return children
 
@@ -531,26 +523,25 @@ class _Walk:
                 self.fail(node, net)
                 continue
             try:
-                row = _consolidate(cfg, net, state, self.tasks, t,
-                                   node.net.params)
-                for i in node.members:
-                    self.rows[i].append(row)
+                rows = [*node.rows, _consolidate(cfg, net, state, self.tasks,
+                                                 t, node.net.params)]
                 if self.save_state_to is not None:  # of the one config
-                    save_state(self.save_state_to, net, state, (
-                        cfg.seed, self.rows[0], self.pre_train[0][:t + 1]))
+                    save_state(self.save_state_to, net, state,
+                               (cfg.seed, rows, node.pre_train))
                 log.info("method=%s seed=%d task=%d new_acc=%.4f "
                          "running_acc=%.4f%s", cfg.method, cfg.seed, t + 1,
-                         row[-1], float(np.mean(row)),
+                         rows[-1][-1], float(np.mean(rows[-1])),
                          f" cells={len(node.members)}"
                          if len(node.members) > 1 else "")
-                children.append(_Node(t + 1, node.members, net, state))
+                children.append(_Node(t + 1, node.members, net, state, rows,
+                                      node.pre_train))
             except Exception as exc:
                 self.fail(node, exc)
         return children
 
     def finish(self, group: list[_Node]) -> list:
-        """Each member's RunResult, from its node's trained run, to the
-        sink, outside the try: an error of the sink is not the node's."""
+        """Each member's RunResult, from its node's run, to the sink,
+        outside the try: an error of the sink is not the node's."""
         for node in group:
             cfg = self.cfg(node)
             try:
@@ -562,8 +553,8 @@ class _Walk:
                 self.fail(node, exc)
                 continue
             for i in node.members:
-                matrix = AccMatrix([[*row] for row in self.rows[i]],
-                                   self.abar[cfg.seed], self.pre_train[i])
+                matrix = AccMatrix([[*row] for row in node.rows],
+                                   self.abar[cfg.seed], node.pre_train)
                 self.sink(i, RunResult(matrix, asdict(self.configs[i]),
                                        digest))
         return []
@@ -571,21 +562,19 @@ class _Walk:
 
 def _consolidate(cfg: SequenceConfig, net: Network, state: RegState, tasks,
                  t: int, start: np.ndarray) -> list[float]:
-    """Evaluate every task so far, then anchor `state` at the parameters
-    of the network trained on task t from `start`, which train_lockstep
-    left read-only. Returns the accuracies."""
+    """Evaluate every task so far, then anchor `state` at the read-only
+    parameters of the network trained on task t from `start`, weighed by
+    the averaged Fisher (EWC) or task_end's importance. Returns the row."""
     task = tasks[t]
     row = [evaluate(net, tasks[k]) for k in range(t + 1)]
-    if cfg.base_method in _IMPORTANCE_METHODS:
+    precision = state.anchor.precision
+    if cfg.base_method == "ewc":
+        precision = fisher_running_average(
+            precision, estimate_diag_fisher(net, task, _loss_kind(task)), t + 1)
+    else:
         importance_update(cfg.base_method, state, "task_end", net=net,
                           task=task, start=start)
-        # the parameters that task_end keeps as prev_params
-        state.anchor = DiagGaussian(state.prev_params, state.anchor.precision)
-    else:
-        fisher = estimate_diag_fisher(net, task, _loss_kind(task))
-        state.anchor = DiagGaussian(
-            net.params,
-            fisher_running_average(state.anchor.precision, fisher, t + 1))
+    state.anchor = DiagGaussian(net.params, precision)
     state.task_count = t + 1
     return row
 

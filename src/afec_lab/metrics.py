@@ -186,9 +186,9 @@ def emit_report(results, out_dir) -> list[str]:
     Returns the list of files written (relative to out_dir). Deterministic:
     re-emitting the same results reproduces identical bytes.
     """
-    os.makedirs(out_dir, exist_ok=True)
     if not results:
         raise ShapeError("emit_report needs at least one result")
+    os.makedirs(out_dir, exist_ok=True)
     results = sorted(results, key=lambda r: (*_setting(r), r.config["seed"]))
     rows = []
     t_max = max(r.acc_matrix.T for r in results)

@@ -507,6 +507,32 @@ class TestFamilyWalk:
         assert [_outcome_text(r) for r in resumed] == [
             _own_run(cfg, tasks) for cfg in family]
 
+    @pytest.mark.parametrize("method", ["afec", "rwalk_afec"])
+    def test_resume_leaves_its_input_unchanged(self, method, tmp_path):
+        # one loaded tuple resumes a single config, then a family that
+        # lambda splits on the second task; both get the uninterrupted
+        # runs' results, and the tuple keeps every bit
+        family = [quick_cfg(method, lam=lam, lam_e=0.5, seed=3, epochs=2)
+                  for lam in (0.5, 20.0)]
+        tasks = _RESUME_TASKS
+        path = str(tmp_path / "state.json")
+        run_sequence(family[0], tasks[:1], save_state_to=path)
+        resume = load_state(path)
+        net, state, (seed, rows, pre_train) = resume
+
+        def bits():
+            doc = state.to_doc()
+            vectors = [net.params, pre_train, *doc.pop("anchor").values(),
+                       *doc.values()]  # and task_count
+            return json.dumps(rows), [np.asarray(v).tobytes() for v in vectors]
+        before = bits()
+        single = run_sequence(family[0], tasks, resume=resume)
+        shared = run_sequence(family, tasks, resume=resume)
+        assert bits() == before
+        own = [_own_run(cfg, tasks) for cfg in family]
+        assert [_outcome_text(single)] == own[:1]
+        assert [_outcome_text(r) for r in shared] == own
+
 
 def _raising_at(fn, node_test, exc):
     """`fn`, but raising `exc` when it is called, directly or through other

@@ -238,8 +238,10 @@ class TestEmitReport:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_empty_results_rejected(self, tmp_path):
+        # before the output directory is made
         with pytest.raises(ShapeError):
-            emit_report([], tmp_path)
+            emit_report([], tmp_path / "report")
+        assert not (tmp_path / "report").exists()
 
     def test_blank_metrics_for_single_task_runs(self, tmp_path):
         m = AccMatrix(a=[[0.9]], abar=np.array([0.2]),
