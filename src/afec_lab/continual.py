@@ -9,6 +9,7 @@ probe, the random-init baseline, and run-state persistence.
 from __future__ import annotations
 
 import collections
+import functools
 import hashlib
 import json
 import logging
@@ -173,17 +174,22 @@ def _canonical(obj) -> str:
 # transient memory: a 270k-parameter vector encoded whole needs its tolist(),
 # its text and the text's bytes at once (about 20 MB), at the end of every
 # run, and that transient would set the peak RSS and move it by up to 10 MB
-# with the heap's layout.
+# with the heap's layout. An all-zero block's text is made once per size:
 _ENCODE_BLOCK = 4096
+_zero_text = functools.cache(lambda size: ",".join(["0.0"] * size))
 
 
 def _encode_array(vec: np.ndarray):
-    """Yield the text of `_canonical(vec.tolist())` for a 1-D vector in
-    pieces, `_ENCODE_BLOCK` elements at a time."""
+    """Yield the text of `_canonical(vec.tolist())` for a 1-D float64
+    vector in pieces, `_ENCODE_BLOCK` elements at a time. A block whose
+    bits are all zero (-0.0 has one set) is written without formatting."""
     yield "["
     for start in range(0, vec.size, _ENCODE_BLOCK):
-        text = _canonical(vec[start:start + _ENCODE_BLOCK].tolist())
-        yield ("," if start else "") + text[1:-1]
+        block = vec[start:start + _ENCODE_BLOCK]
+        if start:
+            yield ","
+        yield (_canonical(block.tolist())[1:-1] if block.view(np.uint64).any()
+               else _zero_text(block.size))
     yield "]"
 
 
@@ -239,8 +245,9 @@ def _state_digest(net: Network, state: RegState) -> str:
     json lays the document out with a "" in each vector's place, and each
     vector's text is streamed into the hash block by block. A vector whose
     bytes occur again is encoded once and its text kept. Vectors are
-    matched on a sha256 of their buffers: == would equate -0.0 with 0.0,
-    which repr differently, and never match NaN.
+    matched on a sha256 of their buffers, fed block by block once per
+    object, so RegState.zeros' vector is never copied whole: == would
+    equate -0.0 with 0.0, which repr differently, and never match NaN.
     """
     vectors = []
     skeleton = json.dumps({"params": net.params, "reg_state": state.to_doc()},
@@ -248,8 +255,9 @@ def _state_digest(net: Network, state: RegState) -> str:
                           default=lambda vec: vectors.append(vec) or "")
     pieces = skeleton.split('""')
     assert len(pieces) == len(vectors) + 1  # the document holds no string
-    keys = [(vec.shape, hashlib.sha256(np.ascontiguousarray(vec)).digest())
-            for vec in vectors]
+    by_id = {id(vec): vec for vec in vectors}
+    keyed = {i: _buffer_key(vec) for i, vec in by_id.items()}
+    keys = [keyed[id(vec)] for vec in vectors]
     texts = {key: None for key, count in collections.Counter(keys).items()
              if count > 1}  # the text of each repeated vector, once encoded
     digest = hashlib.sha256(pieces[0].encode())
@@ -260,6 +268,13 @@ def _state_digest(net: Network, state: RegState) -> str:
             digest.update(chunk.encode())
         digest.update(piece.encode())
     return digest.hexdigest()
+
+
+def _buffer_key(vec: np.ndarray) -> tuple:
+    key = hashlib.sha256()
+    for start in range(0, vec.size, _ENCODE_BLOCK):
+        key.update(np.ascontiguousarray(vec[start:start + _ENCODE_BLOCK]))
+    return vec.shape, key.digest()
 
 
 def penalty_terms(cfg: SequenceConfig, state: RegState,
@@ -728,7 +743,9 @@ def _parse_like(path, name: str, value, template):
                 or not np.all(np.isfinite(vec))):
             raise FormatError(f"{path}: field {name!r} must be a list of "
                               f"{template.size} finite numbers")
-        return vec.astype(np.float64, copy=False)
+        vec = vec.astype(np.float64, copy=False)
+        # zero bits (not -0.0) and a zero template: RegState.zeros' vector
+        return vec if vec.view(np.uint64).any() or template.any() else template
     if type(value) is not int or value < 0:
         raise FormatError(f"{path}: field {name!r} must be an integer >= 0")
     return value

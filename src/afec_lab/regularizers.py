@@ -43,11 +43,9 @@ class RegState:
 
     @classmethod
     def zeros(cls, param_count: int) -> "RegState":
-        """A state whose seven vectors are one read-only zero vector: no
-        update writes into a field (see copy), and one that tried would
-        raise ValueError rather than change its siblings."""
-        z = np.zeros(param_count)
-        z.flags.writeable = False
+        """A state whose seven vectors are one read-only zero vector of
+        stride 0, 8 bytes at any size: no field is written into (see copy)."""
+        z = np.broadcast_to(0.0, (param_count,))
         return cls(anchor=DiagGaussian(z, z), importance=z, path_accum=z,
                    prev_params=z, fisher_ema=z, score_accum=z, task_count=0)
 
@@ -235,7 +233,7 @@ def importance_update(method: str, state: RegState, event: str, *,
             else:  # rwalk
                 state.score_accum = state.score_accum + score
                 state.importance = state.fisher_ema + state.score_accum
-            state.path_accum = np.zeros_like(state.path_accum)
+            state.path_accum = np.broadcast_to(0.0, params.shape)
         state.prev_params = params
         return state
     raise ConfigError(f"unknown importance event {event!r}")

@@ -14,7 +14,7 @@ from afec_lab.continual import SequenceConfig, penalized_grad, run_sequence
 from afec_lab.errors import NumericError, ShapeError
 from afec_lab.nn import BLOCK, SGD, Adam, Batch, Network
 from afec_lab.posterior import DiagGaussian
-from afec_lab.regularizers import quadratic_penalty
+from afec_lab.regularizers import RegState, quadratic_penalty
 from afec_lab.tasks import make_angular_sequence
 
 # Sizes around the block size, and one that ends in a partial block.
@@ -199,6 +199,36 @@ class TestStepMemory:
         # the penalized gradient or of the trained parameters is a fifth
         # vector
         assert peak < 4 * vector + 4 * 8 * BLOCK
+
+
+class TestZeroStateMemory:
+    """A fresh state's seven vectors are one zero vector of stride 0, and
+    its digest makes no copy of it."""
+
+    P = 66_306  # Network.create(256, [256], "relu", {"out": 2})
+
+    def test_zero_state_holds_no_vector(self):
+        RegState.zeros(self.P)
+        tracemalloc.start()
+        try:
+            state = RegState.zeros(self.P)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert state.importance.shape == (self.P,)
+        assert held < 1024  # a real zero vector held 8 * P = 530 KB
+
+    def test_digest_copies_no_vector(self, monkeypatch):
+        net = Network.create(256, [256], "relu", {"out": 2}, seed=0)
+        assert net.param_count == self.P
+        state = RegState.zeros(self.P)
+        # at 4096 elements, one block of the parameters' text peaks near
+        # 0.55 MB whatever P is; at 512, the digest peaks near 75 KB
+        monkeypatch.setattr(continual, "_ENCODE_BLOCK", 512)
+        continual._state_digest(net, state)
+        peak = _peak_bytes(continual._state_digest, net, state)
+        # a whole-vector copy of the zero vector is 8 * P
+        assert peak < 8 * self.P // 4
 
 
 class TestBackwardMemory:

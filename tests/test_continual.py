@@ -10,6 +10,7 @@ import os
 import re
 import sys
 import tempfile
+import tracemalloc
 import types
 import weakref
 
@@ -950,6 +951,59 @@ class TestStatePersistence:
         assert len(set(sizes)) == 1
 
 
+def _state_vectors(state):
+    return [state.anchor.mean, state.anchor.precision, state.importance,
+            state.path_accum, state.prev_params, state.fisher_ema,
+            state.score_accum]
+
+
+class TestLoadedZeroVectors:
+    """load_state gives every vector whose bits are all zero as the one
+    zero-stride vector of RegState.zeros."""
+
+    def test_holds_no_zero_vector(self, tmp_path):
+        path = tmp_path / "s.json"
+        run_sequence(quick_cfg("ewc", lam=5.0, epochs=1,
+                               arch=ArchSpec(hidden=[256, 256])),
+                     quick_pair(), save_state_to=str(path))
+        tracemalloc.start()
+        try:
+            net, state, _ = load_state(str(path))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        vector = 8 * net.param_count
+        # the parameters, the anchor mean and the Fisher precision; the
+        # five zero fields, loaded as arrays, held five vectors more
+        assert held < 3.5 * vector
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_resumed_run_unchanged(self, tmp_path, method):
+        cfg = quick_cfg(method, lam=2.0, lam_e=0.5, seed=1, epochs=2)
+        path = tmp_path / "s.json"
+        run_sequence(cfg, _RESUME_TASKS[:1], save_state_to=str(path))
+        resume = load_state(str(path))
+        zeros = [vec for vec in _state_vectors(resume[1])
+                 if not vec.view(np.uint64).any()]
+        assert zeros and len({id(vec) for vec in zeros}) == 1
+        assert zeros[0].strides == (0,)
+        resumed = run_sequence(cfg, _RESUME_TASKS, resume=resume)
+        assert _result_text(resumed) == _result_text(
+            run_sequence(cfg, _RESUME_TASKS))
+
+    def test_negative_zeros_keep_their_bits(self, tmp_path):
+        path = tmp_path / "s.json"
+        run_sequence(quick_cfg("ewc", lam=5.0), quick_pair(),
+                     save_state_to=str(path))
+        doc = json.loads(path.read_text())
+        doc["reg_state"]["importance"] = [-0.0] * len(doc["net"]["params"])
+        path.write_text(json.dumps(doc))
+        net, state, _ = load_state(str(path))
+        assert np.signbit(state.importance).all()
+        assert state.importance.strides == (8,)
+        assert _state_digest(net, state) == _old_state_digest(net, state)
+
+
 def _digest_case(params, *vectors):
     """A network stand-in holding `params`, and a RegState whose seven
     vectors are `vectors` cycled, in to_doc's order: anchor mean and
@@ -1055,6 +1109,47 @@ class TestDigestEncoder:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(continual, "_ENCODE_BLOCK", 2)
             _assert_digest_matches(*_digest_case(*vectors))
+
+    def test_zero_stride_vector(self):
+        z = np.broadcast_to(0.0, (2 * continual._ENCODE_BLOCK + 3,))
+        _assert_digest_matches(*_digest_case(np.arange(3.0), z))
+        _assert_digest_matches(*_digest_case(z, np.ones(2)))
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 0.0, 1.5, 0.0, 0.0],  # all-+0.0 blocks around a nonzero one
+        [0.0, 0.0, 0.0, -0.0],  # a zero block holding one -0.0
+        [5e-324] * 5,  # a single bit set in each element
+        []], ids=["beside_nonzero", "negative_zero", "subnormal", "empty"])
+    def test_zero_blocks(self, values):
+        vec = np.array(values, dtype=np.float64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(continual, "_ENCODE_BLOCK", 2)
+            text = "".join(continual._encode_array(vec))
+            assert text == _canonical(values)
+            # the vector once, streamed, and repeated, its text kept
+            _assert_digest_matches(*_digest_case(vec, np.ones(2)))
+            _assert_digest_matches(*_digest_case(np.ones(2), vec))
+
+    def test_repeated_vector_keyed_and_encoded_once(self):
+        z = np.broadcast_to(0.0, (5,))
+        keyed = []
+        original = continual._buffer_key
+        net, state = _digest_case(np.arange(2.0), np.ones(2), np.full(2, 3.0),
+                                  z, z, z, z, z)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(continual, "_buffer_key",
+                       lambda vec: keyed.append(vec) or original(vec))
+            with _counted_encodes() as encoded:
+                _assert_digest_matches(net, state)
+        assert sum(vec is z for vec in keyed) == 1
+        assert sum(vec is z for vec in encoded) == 1
+
+    def test_byte_equal_zero_vectors_encoded_once(self):
+        z = np.broadcast_to(0.0, (5,))
+        net, state = _digest_case(np.zeros(5), z, np.zeros(5), z.copy())
+        with _counted_encodes() as encoded:
+            _assert_digest_matches(net, state)
+        assert len(encoded) == 1
 
 
 def _old_state_digest(net, state):
