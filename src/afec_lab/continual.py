@@ -19,12 +19,12 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
 from .metrics import AccMatrix, _is_accuracy, write_atomic
-from .nn import (ACTIVATIONS, Network, SGD, _is_finite_number,
+from .nn import (ACTIVATIONS, Network, SGD, _all_finite, _is_finite_number,
                  make_optimizer)
 from .posterior import DiagGaussian, estimate_diag_fisher, fisher_running_average
-from .regularizers import (EXPANSION_INITS, RegState, epoch_batches,
-                           importance_update, quadratic_penalty, train_expanded,
-                           train_lockstep)
+from .regularizers import (EXPANSION_INITS, STATE_VECTORS, RegState,
+                           epoch_batches, importance_update, quadratic_penalty,
+                           train_expanded, train_lockstep)
 
 log = logging.getLogger("afec_lab")
 
@@ -35,7 +35,7 @@ _MAIN_SHUFFLE_KEY = 910001
 _PROBE_HEAD_KEY = 910002
 _PROBE_SHUFFLE_KEY = 910003
 
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 
 def _is_count(value, least: int = 1) -> bool:
@@ -626,126 +626,120 @@ def _probe_network(body, probe_task) -> Network:
 # -- run-state persistence ----------------------------------------------------
 
 def save_state(path, net: Network, state: RegState, run: tuple) -> None:
-    """Write the full run state as one canonical JSON document. `run` is
-    (seed, rows, pre_train), as load_state returns it: the accuracy rows
-    and the pre-training accuracies (NaN for the first) of the tasks
-    trained so far."""
+    """Write the run state: a canonical JSON header line, with each
+    vector's slot ("zero" or a payload index), the payload's sha256 and
+    `run` (load_state's seed, rows, pre_train), then each distinct non-zero
+    vector (by _buffer_key) once, as little-endian float64."""
     seed, rows, pre_train = run
     input_dim, hidden, activation, heads = net.arch()
-    doc = {
-        "version": STATE_VERSION,
-        "net": {"input_dim": input_dim, "hidden": hidden,
-                "activation": activation, "heads": [*map(list, heads.items())],
-                "params": net.params.tolist()},
-        "reg_state": state.to_json(),
-        "rng": {"scheme": "counter", "seed": seed},
-        "acc_matrix": rows,
-        "pre_train": _json_floats(pre_train),
-    }
-    write_atomic(path, _canonical(doc) + "\n")
+    vectors = {}  # by _buffer_key, in the order of first use
+
+    def slot(vec):
+        if not vec.view(np.uint64).any():
+            return "zero"
+        key = _buffer_key(vec)
+        vectors.setdefault(key, np.ascontiguousarray(vec, "<f8"))
+        return [*vectors].index(key)
+    doc = {"version": STATE_VERSION, "rng": {"scheme": "counter", "seed": seed},
+           "net": {"input_dim": input_dim, "hidden": hidden,
+                   "activation": activation,
+                   "heads": [*map(list, heads.items())],
+                   "params": slot(net.params)},
+           "reg_state": state.to_doc(slot), "acc_matrix": rows,
+           "pre_train": _json_floats(pre_train)}
+    payload = b"".join(vectors.values())
+    doc["sha256"] = hashlib.sha256(payload).hexdigest()
+    write_atomic(path, _canonical(doc) + "\n", payload)
 
 
 def load_state(path):
     """Read a run-state file; returns (net, reg_state, (seed, rows,
     pre_train)), with one accuracy row and one pre-training accuracy (NaN
-    for the first) per trained task. A field that is missing or malformed
-    raises a FormatError naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 ({exc})") from exc
+    for the first) per trained task. A field that is missing or malformed,
+    or a payload that is not the header's, raises a FormatError naming it."""
+    with open(path, "rb") as fh:
+        header, payload = fh.readline(), fh.read()
+    try:
+        doc = json.loads(header)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise FormatError(f"{path}: the header line is not JSON") from exc
     version = doc.get("version") if isinstance(doc, dict) else None
     if type(version) is not int or version != STATE_VERSION:
         raise FormatError(f"{path}: unsupported version {version!r} in "
                           f"field 'version'")
-    for key in ("net", "reg_state", "rng", "acc_matrix", "pre_train"):
-        if key not in doc:
-            raise FormatError(f"{path}: missing field {key!r}")
-    netdoc, rng = doc["net"], doc["rng"]
-    for key in ("input_dim", "hidden", "activation", "heads", "params"):
-        if not isinstance(netdoc, dict) or key not in netdoc:
-            raise FormatError(f"{path}: missing field 'net.{key}'")
-    if not _is_count(netdoc["input_dim"]):
-        raise FormatError(f"{path}: field 'net.input_dim' must be an "
-                          f"integer >= 1")
-    problem = _arch_problem(netdoc["hidden"], netdoc["activation"])
+    input_dim, hidden, activation, heads, rng, t, rows, pre = (
+        _field(path, doc, name) for name in (
+            "net.input_dim", "net.hidden", "net.activation", "net.heads",
+            "rng", "reg_state.task_count", "acc_matrix", "pre_train"))
+    problem = _arch_problem(hidden, activation)
     if problem:
         raise FormatError(f"{path}: field net.{problem}")
-    heads = netdoc["heads"]
-    if not (isinstance(heads, list) and heads
-            and all(isinstance(h, list) and len(h) == 2
-                    and isinstance(h[0], str) and _is_count(h[1])
-                    for h in heads)
-            and len({h[0] for h in heads}) == len(heads)):
-        raise FormatError(f"{path}: field 'net.heads' must be a non-empty "
-                          f"list of [name, size >= 1] pairs with distinct "
-                          f"names")
-    if not (isinstance(rng, dict) and rng.get("scheme") == "counter"
-            and type(rng.get("seed")) is int):
-        raise FormatError(f"{path}: field 'rng' must hold scheme 'counter' "
-                          f"and an integer seed")
-    net = Network.create(netdoc["input_dim"], netdoc["hidden"],
-                         netdoc["activation"], dict(heads), seed=rng["seed"])
-    template = {"net": {"params": net.get_params()},
-                "reg_state": RegState.zeros(net.param_count).to_doc()}
-    parsed = _parse_like(path, "", doc, template)
-    net.set_params(parsed["net"]["params"])
-    reg = parsed["reg_state"]
+    names = ["net.params", *(f"reg_state.{name}" for name in (
+        "anchor.mean", "anchor.precision", *STATE_VECTORS))]
+    slots = [_field(path, doc, name) for name in names]
+    count = len({s for s in slots if type(s) is int})
+    for name, ok, rule in (
+            ("net.input_dim", _is_count(input_dim), "be an integer >= 1"),
+            ("net.heads", isinstance(heads, list) and heads and all(
+                isinstance(h, list) and len(h) == 2 and isinstance(h[0], str)
+                and _is_count(h[1]) for h in heads)
+             and len({h[0] for h in heads}) == len(heads),
+             "be non-empty [name, size >= 1] pairs, with distinct names"),
+            ("rng", isinstance(rng, dict) and rng.get("scheme") == "counter"
+             and type(rng.get("seed")) is int,
+             "hold scheme 'counter' and an integer seed"),
+            ("reg_state.task_count", _is_count(t, 0), "be an integer >= 0"),
+            ("acc_matrix", isinstance(rows, list) and len(rows) == t and all(
+                isinstance(row, list) and len(row) == j + 1
+                and all(map(_is_accuracy, row)) for j, row in enumerate(rows)),
+             f"hold one row per trained task ({t}), row j of j + 1 "
+             f"accuracies in [0, 1]"),
+            ("pre_train", isinstance(pre, list) and len(pre) == t and all(
+                v is None if j == 0 else _is_accuracy(v)
+                for j, v in enumerate(pre)),
+             f"hold one entry per trained task ({t}): null, then "
+             f"accuracies in [0, 1]"),
+            *((name, s == "zero" or type(s) is int and 0 <= s < count,
+               f"be \"zero\" or a payload index below {count}")
+              for name, s in zip(names, slots))):
+        if not ok:
+            raise FormatError(f"{path}: field {name!r} must {rule}")
+    net = Network.create(input_dim, hidden, activation, dict(heads),
+                         seed=rng["seed"])
+    size = net.param_count
+    if len(payload) != 8 * size * count:
+        raise FormatError(f"{path}: the payload holds {len(payload)} bytes, "
+                          f"not {count} vectors of {size} float64")
+    if hashlib.sha256(payload).hexdigest() != _field(path, doc, "sha256"):
+        raise FormatError(f"{path}: payload does not match field 'sha256'")
+    # read-only views of the payload, not copies
+    views = [np.frombuffer(payload, "<f8", size, 8 * size * i).astype(
+        np.float64, copy=False) for i in range(count)]
+    for name, s in zip(names, slots):
+        if s != "zero" and not _all_finite(views[s]):
+            raise FormatError(f"{path}: field {name!r} must hold finite "
+                              f"numbers")
+    zero = RegState.zeros(size).importance
+    params, mean, precision, *rest = [zero if s == "zero" else views[s]
+                                      for s in slots]
     try:
-        state = RegState(anchor=DiagGaussian(**reg.pop("anchor")), **reg)
+        anchor = DiagGaussian(mean, precision)
     except ShapeError as exc:  # a negative precision
         raise FormatError(f"{path}: field 'reg_state.anchor': {exc}") from exc
+    state = RegState(anchor, **dict(zip(STATE_VECTORS, rest)), task_count=t)
     if state.path_accum.any():  # the next task's SI/RWalk path starts at 0
         raise FormatError(f"{path}: field 'reg_state.path_accum' must be 0 "
                           f"between tasks")
-    t, rows, pre = state.task_count, doc["acc_matrix"], doc["pre_train"]
-    if not (isinstance(rows, list) and len(rows) == t
-            and all(isinstance(row, list) and len(row) == j + 1
-                    and all(map(_is_accuracy, row))
-                    for j, row in enumerate(rows))):
-        raise FormatError(f"{path}: field 'acc_matrix' must hold one row per "
-                          f"trained task ({t}), row j of j + 1 accuracies "
-                          f"in [0, 1]")
-    if not (isinstance(pre, list) and len(pre) == t
-            and all(v is None if j == 0 else _is_accuracy(v)
-                    for j, v in enumerate(pre))):
-        raise FormatError(f"{path}: field 'pre_train' must hold one entry "
-                          f"per trained task ({t}): null, then accuracies "
-                          f"in [0, 1]")
     # numpy reads the null as NaN
-    return net, state, (rng["seed"], rows, np.array(pre, dtype=np.float64))
+    return (Network(net.body, net.heads, params), state,
+            (rng["seed"], rows, np.array(pre, dtype=np.float64)))
 
 
-def _parse_like(path, name: str, value, template):
-    """`value` shaped like `template`, its vectors as float64 arrays. Each
-    vector must be a list of finite numbers as long as the template's, and
-    each other leaf an integer >= 0; the first field that is not raises a
-    FormatError naming it. Entries are checked as given: numpy would read
-    a boolean among numbers as 0.0 or 1.0."""
-    if isinstance(template, dict):
-        if not isinstance(value, dict):
-            raise FormatError(f"{path}: field {name!r} must be an object")
-        parsed = {}
-        for key, sub in template.items():
-            field_name = f"{name}.{key}" if name else key
-            if key not in value:
-                raise FormatError(f"{path}: missing field {field_name!r}")
-            parsed[key] = _parse_like(path, field_name, value[key], sub)
-        return parsed
-    if isinstance(template, np.ndarray):
-        vec = (np.asarray(value) if isinstance(value, list)
-               and set(map(type, value)) <= {int, float} else None)
-        if (vec is None or vec.dtype.kind not in "iuf"
-                or vec.shape != template.shape
-                or not np.all(np.isfinite(vec))):
-            raise FormatError(f"{path}: field {name!r} must be a list of "
-                              f"{template.size} finite numbers")
-        vec = vec.astype(np.float64, copy=False)
-        # zero bits (not -0.0) and a zero template: RegState.zeros' vector
-        return vec if vec.view(np.uint64).any() or template.any() else template
-    if type(value) is not int or value < 0:
-        raise FormatError(f"{path}: field {name!r} must be an integer >= 0")
+def _field(path, doc: dict, name: str):
+    """The header's field at the dotted `name`."""
+    value = doc
+    for key in name.split("."):
+        if not (isinstance(value, dict) and key in value):
+            raise FormatError(f"{path}: missing field {name!r}")
+        value = value[key]
     return value

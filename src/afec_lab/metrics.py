@@ -90,15 +90,17 @@ def fwt(m: AccMatrix) -> float:
 
 # -- report emission ----------------------------------------------------------
 
-def write_atomic(path, text: str) -> None:
-    """Write `text` to `path` through a temporary file in the same
-    directory, so `path` holds either its old content or all of the new.
-    The pid keeps live writers apart; a dead writer's leftover is replaced."""
+def write_atomic(path, *parts) -> None:
+    """Write `parts` (each a str, as UTF-8, or bytes) to `path` through a
+    temporary file in the same directory, so `path` holds either its old
+    content or all of the new. The pid keeps live writers apart; a dead
+    writer's leftover is replaced."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "w")
+    fh = open(tmp, "wb")
     try:
         with fh:
-            fh.write(text)
+            for part in parts:
+                fh.write(part.encode() if isinstance(part, str) else part)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -410,6 +410,14 @@ def blocks(size: int):
     return (slice(start, start + BLOCK) for start in range(0, size, BLOCK))
 
 
+def _all_finite(vec: np.ndarray, least: float = -np.inf) -> bool:
+    """Whether every entry of `vec` is finite and >= `least`, read through
+    each block's min and max, with no mask: a NaN makes both NaN, and NaN
+    fails every comparison."""
+    return all(-np.inf < vec[b].min() >= least and vec[b].max() < np.inf
+               for b in blocks(vec.size))
+
+
 def _check_finite_grad(grad: np.ndarray) -> None:
     """Raise NumericError if `grad` holds a non-finite value; checked block
     by block, so no whole-vector mask is made."""

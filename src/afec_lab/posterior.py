@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .nn import Batch, Network
+from .nn import Batch, Network, _all_finite
 
 
 @dataclass
@@ -37,7 +37,7 @@ class DiagGaussian:
         self.precision = np.asarray(self.precision, dtype=np.float64)
         if self.mean.shape != self.precision.shape or self.mean.ndim != 1:
             raise ShapeError("mean and precision must be equal-length vectors")
-        if np.any(self.precision < 0) or not np.all(np.isfinite(self.precision)):
+        if not _all_finite(self.precision, least=0.0):
             raise ShapeError("precision entries must be finite and >= 0")
 
 

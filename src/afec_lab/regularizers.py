@@ -24,6 +24,10 @@ _EXPAND_SHUFFLE_KEY = 810002
 
 EXPANSION_INITS = ("copy_main", "fresh_random")
 
+# RegState's vectors besides the anchor's mean and precision.
+STATE_VECTORS = ("importance", "path_accum", "prev_params", "fisher_ema",
+                 "score_accum")
+
 SI_DAMP = 0.1
 RWALK_EMA_DECAY = 0.9
 
@@ -55,23 +59,14 @@ class RegState:
         other's later updates."""
         return replace(self)
 
-    def to_doc(self) -> dict:
-        """The state's JSON layout with each vector still an array. The
-        state file, the run digest and to_json all derive from it."""
-        return {"anchor": {"mean": self.anchor.mean,
-                           "precision": self.anchor.precision},
-                "importance": self.importance, "path_accum": self.path_accum,
-                "prev_params": self.prev_params, "fisher_ema": self.fisher_ema,
-                "score_accum": self.score_accum, "task_count": self.task_count}
-
-    def to_json(self) -> dict:
-        return _tolists(self.to_doc())
-
-
-def _tolists(doc: dict) -> dict:
-    return {key: _tolists(value) if isinstance(value, dict)
-            else value.tolist() if isinstance(value, np.ndarray) else value
-            for key, value in doc.items()}
+    def to_doc(self, vector=lambda vec: vec) -> dict:
+        """The state's JSON layout with `vector(vec)` in each vector's
+        place, in this order (by default, the vector itself). The run
+        digest and the state file's header derive from it."""
+        return {"anchor": {"mean": vector(self.anchor.mean),
+                           "precision": vector(self.anchor.precision)},
+                **{name: vector(getattr(self, name)) for name in STATE_VECTORS},
+                "task_count": self.task_count}
 
 
 def quadratic_penalty(params: np.ndarray, anchor: DiagGaussian, lam: float,

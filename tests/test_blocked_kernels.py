@@ -218,6 +218,14 @@ class TestZeroStateMemory:
         assert state.importance.shape == (self.P,)
         assert held < 1024  # a real zero vector held 8 * P = 530 KB
 
+    def test_zero_state_construction_makes_no_mask(self):
+        # DiagGaussian checks the precision through each block's min and
+        # max: the state's objects and one reduction's iterator take
+        # about 2 KB. A mask of the whole vector peaked at 67.9 KB, and
+        # one block's mask is BLOCK bytes, 16 KB.
+        RegState.zeros(self.P)
+        assert _peak_bytes(RegState.zeros, self.P) < 4096
+
     def test_digest_copies_no_vector(self, monkeypatch):
         net = Network.create(256, [256], "relu", {"out": 2}, seed=0)
         assert net.param_count == self.P

@@ -2,8 +2,10 @@
 
 import contextlib
 import dataclasses
+import errno
 import gc
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afec_lab import continual
+from afec_lab import continual, metrics
 from afec_lab.cli import result_to_json
 from afec_lab.continual import (METHODS, ArchSpec, SequenceConfig, _canonical,
                                 _state_digest, evaluate,
@@ -848,35 +850,37 @@ class TestStatePersistence:
 
     def test_missing_field_named(self, tmp_path):
         tasks = quick_pair()
-        path = tmp_path / "s.json"
+        path = tmp_path / "s.state"
         run_sequence(quick_cfg("ewc", lam=5.0, seed=0), tasks,
                      save_state_to=str(path))
-        doc = json.loads(path.read_text())
+        doc, payload = _split_state(path)
         del doc["reg_state"]
-        path.write_text(json.dumps(doc))
+        _write_state(path, doc, payload)
         with pytest.raises(FormatError, match="reg_state"):
             load_state(str(path))
 
     def test_version_mismatch_rejected(self, tmp_path):
         tasks = quick_pair()
-        path = tmp_path / "s.json"
+        path = tmp_path / "s.state"
         run_sequence(quick_cfg("ewc", lam=5.0, seed=0), tasks,
                      save_state_to=str(path))
-        doc = json.loads(path.read_text())
+        doc, payload = _split_state(path)
         doc["version"] = 99
-        path.write_text(json.dumps(doc))
+        _write_state(path, doc, payload)
         with pytest.raises(FormatError, match="version"):
             load_state(str(path))
 
     def test_wrong_param_length_rejected(self, tmp_path):
+        # a header whose architecture has one hidden unit more than the
+        # payload's vectors were trained with
         tasks = quick_pair()
-        path = tmp_path / "s.json"
+        path = tmp_path / "s.state"
         run_sequence(quick_cfg("ewc", lam=5.0, seed=0), tasks,
                      save_state_to=str(path))
-        doc = json.loads(path.read_text())
-        doc["net"]["params"] = doc["net"]["params"][:-1]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="params"):
+        doc, payload = _split_state(path)
+        doc["net"]["hidden"][-1] += 1
+        _write_state(path, doc, payload)
+        with pytest.raises(FormatError, match="payload holds"):
             load_state(str(path))
 
     def test_resume_with_wrong_seed_rejected(self, tmp_path):
@@ -932,11 +936,8 @@ class TestStatePersistence:
                 run_sequence(cfg, tasks, resume=load_state(str(path)))
 
     def test_state_size_constant_across_task_counts(self, tmp_path):
-        # compare a fixed-width serialization (8 bytes per stored number);
-        # JSON text length wobbles with decimal rendering, which is about
-        # formatting, not storage
-        import pickle
-
+        # the payload, 8 bytes per stored number; the header line grows
+        # with the accuracy rows, which are the run's bookkeeping
         sizes = []
         for n in (1, 3, 5):
             tasks = [gen_angular_task(
@@ -947,8 +948,9 @@ class TestStatePersistence:
                          save_state_to=str(path))
             net, state, _ = load_state(str(path))
             assert state.task_count == n
-            sizes.append(len(pickle.dumps(state.to_json())))
+            sizes.append(len(_split_state(path)[1]))
         assert len(set(sizes)) == 1
+        assert sizes[0] == 2 * 8 * net.param_count  # parameters, Fisher
 
 
 def _state_vectors(state):
@@ -973,9 +975,10 @@ class TestLoadedZeroVectors:
         finally:
             tracemalloc.stop()
         vector = 8 * net.param_count
-        # the parameters, the anchor mean and the Fisher precision; the
-        # five zero fields, loaded as arrays, held five vectors more
-        assert held < 3.5 * vector
+        # the payload: the parameters, which are the anchor mean, and the
+        # Fisher precision; the five zero fields, loaded as arrays, held
+        # five vectors more
+        assert held < 2.5 * vector
 
     @pytest.mark.parametrize("method", METHODS)
     def test_resumed_run_unchanged(self, tmp_path, method):
@@ -992,16 +995,21 @@ class TestLoadedZeroVectors:
             run_sequence(cfg, _RESUME_TASKS))
 
     def test_negative_zeros_keep_their_bits(self, tmp_path):
-        path = tmp_path / "s.json"
+        path = tmp_path / "s.state"
         run_sequence(quick_cfg("ewc", lam=5.0), quick_pair(),
                      save_state_to=str(path))
-        doc = json.loads(path.read_text())
-        doc["reg_state"]["importance"] = [-0.0] * len(doc["net"]["params"])
-        path.write_text(json.dumps(doc))
-        net, state, _ = load_state(str(path))
+        doc, payload = _split_state(path)
+        size = len(payload) // 2  # the parameters and the Fisher
+        doc["reg_state"]["importance"] = 2
+        _write_state(path, doc, payload + np.full(size // 8, -0.0).tobytes())
+        net, state, run = load_state(str(path))
         assert np.signbit(state.importance).all()
         assert state.importance.strides == (8,)
         assert _state_digest(net, state) == _old_state_digest(net, state)
+        # saved again, they stay in the payload
+        save_state(str(path), net, state, run)
+        assert path.read_bytes() == _state_bytes(net, state, run)
+        assert _split_state(path)[0]["reg_state"]["importance"] == 2
 
 
 def _digest_case(params, *vectors):
@@ -1152,12 +1160,20 @@ class TestDigestEncoder:
         assert len(encoded) == 1
 
 
+def _tolists(doc):
+    return {key: _tolists(value) if isinstance(value, dict)
+            else value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in doc.items()}
+
+
 def _old_state_digest(net, state):
-    doc = {"params": net.get_params().tolist(), "reg_state": state.to_json()}
+    doc = {"params": net.get_params().tolist(),
+           "reg_state": _tolists(state.to_doc())}
     return hashlib.sha256(_canonical(doc).encode()).hexdigest()
 
 
 def _old_state_text(net, state, run):
+    """The version-2 state file, which spelled every number in JSON."""
     seed, rows, pre_train = run
     doc = {
         "version": 2,
@@ -1168,12 +1184,68 @@ def _old_state_text(net, state, run):
             "heads": [[name, l.out_dim] for name, l in net.heads.items()],
             "params": net.get_params().tolist(),
         },
-        "reg_state": state.to_json(),
+        "reg_state": _tolists(state.to_doc()),
         "rng": {"scheme": "counter", "seed": seed},
         "acc_matrix": rows,
         "pre_train": [None, *pre_train[1:].tolist()],
     }
     return _canonical(doc) + "\n"
+
+
+def _state_bytes(net, state, run):
+    """The version-3 state file by its definition: a vector whose bits are
+    all zero is "zero", each other vector's bytes (as little-endian
+    float64) go into the payload once, in the order of first use, and the
+    header names each vector's place and the payload's sha256."""
+    seed, rows, pre_train = run
+    payload = []
+
+    def slot(vec):
+        data = np.asarray(vec, "<f8").tobytes()
+        if data == bytes(len(data)):
+            return "zero"
+        if data not in payload:
+            payload.append(data)
+        return payload.index(data)
+    doc = {
+        "version": 3,
+        "net": {
+            "input_dim": net.body[0].in_dim,
+            "hidden": [l.out_dim for l in net.body],
+            "activation": net.body[0].activation,
+            "heads": [[name, l.out_dim] for name, l in net.heads.items()],
+            "params": slot(net.get_params()),
+        },
+        "reg_state": {
+            "anchor": {"mean": slot(state.anchor.mean),
+                       "precision": slot(state.anchor.precision)},
+            "importance": slot(state.importance),
+            "path_accum": slot(state.path_accum),
+            "prev_params": slot(state.prev_params),
+            "fisher_ema": slot(state.fisher_ema),
+            "score_accum": slot(state.score_accum),
+            "task_count": state.task_count,
+        },
+        "rng": {"scheme": "counter", "seed": seed},
+        "acc_matrix": rows,
+        "pre_train": [None, *pre_train[1:].tolist()],
+        "sha256": hashlib.sha256(b"".join(payload)).hexdigest(),
+    }
+    return (_canonical(doc) + "\n").encode() + b"".join(payload)
+
+
+def _split_state(path):
+    """A state file's header, parsed, and its payload."""
+    header, _, payload = path.read_bytes().partition(b"\n")
+    return json.loads(header), payload
+
+
+def _write_state(path, doc, payload):
+    """Write the header `doc` and `payload` as a state file; a header that
+    has a "sha256" gets the payload's."""
+    if "sha256" in doc:
+        doc["sha256"] = hashlib.sha256(payload).hexdigest()
+    path.write_bytes((json.dumps(doc) + "\n").encode() + payload)
 
 
 class TestStateDigest:
@@ -1185,7 +1257,7 @@ class TestStateDigest:
         net, state, seed = load_state(str(path))
         assert result.state_digest == _old_state_digest(net, state)
         assert _state_digest(net, state) == result.state_digest
-        assert path.read_text() == _old_state_text(net, state, seed)
+        assert path.read_bytes() == _state_bytes(net, state, seed)
 
     def test_leaves_no_reference_cycles(self, tmp_path):
         path = tmp_path / "s.json"
@@ -1202,15 +1274,23 @@ class TestStateDigest:
 
 
 class TestAtomicStateWrite:
-    def test_failed_write_keeps_previous_file(self, tmp_path):
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "s.json"
         run_sequence(quick_cfg("ewc", lam=2.0, seed=0), quick_pair(),
                      save_state_to=str(path))
         before = path.read_bytes()
         net, state, seed = load_state(str(path))
         state.task_count += 1
-        state.score_accum = object()  # json cannot encode it
-        with pytest.raises(TypeError):
+
+        class FullDisk(io.BufferedWriter):
+            """Takes the header line, then finds the disk full."""
+            def write(self, data):
+                if self.tell():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+        monkeypatch.setattr(metrics, "open", lambda file, mode: FullDisk(
+            io.FileIO(file, mode[0])), raising=False)
+        with pytest.raises(OSError, match="No space left"):
             save_state(str(path), net, state, seed)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
@@ -1221,7 +1301,7 @@ class TestAtomicStateWrite:
                      save_state_to=str(path))
         before = path.read_bytes()
         net, state, seed = load_state(str(path))
-        net.params[0] += 1.0
+        state.task_count += 1
 
         def fail(src, dst):
             raise OSError("replace failed")
@@ -1256,35 +1336,26 @@ def _drop(keys):
     return mutate
 
 
-def _nan_at(i):
-    return lambda vec: vec[:i] + [float("nan")] + vec[i + 1:]
-
-
 class TestStrictLoadState:
     @pytest.fixture(scope="class")
-    def state_doc(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("state") / "s.json"
+    def state_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("state") / "s.state"
         run_sequence(quick_cfg("rwalk", lam=2.0, seed=0), quick_pair(),
                      save_state_to=str(path))
-        return json.loads(path.read_text())
+        return _split_state(path)
 
     @pytest.mark.parametrize("field,mutate", [
-        ("reg_state.importance", _set(["reg_state", "importance"],
-                                      lambda v: v[:-1])),
-        ("reg_state.path_accum", _set(["reg_state", "path_accum"], _nan_at(3))),
+        # rwalk's payload: the parameters, which are the anchor mean and
+        # prev_params, then importance, fisher_ema and score_accum
+        ("reg_state.importance", _set(["reg_state", "importance"], 7)),
         ("reg_state.anchor.mean", _set(["reg_state", "anchor", "mean"],
-                                       lambda v: ["0.5"] * len(v))),
-        ("reg_state.anchor.precision", _set(
-            ["reg_state", "anchor", "precision"],
-            lambda v: [float("inf")] + v[1:])),
-        ("reg_state.anchor", _set(["reg_state", "anchor", "precision"],
-                                  lambda v: [-1.0] + v[1:])),
+                                       "0.5")),
         ("reg_state.prev_params", _drop(["reg_state", "prev_params"])),
         ("reg_state.fisher_ema", _set(["reg_state", "fisher_ema"], None)),
         ("reg_state.score_accum", _set(["reg_state", "score_accum"],
                                        lambda v: [v, v])),
         ("reg_state.task_count", _set(["reg_state", "task_count"], "2")),
-        ("net.params", _set(["net", "params"], lambda v: v + [0.0])),
+        ("net.params", _set(["net", "params"], -1)),
         ("reg_state.task_count", _set(["reg_state", "task_count"], -1)),
         ("reg_state.task_count", _set(["reg_state", "task_count"], True)),
         ("net.activation", _set(["net", "activation"], "sigmoid")),
@@ -1294,19 +1365,16 @@ class TestStrictLoadState:
         ("net.heads", _set(["net", "heads"], lambda h: [[h[0][0], 0]])),
         ("net.heads", _set(["net", "heads"], lambda h: h + h)),
         ("rng", _set(["rng", "seed"], "0")),
-        # a JSON true among numbers, which numpy would read as 1.0
-        ("net.params", _set(["net", "params"], lambda v: [True] + v[1:])),
-        ("reg_state.importance", _set(["reg_state", "importance"],
-                                      lambda v: v[:-1] + [True])),
+        # a JSON true is not payload index 1, nor false index 0
+        ("net.params", _set(["net", "params"], True)),
         ("reg_state.anchor.mean", _set(["reg_state", "anchor", "mean"],
-                                       lambda v: [False] + v[1:])),
+                                       False)),
         ("version", _set(["version"], True)),
         ("version", _set(["version"], 1.0)),
         ("reg_state.anchor", _set(["reg_state", "anchor"], 5)),
         ("reg_state", _set(["reg_state"], [])),
-        ("reg_state.path_accum", _set(["reg_state", "path_accum"],
-                                      lambda v: [v[:1]] + v[1:])),
         ("net.params", _drop(["net", "params"])),
+        ("sha256", _drop(["sha256"])),
         # the rows must number reg_state.task_count (2)
         ("acc_matrix", _set(["reg_state", "task_count"], 1)),
         ("acc_matrix", _set(["acc_matrix"], lambda a: a[:1])),
@@ -1329,29 +1397,145 @@ class TestStrictLoadState:
         ("pre_train", _drop(["pre_train"])),
         # a version-1 file: no rows, and a top-level task_count
         ("version", _set(["version"], 1)),
-        ("reg_state.path_accum", _set(["reg_state", "path_accum"],
-                                      lambda v: [0.5] + v[1:])),
+        # a nonzero path, which the next task would start from
+        ("reg_state.path_accum", _set(["reg_state", "path_accum"], 0)),
     ])
-    def test_bad_field_named(self, tmp_path, state_doc, field, mutate):
-        doc = json.loads(json.dumps(state_doc))
+    def test_bad_field_named(self, tmp_path, state_file, field, mutate):
+        doc, payload = state_file
+        doc = json.loads(json.dumps(doc))
         mutate(doc)
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc))
+        path = tmp_path / "s.state"
+        _write_state(path, doc, payload)
         with pytest.raises(FormatError, match=re.escape(field)):
             load_state(str(path))
 
-    def test_not_utf8_named(self, tmp_path):
-        path = tmp_path / "s.json"
-        path.write_bytes('{"version": 1, "x": "\xff"}'.encode("latin-1"))
-        with pytest.raises(FormatError, match=re.escape(
-                f"{path}: not UTF-8 (")):
-            load_state(str(path))
-
-    def test_unchanged_doc_loads(self, tmp_path, state_doc):
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(state_doc))
+    def test_unchanged_file_loads(self, tmp_path, state_file):
+        doc, payload = state_file
+        path = tmp_path / "s.state"
+        _write_state(path, json.loads(json.dumps(doc)), payload)
         _, state, (seed, rows, pre_train) = load_state(str(path))
         assert (state.task_count, seed) == (2, 0)
-        assert rows == state_doc["acc_matrix"]
+        assert rows == doc["acc_matrix"]
         np.testing.assert_array_equal(pre_train,
-                                      [np.nan, state_doc["pre_train"][1]])
+                                      [np.nan, doc["pre_train"][1]])
+
+
+class TestStateFormat:
+    """The version-3 file: a header line, then each distinct vector that
+    is not all zero bits once, as little-endian float64."""
+
+    @pytest.fixture(scope="class")
+    def ewc_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("state") / "s.state"
+        result = run_sequence(quick_cfg("ewc", lam=2.0, seed=0), quick_pair(),
+                              save_state_to=str(path))
+        return path.read_bytes(), result
+
+    def _load(self, tmp_path, data):
+        path = tmp_path / "s.state"
+        path.write_bytes(data)
+        return load_state(str(path))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_size_is_the_header_and_the_distinct_vectors(self, tmp_path,
+                                                         method):
+        path = tmp_path / "s.state"
+        run_sequence(quick_cfg(method, lam=2.0, lam_e=0.5, seed=0),
+                     quick_pair(), save_state_to=str(path))
+        net, state, _ = load_state(str(path))
+        vectors = {np.asarray(vec, "<f8").tobytes() for vec in
+                   [net.params, *_state_vectors(state)]}
+        vectors.discard(bytes(8 * net.param_count))
+        header = path.read_bytes().partition(b"\n")[0]
+        assert path.stat().st_size == (len(header) + 1
+                                       + 8 * net.param_count * len(vectors))
+        assert 1 <= len(vectors) <= 5
+
+    @pytest.mark.parametrize("change", [
+        lambda data: data[:-8], lambda data: data[:-1],
+        lambda data: data + bytes(8), lambda data: data + b"\n"],
+        ids=["truncated_vector", "truncated_byte", "padded_vector",
+             "padded_byte"])
+    def test_payload_length_checked(self, tmp_path, ewc_file, change):
+        with pytest.raises(FormatError, match="the payload holds"):
+            self._load(tmp_path, change(ewc_file[0]))
+
+    @pytest.mark.parametrize("bit", [0, 7, 8 * 8 * 5 + 3, -1])
+    def test_flipped_payload_bit_caught(self, tmp_path, ewc_file, bit):
+        data = bytearray(ewc_file[0])
+        start = data.index(b"\n") + 1
+        byte = start + bit // 8 if bit >= 0 else len(data) - 1
+        data[byte] ^= 1 << (bit % 8)
+        with pytest.raises(FormatError, match="payload does not match field "
+                                              "'sha256'"):
+            self._load(tmp_path, bytes(data))
+
+    def test_version_2_file_rejected(self, tmp_path, ewc_file):
+        net, state, run = self._load(tmp_path, ewc_file[0])
+        text = _old_state_text(net, state, run)
+        with pytest.raises(FormatError, match="unsupported version 2 in "
+                                              "field 'version'"):
+            self._load(tmp_path, text.encode())
+
+    @pytest.mark.parametrize("header", [b"{ not json\n", b"\xff\n", b""],
+                             ids=["not_json", "not_utf8", "empty"])
+    def test_header_not_json(self, tmp_path, header):
+        with pytest.raises(FormatError, match="the header line is not JSON"):
+            self._load(tmp_path, header)
+
+    @pytest.mark.parametrize("field,index,value", [
+        ("net.params", 3, np.nan),
+        ("reg_state.anchor.precision", 0, np.inf),
+        ("reg_state.anchor.precision", -1, -np.inf),
+        # finite, but a negative precision
+        ("reg_state.anchor", 5, -1.0)])
+    def test_bad_number_named(self, tmp_path, ewc_file, field, index, value):
+        data = ewc_file[0]
+        header, _, payload = data.partition(b"\n")
+        doc = json.loads(header)
+        slot = doc["net"]["params"] if field == "net.params" else (
+            doc["reg_state"]["anchor"]["precision"])
+        vectors = np.frombuffer(payload, "<f8").reshape(2, -1).copy()
+        vectors[slot, index] = value
+        path = tmp_path / "s.state"
+        _write_state(path, doc, vectors.tobytes())
+        with pytest.raises(FormatError, match=re.escape(f"field {field!r}")):
+            load_state(str(path))
+
+    def test_load_holds_no_copy_of_a_vector(self, tmp_path):
+        path = tmp_path / "s.state"
+        run_sequence(quick_cfg("ewc", lam=5.0, epochs=1,
+                               arch=ArchSpec(hidden=[256, 256])),
+                     quick_pair(), save_state_to=str(path))
+        load_state(str(path))
+        tracemalloc.start()
+        try:
+            net, state, _ = load_state(str(path))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        payload = len(_split_state(path)[1])
+        vector = 8 * net.param_count
+        assert payload == 2 * vector  # the parameters and the Fisher
+        # each vector views the payload, read-only
+        for vec in (net.params, state.anchor.mean, state.anchor.precision):
+            assert not vec.flags.writeable and not vec.flags.owndata
+        assert net.params is state.anchor.mean
+        # a copy of one vector, or a network's own parameters, is 1.0
+        assert held < payload + vector // 4
+
+    def test_byte_equal_vectors_stored_once(self, tmp_path, ewc_file):
+        net, state, run = self._load(tmp_path, ewc_file[0])
+        state.importance = net.params.copy()  # another object, equal bytes
+        path = tmp_path / "again.state"
+        save_state(str(path), net, state, run)
+        doc, payload = _split_state(path)
+        assert doc["reg_state"]["importance"] == doc["net"]["params"] == 0
+        assert payload == ewc_file[0].partition(b"\n")[2]
+
+    def test_resave_is_byte_identical(self, tmp_path, ewc_file):
+        net, state, run = self._load(tmp_path, ewc_file[0])
+        path = tmp_path / "again.state"
+        save_state(str(path), net, state, run)
+        assert path.read_bytes() == ewc_file[0]
+        assert _state_digest(net, state) == ewc_file[1].state_digest
